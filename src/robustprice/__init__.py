@@ -27,9 +27,10 @@ from .optimizer import (OrderingReport, PriceSolution, compare_prices,
                         delta_star, optimal_price_general, optimal_price_power,
                         optimal_price_revenue_variance, optimal_price_variance,
                         sigma_star)
-from .oracle import (CertificateReport, DualCertificate, oracle_worst_case_cr,
-                     oracle_worst_case_rev, random_feasible_instance,
-                     random_four_point, verify_dual_certificate)
+from .oracle import (CertificateReport, DualCertificate, oracle_worst_case,
+                     oracle_worst_case_cr, oracle_worst_case_rev,
+                     random_feasible_instance, random_four_point,
+                     verify_dual_certificate)
 from .ratio import (RatioBreakdown, worst_case_cr, worst_case_cr_dispersion_ub,
                     worst_case_cr_mean_range, worst_case_cr_power,
                     worst_case_cr_variance, worst_case_revenue)
@@ -55,7 +56,8 @@ __all__ = [
     "PriceSolution", "OrderingReport", "optimal_price_variance", "sigma_star",
     "optimal_price_power", "optimal_price_revenue_variance", "delta_star",
     "optimal_price_general", "compare_prices",
-    "DualCertificate", "CertificateReport", "oracle_worst_case_cr",
+    "DualCertificate", "CertificateReport", "oracle_worst_case",
+    "oracle_worst_case_cr",
     "oracle_worst_case_rev", "verify_dual_certificate",
     "random_feasible_instance", "random_four_point",
     "RobustPriceError", "InfeasibleMarketError", "UnboundedSupportError",

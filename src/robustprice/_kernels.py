@@ -4,9 +4,12 @@ Enumerates every two- and three-point distribution supported on a grid,
 solves the moment system for the masses, and tracks the minimum of the
 competitive-ratio and revenue objectives at a fixed price p.
 
-Two interchangeable implementations are provided: a numba-compiled loop
-kernel (default) and a vectorized numpy kernel selected by setting the
-environment variable ROBUSTPRICE_PURE_NUMPY=1.  Both enumerate candidates
+Two interchangeable implementations are provided: a loop kernel, compiled
+with numba when numba is installed (the optional ``fast`` extra), and a
+vectorized numpy kernel used otherwise, or when the environment variable
+ROBUSTPRICE_PURE_NUMPY=1 is set.  The numpy kernel builds no triple index:
+it enumerates the triples in one block per first support point, each
+block a slice of a single pair index.  Both kernels enumerate candidates
 in the same lexicographic order and break ties by first occurrence, so
 results are bit-comparable.
 """
@@ -23,8 +26,6 @@ import numpy as np
 MASS_TOL = 1e-10
 DISP_TOL = 1e-9
 DET_TOL = 1e-12
-
-_CHUNK = 500_000  # numpy-path triple-enumeration chunk size
 
 
 def _enumerate_impl(g, phi, mu, s, p, disp_tol, mass_tol):
@@ -154,14 +155,12 @@ def _enumerate_impl(g, phi, mu, s, p, disp_tol, mass_tol):
     return best_cr, best_rev, cr_sup, cr_mas, rev_sup, rev_mas, n_feasible
 
 
-def _pairs_numpy(g, phi, mu, s, p, disp_tol, mass_tol):
-    n = g.size
-    i, j = np.triu_indices(n, k=1)
-    xi, xj = g[i], g[j]
+def _pairs_numpy(g, phi, mu, s, p, disp_tol, mass_tol, J, K):
+    xi, xj = g[J], g[K]
     wj = (mu - xi) / (xj - xi)
     wi = 1.0 - wj
     feas = (wi >= -mass_tol) & (wj >= -mass_tol)
-    feas &= np.abs(phi[i] * wi + phi[j] * wj - s) <= disp_tol
+    feas &= np.abs(phi[J] * wi + phi[K] * wj - s) <= disp_tol
     if not feas.any():
         return (np.empty((0, 3)),) * 2 + (np.empty(0),) * 2
     xi, xj = xi[feas], xj[feas]
@@ -177,19 +176,23 @@ def _pairs_numpy(g, phi, mu, s, p, disp_tol, mass_tol):
     return sup, mas, cr, rev
 
 
-def _triples_numpy(g, phi, mu, s, p, mass_tol):
+def _triples_numpy(g, phi, mu, s, p, mass_tol, J, K):
+    """Triples (i, j, k), one vectorized block per first index i.
+
+    (J, K) lists the pairs j < k row by row, so the pairs with i < j form
+    the tail of that list starting at row i + 1: every block is a slice
+    and no triple index is built.
+    """
     n = g.size
-    from itertools import combinations
-    idx = np.fromiter(
-        (t for c in combinations(range(n), 3) for t in c), dtype=np.int64
-    ).reshape(-1, 3)
+    row_start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    gJ, gK, fJ, fK = g[J], g[K], phi[J], phi[K]
     best_cr, best_rev = np.inf, np.inf
-    best = {"cr": (None, None), "rev": (None, None)}
+    cr_wit = rev_wit = (None, None)
     n_feas = 0
-    for start in range(0, idx.shape[0], _CHUNK):
-        ch = idx[start:start + _CHUNK]
-        xi, xj, xk = g[ch[:, 0]], g[ch[:, 1]], g[ch[:, 2]]
-        fi, fj, fk = phi[ch[:, 0]], phi[ch[:, 1]], phi[ch[:, 2]]
+    for i in range(n - 2):
+        b = row_start[i + 1]
+        xi, fi = g[i], phi[i]
+        xj, xk, fj, fk = gJ[b:], gK[b:], fJ[b:], fK[b:]
         dxj, dxk = xj - xi, xk - xi
         dfj, dfk = fj - fi, fk - fi
         det = dxj * dfk - dxk * dfj
@@ -201,31 +204,34 @@ def _triples_numpy(g, phi, mu, s, p, mass_tol):
         wk = (dxj * bs - bm * dfj) / det
         wi = 1.0 - wj - wk
         feas = ok & (wi >= -mass_tol) & (wj >= -mass_tol) & (wk >= -mass_tol)
-        n_feas += int(feas.sum())
-        if not feas.any():
+        nf = int(np.count_nonzero(feas))
+        if nf == 0:
             continue
-        xi, xj, xk = xi[feas], xj[feas], xk[feas]
+        n_feas += nf
+        xj, xk = xj[feas], xk[feas]
         wi = np.clip(wi[feas], 0.0, None)
         wj = np.clip(wj[feas], 0.0, None)
         wk = np.clip(wk[feas], 0.0, None)
-        t_p = (np.where(xi >= p, wi, 0.0) + np.where(xj >= p, wj, 0.0)
+        t_p = ((wi if xi >= p else 0.0) + np.where(xj >= p, wj, 0.0)
                + np.where(xk >= p, wk, 0.0))
         rev = p * t_p
-        opt = np.maximum(rev, np.where(xi > 0, xi * (wi + wj + wk), 0.0))
+        opt = np.maximum(rev, xi * (wi + wj + wk) if xi > 0 else 0.0)
         opt = np.maximum(opt, xj * (wj + wk))
         opt = np.maximum(opt, xk * wk)
         cr = np.where(opt > 0, rev / np.where(opt > 0, opt, 1.0), 1.0)
+        # argmin takes the first minimum and only a strictly smaller block
+        # minimum replaces the best, so ties keep lexicographic order.
         a = int(np.argmin(cr))
         if cr[a] < best_cr:
             best_cr = float(cr[a])
-            best["cr"] = (np.array([xi[a], xj[a], xk[a]]),
-                          np.array([wi[a], wj[a], wk[a]]))
+            cr_wit = (np.array([xi, xj[a], xk[a]]),
+                      np.array([wi[a], wj[a], wk[a]]))
         a = int(np.argmin(rev))
         if rev[a] < best_rev:
             best_rev = float(rev[a])
-            best["rev"] = (np.array([xi[a], xj[a], xk[a]]),
-                          np.array([wi[a], wj[a], wk[a]]))
-    return best_cr, best_rev, best["cr"], best["rev"], n_feas
+            rev_wit = (np.array([xi, xj[a], xk[a]]),
+                       np.array([wi[a], wj[a], wk[a]]))
+    return best_cr, best_rev, cr_wit, rev_wit, n_feas
 
 
 def _enumerate_numpy(g, phi, mu, s, p, disp_tol, mass_tol):
@@ -236,7 +242,8 @@ def _enumerate_numpy(g, phi, mu, s, p, disp_tol, mass_tol):
     rev_sup = np.full(3, np.nan)
     rev_mas = np.full(3, np.nan)
     n_feasible = 0
-    sup, mas, cr, rev = _pairs_numpy(g, phi, mu, s, p, disp_tol, mass_tol)
+    J, K = np.triu_indices(g.size, 1)
+    sup, mas, cr, rev = _pairs_numpy(g, phi, mu, s, p, disp_tol, mass_tol, J, K)
     if cr.size:
         n_feasible += cr.size
         a = int(np.argmin(cr))
@@ -245,7 +252,8 @@ def _enumerate_numpy(g, phi, mu, s, p, disp_tol, mass_tol):
         a = int(np.argmin(rev))
         best_rev = float(rev[a])
         rev_sup, rev_mas = sup[a], mas[a]
-    t_cr, t_rev, t_cr_wit, t_rev_wit, t_nf = _triples_numpy(g, phi, mu, s, p, mass_tol)
+    t_cr, t_rev, t_cr_wit, t_rev_wit, t_nf = _triples_numpy(g, phi, mu, s, p,
+                                                            mass_tol, J, K)
     n_feasible += t_nf
     if t_cr < best_cr:
         best_cr = t_cr

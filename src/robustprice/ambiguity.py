@@ -53,6 +53,12 @@ class MarketInfo:
     mode: str = MODE_EXACT
 
     def __post_init__(self):
+        for name in ("mu", "s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise RobustPriceError(f"{name} must be finite, got {value}")
+        if math.isnan(self.beta):
+            raise RobustPriceError("beta must be a number or inf, got nan")
         if not self.mu > 0:
             raise RobustPriceError(f"mean must be positive, got {self.mu}")
         if not self.beta > self.mu:
@@ -81,6 +87,8 @@ class MarketInfo:
 
 def variance_market(mu: float, sigma: float, beta: float, mode: str = MODE_EXACT) -> MarketInfo:
     """Convenience constructor for mean/standard-deviation/maximum knowledge."""
+    if not math.isfinite(sigma):
+        raise RobustPriceError(f"sigma must be finite, got {sigma}")
     if sigma < 0:
         raise RobustPriceError(f"sigma must be nonnegative, got {sigma}")
     return MarketInfo(mu=mu, s=mu * mu + sigma * sigma, beta=beta,

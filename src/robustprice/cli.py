@@ -21,15 +21,15 @@ import numpy as np
 from .ambiguity import (MODE_EXACT, MODE_UPPER, MarketInfo, left_threshold,
                         right_threshold, variance_market)
 from .bounds import best_case_revenue, tail_bounds
-from .dispersion import power_moment, variance_measure
+from .dispersion import DispersionMeasure, power_moment, variance_measure
 from .errors import RobustPriceError
 from .extremal import worst_case_distribution
 from .optimizer import (PriceSolution, compare_prices, optimal_price_general,
                         optimal_price_power, optimal_price_revenue_variance,
                         optimal_price_variance)
-from .oracle import (TARGET_INF_TAIL, TARGET_SUP_TAIL, oracle_worst_case_cr,
-                     oracle_worst_case_rev, random_feasible_instance,
-                     random_four_point, verify_dual_certificate)
+from .oracle import (TARGET_INF_TAIL, TARGET_SUP_TAIL, oracle_worst_case,
+                     random_feasible_instance, random_four_point,
+                     verify_dual_certificate)
 from .ratio import (worst_case_cr, worst_case_cr_dispersion_ub,
                     worst_case_cr_power, worst_case_cr_variance,
                     worst_case_revenue)
@@ -52,7 +52,16 @@ _TABLE1 = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant using exit code 1 for flag errors."""
+    """argparse variant using exit code 1 for flag errors.
+
+    Long options must be spelled in full: with prefix matching, ``--p``
+    on a subcommand that has no ``--p`` would silently mean ``--phi``.
+    Subparsers inherit this class and so this setting.
+    """
+
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -93,24 +102,28 @@ def _add_market_args(p: argparse.ArgumentParser, need_sigma=True) -> None:
                    help="dispersion statistic E[phi(X)] directly")
     p.add_argument("--beta", type=_beta_arg, required=True,
                    help="maximum valuation; 'inf' for unbounded")
-    p.add_argument("--phi", default="variance",
+    p.add_argument("--phi", type=_phi_arg, default="variance",
                    help="dispersion measure: 'variance' or 'power:q=<q>'")
     p.add_argument("--mode", choices=[MODE_EXACT, MODE_UPPER],
                    default=MODE_EXACT,
                    help="treat the statistic as exact or as an upper bound")
 
 
-def _measure(args):
-    if args.phi == "variance":
-        return variance_measure()
-    if args.phi.startswith("power:q="):
-        return power_moment(float(args.phi.split("=", 1)[1]))
-    raise RobustPriceError(
-        f"unknown --phi {args.phi!r}; use 'variance' or 'power:q=<q>'")
+def _phi_arg(text: str) -> DispersionMeasure:
+    """--phi value: 'variance' or 'power:q=<q>'; a bad value is a flag error."""
+    try:
+        if text == "variance":
+            return variance_measure()
+        if text.startswith("power:q="):
+            return power_moment(float(text.split("=", 1)[1]))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
+    raise argparse.ArgumentTypeError(
+        f"unknown value {text!r}; use 'variance' or 'power:q=<q>'")
 
 
 def _market(args) -> MarketInfo:
-    measure = _measure(args)
+    measure = args.phi
     if args.s is not None:
         s = args.s
     elif args.sigma is not None:
@@ -165,7 +178,7 @@ def _sol_json(sol: PriceSolution) -> dict:
 
 
 def _solve_price(args, objective: str) -> PriceSolution:
-    measure = _measure(args)
+    measure = args.phi
     if measure.is_variance and args.sigma is not None:
         if objective == "cr":
             return optimal_price_variance(args.mu, args.sigma, args.beta,
@@ -187,7 +200,7 @@ def cmd_price(args) -> int:
 
 
 def cmd_cr(args) -> int:
-    measure = _measure(args)
+    measure = args.phi
     market = _market(args)
     if args.mode == MODE_UPPER:
         cr = worst_case_cr_dispersion_ub(market, args.p)
@@ -260,7 +273,7 @@ def _sweep_values(args) -> List[float]:
 
 
 def _sweep_solution(args, v: float, objective: str) -> PriceSolution:
-    measure = _measure(args)
+    measure = args.phi
     mu, sigma, beta = args.mu, args.sigma, args.beta
     if args.vary == "sigma":
         sigma = v
@@ -315,11 +328,13 @@ def _verify_checks(trials: int, grid_n: int, seed: int, compat_pl: bool):
     yield ("table1_reproduction", len(_TABLE1), dev, 5e-4, dev <= 5e-4)
 
     markets = [random_feasible_instance(rng) for _ in range(trials)]
+    # One enumeration per instance serves the sandwich, witness and
+    # four-point checks.
+    worst = [oracle_worst_case(market, p, grid_n) for market, p in markets]
 
     hi_dev, lo_dev = 0.0, 0.0
-    for market, p in markets:
+    for (market, p), (o, _, _, _) in zip(markets, worst):
         closed = worst_case_cr(market, p).cr
-        o, _ = oracle_worst_case_cr(market, p, grid_n)
         hi_dev = max(hi_dev, o - closed)
         lo_dev = max(lo_dev, closed - o)
     ok = hi_dev <= 0.02 and lo_dev <= 1e-9
@@ -331,10 +346,8 @@ def _verify_checks(trials: int, grid_n: int, seed: int, compat_pl: bool):
     # exactly p/y, so only exchangeability (each witness near-attains the
     # other objective) is required.
     wit_dev = 0.0
-    for market, p in markets:
+    for (market, p), (cr_min, cw, rev_min, rw) in zip(markets, worst):
         res = 1.5 * market.beta / grid_n
-        cr_min, cw = oracle_worst_case_cr(market, p, grid_n)
-        rev_min, rw = oracle_worst_case_rev(market, p, grid_n)
         wit_dev = max(wit_dev, (rw.ratio(p) - cr_min) / 0.02)
         b = worst_case_cr(market, p)
         if b.cr > 0 and b.tail_ratio < b.price_over_y - 0.05:
@@ -361,8 +374,7 @@ def _verify_checks(trials: int, grid_n: int, seed: int, compat_pl: bool):
     yield ("dual_certificates", n_cert, cert_dev, 1e-9, cert_ok)
 
     fp_dev = 0.0
-    for market, p in markets[:min(trials, 10)]:
-        o, _ = oracle_worst_case_cr(market, p, grid_n)
+    for (market, p), (o, _, _, _) in zip(markets[:min(trials, 10)], worst):
         controls = [random_four_point(market, rng).ratio(p) for _ in range(100)]
         fp_dev = max(fp_dev, o - min(controls))
     yield ("four_point_control", min(trials, 10), fp_dev, 1e-9, fp_dev <= 1e-9)

@@ -33,8 +33,9 @@ class DispersionMeasure:
 
     def __post_init__(self):
         if self.family == "power":
-            if self.q is None or not self.q > 1.0:
-                raise RobustPriceError(f"power measure needs exponent q > 1, got {self.q}")
+            if self.q is None or not 1.0 < self.q < np.inf:
+                raise RobustPriceError(
+                    f"power measure needs a finite exponent q > 1, got {self.q}")
         elif self.family == "custom":
             if self.value_fn is None or self.deriv_fn is None:
                 raise RobustPriceError("custom measure needs a (value, derivative) pair")

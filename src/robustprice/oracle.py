@@ -66,23 +66,31 @@ def _witness(wit) -> DiscreteDistribution:
     return _finalize(np.asarray(sup)[keep], np.asarray(mas)[keep])
 
 
+def oracle_worst_case(market: MarketInfo, p: float,
+                      grid_n: int = DEFAULT_GRID_N):
+    """(min CR, CR witness, min revenue, revenue witness) from one enumeration.
+
+    Both minima run over all grid-supported feasible 2-/3-point members,
+    so each is an upper bound on the true infimum: every enumerated
+    distribution is (within clamping tolerance) a member of the market.
+    The revenue objective is p*P(X>=p).
+    """
+    cr, rev, cr_wit, rev_wit = _run_kernel(market, p, grid_n)
+    return cr, _witness(cr_wit), rev, _witness(rev_wit)
+
+
 def oracle_worst_case_cr(market: MarketInfo, p: float,
                          grid_n: int = DEFAULT_GRID_N):
-    """(min CR, witness) over all grid-supported feasible 2-/3-point members.
-
-    The result is an upper bound on the true worst-case ratio: every
-    enumerated distribution is (within clamping tolerance) a member of the
-    market.
-    """
-    cr, _, cr_wit, _ = _run_kernel(market, p, grid_n)
-    return cr, _witness(cr_wit)
+    """(min CR, witness); the ratio half of :func:`oracle_worst_case`."""
+    cr, cr_wit, _, _ = oracle_worst_case(market, p, grid_n)
+    return cr, cr_wit
 
 
 def oracle_worst_case_rev(market: MarketInfo, p: float,
                           grid_n: int = DEFAULT_GRID_N):
-    """(min revenue, witness), same enumeration with objective p*P(X>=p)."""
-    _, rev, _, rev_wit = _run_kernel(market, p, grid_n)
-    return rev, _witness(rev_wit)
+    """(min revenue, witness); the revenue half of :func:`oracle_worst_case`."""
+    _, _, rev, rev_wit = oracle_worst_case(market, p, grid_n)
+    return rev, rev_wit
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,29 @@ class TestConstruction:
         with pytest.raises(RobustPriceError):
             power_market(0.5, 0.45, 1.5, 1.0).sigma
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_rejects_nonfinite_mean(self, mu):
+        with pytest.raises(RobustPriceError, match="mu"):
+            MarketInfo(mu, 1.0, math.inf, power_moment(2.0))
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_rejects_nonfinite_dispersion(self, s):
+        # Unchecked, a NaN statistic yields a plausible worst-case ratio 0.0.
+        with pytest.raises(RobustPriceError, match="s must be finite"):
+            MarketInfo(0.5, s, 1.0, power_moment(2.0))
+
+    def test_rejects_nan_beta(self):
+        with pytest.raises(RobustPriceError, match="beta"):
+            MarketInfo(0.5, 0.3, math.nan, power_moment(2.0))
+
+    def test_infinite_beta_stays_legal(self):
+        assert MarketInfo(0.5, 0.3, math.inf, power_moment(2.0)).beta == math.inf
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_rejects_nonfinite_sigma(self, sigma):
+        with pytest.raises(RobustPriceError, match="sigma"):
+            variance_market(0.5, sigma, 1.0)
+
 
 class TestRightThreshold:
     def test_variance_closed_form(self):

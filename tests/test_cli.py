@@ -20,6 +20,16 @@ def run_json(capsys, argv):
     return json.loads(out)
 
 
+def usage_error(capsys, argv):
+    """Run argv, require the flag-error exit and no stdout; return stderr."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    cap = capsys.readouterr()
+    assert exc.value.code == cli.EXIT_USAGE
+    assert cap.out == ""
+    return cap.err
+
+
 def schema(name):
     text = resources.files("robustprice").joinpath(f"schemas/{name}.json").read_text()
     return json.loads(text)
@@ -74,10 +84,25 @@ class TestPrice:
         assert exc.value.code == cli.EXIT_USAGE
 
     def test_unknown_phi_exit_code(self, capsys):
-        code, _, err = run(capsys, ["price", "--mu", "0.5", "--s", "0.3",
-                                    "--beta", "1", "--phi", "entropy"])
-        assert code == cli.EXIT_INFEASIBLE
-        assert "phi" in err
+        err = usage_error(capsys, ["price", "--mu", "0.5", "--s", "0.3",
+                                   "--beta", "1", "--phi", "entropy"])
+        assert "--phi" in err
+
+    @pytest.mark.parametrize("phi", ["power:q=abc", "power:q=0.5", "power:q=inf"])
+    def test_bad_power_exponent_exit_code(self, capsys, phi):
+        err = usage_error(capsys, ["price", "--mu", "0.5", "--s", "0.3",
+                                   "--beta", "1", "--phi", phi])
+        assert "--phi" in err
+
+    def test_abbreviated_flag_rejected(self, capsys):
+        # With prefix matching, --p would be read as --phi.
+        err = usage_error(capsys, ["price", "--mu", "0.5", "--sigma", "0.3",
+                                   "--beta", "1", "--p", "0.3"])
+        assert "--p" in err
+
+    def test_abbreviated_flag_rejected_on_subcommands(self, capsys):
+        usage_error(capsys, ["cr", "--mu", "0.5", "--sig", "0.5",
+                             "--beta", "1.2", "--p", "0.25"])
 
 
 class TestCr:

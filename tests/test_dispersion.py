@@ -22,7 +22,7 @@ class TestValue:
             power_moment(2.0).value(-0.1)
 
     def test_bad_exponent_rejected(self):
-        for q in (1.0, 0.5, -1.0):
+        for q in (1.0, 0.5, -1.0, np.inf, np.nan):
             with pytest.raises(RobustPriceError):
                 power_moment(q)
 

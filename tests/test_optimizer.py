@@ -97,6 +97,12 @@ class TestVarianceSweep:
         with pytest.raises(InfeasibleMarketError):
             optimal_price_variance(0.5, 0.8, 1.0)
 
+    def test_nan_sigma_names_the_field(self):
+        # Unchecked, NaN reaches the candidate search, whose error
+        # ("no admissible price candidates") hides the cause.
+        with pytest.raises(RobustPriceError, match="sigma must be finite"):
+            optimal_price_variance(0.5, math.nan, 1.0)
+
     def test_degenerate(self):
         sol = optimal_price_variance(0.5, 0.0, 1.0)
         assert sol.price == pytest.approx(0.5)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from robustprice._kernels import (DISP_TOL, KERNEL_BACKEND, MASS_TOL, _KERNEL,
-                                  _enumerate_numpy, enumerate_min)
-from robustprice.ambiguity import (power_market, right_threshold,
-                                   variance_market)
+                                  _enumerate_impl, _enumerate_numpy,
+                                  enumerate_min)
+from robustprice.ambiguity import (left_threshold, power_market,
+                                   right_threshold, variance_market)
 from robustprice.errors import RobustPriceError, UnboundedSupportError
 from robustprice.oracle import (TARGET_INF_TAIL, TARGET_SUP_TAIL,
-                                oracle_grid, oracle_worst_case_cr,
+                                oracle_grid, oracle_worst_case,
+                                oracle_worst_case_cr,
                                 oracle_worst_case_rev, random_feasible_instance,
                                 random_four_point, verify_dual_certificate)
 from robustprice.ratio import worst_case_cr, worst_case_revenue
@@ -98,6 +100,20 @@ class TestOracleRev:
             _, rev_wit = oracle_worst_case_rev(market, p, grid_n=121)
             # Grid discretization separates the two minimizers slightly.
             assert rev_wit.ratio(p) <= cr_min + 0.02
+
+
+class TestOracleWorstCase:
+    def test_equals_separate_calls(self):
+        rng = np.random.default_rng(59)
+        for _ in range(3):
+            market, p = random_feasible_instance(rng)
+            cr, cw, rev, rw = oracle_worst_case(market, p, grid_n=61)
+            cr1, cw1 = oracle_worst_case_cr(market, p, grid_n=61)
+            rev1, rw1 = oracle_worst_case_rev(market, p, grid_n=61)
+            assert cr == cr1 and rev == rev1
+            for a, b in ((cw, cw1), (rw, rw1)):
+                assert np.array_equal(a.supports, b.supports)
+                assert np.array_equal(a.masses, b.masses)
 
 
 class TestFourPointControl:
@@ -198,6 +214,45 @@ class TestKernelBackends:
             for i in range(2, 6):  # witnesses match (same first-min order)
                 np.testing.assert_allclose(np.asarray(a[i]),
                                            np.asarray(b[i]), equal_nan=True)
+
+    def test_numpy_matches_python_loop(self):
+        # The uncompiled loop kernel is the reference on every platform.  The
+        # numpy kernel does the same arithmetic in the same enumeration order,
+        # so minima, witnesses and counts must agree exactly, ties included.
+        rng = np.random.default_rng(58)
+        for grid_n in (21, 31, 41):
+            for _ in range(2):
+                market, p = random_feasible_instance(rng)
+                t2 = right_threshold(market)
+                # Above t2 the revenue minimum 0 is attained many times over.
+                prices = (p, left_threshold(market), t2, min(1.05 * t2, market.beta))
+                for price in prices:
+                    g, _ = oracle_grid(market, price, grid_n)
+                    phi = np.asarray(market.measure.value(g), dtype=float)
+                    args = (g, phi, market.mu, market.s, price, DISP_TOL, MASS_TOL)
+                    a = _enumerate_impl(*args)
+                    b = _enumerate_numpy(*args)
+                    assert a[0] == b[0] and a[1] == b[1] and a[6] == b[6]
+                    for i in range(2, 6):
+                        assert np.array_equal(np.asarray(a[i]), np.asarray(b[i]),
+                                              equal_nan=True), (grid_n, price, i)
+
+    def test_numpy_matches_python_loop_on_ties(self):
+        # At p = 0 every candidate has revenue and ratio 0, and a plain grid
+        # has no feasible pair, so the witnesses are decided by tie-breaking
+        # across the triple blocks alone.
+        rng = np.random.default_rng(60)
+        for _ in range(3):
+            market = random_feasible_instance(rng, with_price=False)
+            g = np.linspace(0.0, market.beta, 31)
+            phi = np.asarray(market.measure.value(g), dtype=float)
+            args = (g, phi, market.mu, market.s, 0.0, DISP_TOL, MASS_TOL)
+            a = _enumerate_impl(*args)
+            b = _enumerate_numpy(*args)
+            assert a[0] == b[0] == 0.0 and a[1] == b[1] == 0.0 and a[6] == b[6]
+            for i in range(2, 6):
+                assert np.array_equal(np.asarray(a[i]), np.asarray(b[i]),
+                                      equal_nan=True)
 
     def test_enumerate_min_wrapper(self):
         g, _ = oracle_grid(M, 0.6, 61)
