@@ -17,15 +17,15 @@ carries the required mean and dispersion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Tuple
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .dispersion import DispersionMeasure, power_moment, variance_measure
-from .errors import (InfeasibleMarketError, RobustPriceError, RootFindingError,
-                     UnboundedSupportError)
+from .errors import InfeasibleMarketError, RobustPriceError, RootFindingError
 
 MODE_EXACT = "exact"
 MODE_UPPER = "upper"
@@ -34,8 +34,16 @@ MODE_UPPER = "upper"
 # the boundary cases p ~ threshold.
 _DEGEN_RTOL = 1e-12
 
+# Root-finder tolerances: the absolute one is relative to the market scale
+# mu, so a market and its rescaled copy are solved to the same digits.
 _BRENTQ_XTOL = 1e-14
 _BRENTQ_RTOL = 8.881784197001252e-16  # 4 * eps, the minimum brentq accepts
+_COMPANION_MAXITER = 200
+
+
+def solve_bracketed(f, lo: float, hi: float, scale: float) -> float:
+    """Root of f on [lo, hi] (a sign change) by brentq, xtol relative to scale."""
+    return float(brentq(f, lo, hi, xtol=_BRENTQ_XTOL * scale, rtol=_BRENTQ_RTOL))
 
 
 @dataclass(frozen=True)
@@ -44,6 +52,10 @@ class MarketInfo:
 
     ``mode`` selects whether s is an exact dispersion value ("exact", the
     standing assumption) or an upper bound ("upper").
+
+    The support thresholds and the degeneracy flag are computed on first
+    use and kept on the instance; a failed computation is not kept, so an
+    infeasible market raises on every access.
     """
 
     mu: float
@@ -71,11 +83,21 @@ class MarketInfo:
             raise InfeasibleMarketError(
                 f"dispersion s={self.s} below the point-mass minimum phi(mu)={phi_mu}")
 
-    @property
+    @cached_property
     def is_degenerate(self) -> bool:
         """True when s = phi(mu): the only member is the point mass at mu."""
         phi_mu = self.measure.value(self.mu)
-        return abs(self.s - phi_mu) <= _DEGEN_RTOL * max(1.0, abs(phi_mu))
+        return bool(abs(self.s - phi_mu) <= _DEGEN_RTOL * max(abs(phi_mu), abs(self.s)))
+
+    @cached_property
+    def right_threshold(self) -> float:
+        """See :func:`right_threshold`."""
+        return _solve_right_threshold(self)
+
+    @cached_property
+    def left_threshold(self) -> float:
+        """See :func:`left_threshold`."""
+        return _solve_left_threshold(self)
 
     @property
     def sigma(self) -> float:
@@ -140,13 +162,7 @@ def _expand_bracket_up(f, lo: float, step: float, max_doublings: int = 200) -> T
     raise RootFindingError(f"no sign change found above {lo} after bracket expansion")
 
 
-def right_threshold(market: MarketInfo) -> float:
-    """Right support point of the extremal {0, t} two-point distribution.
-
-    Solves (s - phi(0)) / mu = (phi(t) - phi(0)) / t for t >= mu.  Closed
-    form (s/mu)**(1/(q-1)) for the power family; for variance this is
-    mu + sigma**2 / mu.
-    """
+def _solve_right_threshold(market: MarketInfo) -> float:
     m = market.measure
     if market.is_degenerate:
         return market.mu
@@ -161,17 +177,10 @@ def right_threshold(market: MarketInfo) -> float:
     # Secant slope from 0 is increasing; at t = mu it is below target for
     # nondegenerate markets, so the root lies above mu.
     lo, hi = _expand_bracket_up(f, market.mu, market.mu)
-    root = brentq(f, lo, hi, xtol=_BRENTQ_XTOL, rtol=_BRENTQ_RTOL)
-    return float(root)
+    return solve_bracketed(f, lo, hi, market.mu)
 
 
-def left_threshold(market: MarketInfo) -> float:
-    """Left support point of the extremal {t, beta} two-point distribution.
-
-    Solves phi(t)(beta-mu)/(beta-t) + phi(beta)(mu-t)/(beta-t) = s on
-    [0, mu).  Returns mu for beta = inf (the limiting value) and for the
-    degenerate market.  Variance closed form: mu - sigma**2 / (beta - mu).
-    """
+def _solve_left_threshold(market: MarketInfo) -> float:
     if market.is_degenerate:
         return market.mu
     if not math.isfinite(market.beta):
@@ -179,7 +188,7 @@ def left_threshold(market: MarketInfo) -> float:
     mu, beta, s, m = market.mu, market.beta, market.s, market.measure
     if m.is_variance:
         t = mu - (s - mu * mu) / (beta - mu)
-        if t < -1e-12:
+        if t < -1e-12 * mu:
             raise InfeasibleMarketError(
                 f"dispersion exceeds the maximum attainable on [0, {beta}] with mean {mu}")
         return max(t, 0.0)
@@ -190,13 +199,33 @@ def left_threshold(market: MarketInfo) -> float:
     # f is decreasing in t: the {t, beta} two-point dispersion shrinks as
     # its supports pull together.  f(mu) = phi(mu) - s < 0.
     f0 = f(0.0)
-    if f0 < -1e-12 * max(1.0, s):
+    if f0 < -1e-12 * abs(s):
         raise InfeasibleMarketError(
             f"dispersion exceeds the maximum attainable on [0, {beta}] with mean {mu}")
     if f0 <= 0:
         return 0.0
-    root = brentq(f, 0.0, mu, xtol=_BRENTQ_XTOL, rtol=_BRENTQ_RTOL)
-    return float(root)
+    return solve_bracketed(f, 0.0, mu, mu)
+
+
+def right_threshold(market: MarketInfo) -> float:
+    """Right support point of the extremal {0, t} two-point distribution.
+
+    Solves (s - phi(0)) / mu = (phi(t) - phi(0)) / t for t >= mu.  Closed
+    form (s/mu)**(1/(q-1)) for the power family; for variance this is
+    mu + sigma**2 / mu.  Computed once per market.
+    """
+    return market.right_threshold
+
+
+def left_threshold(market: MarketInfo) -> float:
+    """Left support point of the extremal {t, beta} two-point distribution.
+
+    Solves phi(t)(beta-mu)/(beta-t) + phi(beta)(mu-t)/(beta-t) = s on
+    [0, mu).  Returns mu for beta = inf (the limiting value) and for the
+    degenerate market.  Variance closed form: mu - sigma**2 / (beta - mu).
+    Computed once per market.
+    """
+    return market.left_threshold
 
 
 def support_thresholds(market: MarketInfo) -> SupportThresholds:
@@ -206,7 +235,7 @@ def support_thresholds(market: MarketInfo) -> SupportThresholds:
 def check_feasible(market: MarketInfo) -> FeasibilityReport:
     """Non-emptiness test: the market is feasible iff mu <= right_threshold <= beta."""
     t2 = right_threshold(market)
-    tol = 1e-12 * max(1.0, market.beta if math.isfinite(market.beta) else 1.0)
+    tol = 1e-12 * (market.beta if math.isfinite(market.beta) else market.mu)
     if t2 < market.mu - tol:
         return FeasibilityReport(False, t2, f"right threshold {t2} below mean {market.mu}")
     if t2 > market.beta + tol:
@@ -221,56 +250,139 @@ def require_feasible(market: MarketInfo) -> None:
         raise InfeasibleMarketError(rep.reason)
 
 
-def companion_point(market: MarketInfo, p: float) -> float:
+def as_price_array(p):
+    """(prices as a 1-d float array, function giving a result p's shape).
+
+    The restoring function turns a size-1 result back into a Python scalar
+    when p was a scalar, so scalar callers keep getting floats and strings.
+    """
+    arr = np.asarray(p, dtype=float)
+    shape = arr.shape
+
+    def restore(v):
+        v = np.asarray(v)
+        return v.reshape(shape) if shape else v.reshape(()).item()
+
+    return arr.reshape(-1), restore
+
+
+def _no_companion(p) -> RobustPriceError:
+    return RobustPriceError(
+        f"no companion point in [0, mu) for p={p}: price lies strictly "
+        "between the mean and the right threshold")
+
+
+def companion_point(market: MarketInfo, p):
     """Second support point of the two-point distribution containing price p.
 
     Unique solution a of phi(a)(mu-p)/(a-p) + phi(p)(a-mu)/(a-p) = s.
     For p < mu the companion lies in (mu, inf) and is increasing in p; for
     p > mu it lies in [0, mu).  The maximum-valuation cap is deliberately
     ignored here: for p in (left_threshold, mu) the companion exceeds beta.
+
+    p may be a float or an array; every price is solved by the same
+    elementwise iteration, so a price gives the same companion alone or
+    inside an array.  Raises if any price is at the mean, negative, or
+    strictly between the mean and the right threshold.
     """
     mu, s, m = market.mu, market.s, market.measure
+    p, restore = as_price_array(p)
     if market.is_degenerate:
-        if abs(p - mu) <= _DEGEN_RTOL * mu:
-            return mu
         # Point mass at mu: no genuine two-point companion exists, but the
         # defining equation still has the limit solution mu.
-        return mu
-    if abs(p - mu) <= _DEGEN_RTOL * max(1.0, mu):
-        raise RobustPriceError("companion point is singular at p = mu")
-    if p < 0:
-        raise RobustPriceError(f"price must be nonnegative, got {p}")
-    if m.is_variance:
-        sigma2 = s - mu * mu
-        a = mu + sigma2 / (mu - p)
-        if p > mu:
-            if a < -1e-12 * max(1.0, mu):
-                raise RobustPriceError(
-                    f"no companion point in [0, mu) for p={p}: price lies strictly "
-                    "between the mean and the right threshold")
-            a = max(a, 0.0)
-        return a
+        a = np.full_like(p, mu)
+    else:
+        if np.any(np.abs(p - mu) <= _DEGEN_RTOL * mu):
+            raise RobustPriceError("companion point is singular at p = mu")
+        if np.any(p < 0):
+            raise RobustPriceError(f"price must be nonnegative, got {p[p < 0][0]}")
+        if m.is_variance:
+            a = mu + (s - mu * mu) / (mu - p)
+            above = p > mu
+            bad = above & (a < -1e-12 * mu)
+            if np.any(bad):
+                raise _no_companion(p[bad][0])
+            a = np.where(above, np.maximum(a, 0.0), a)
+        else:
+            a = _solve_companion(market, p)
+    return restore(a)
 
-    def g(a):
-        # (a - p) * (residual of the defining equation); sign-compatible
-        # with the bracket direction on each side of mu.
-        return m.value(a) * (mu - p) + m.value(p) * (a - mu) - s * (a - p)
 
-    if p < mu:
-        # g(mu) = (mu - p)(phi(mu) - s) < 0; g grows superlinearly in a.
-        lo, hi = _expand_bracket_up(g, mu, max(mu, 1.0))
-        return float(brentq(g, lo, hi, xtol=_BRENTQ_XTOL, rtol=_BRENTQ_RTOL))
-    # p > mu: companion in [0, mu).  g(mu) = (mu - p)(phi(mu) - s) > 0; a
-    # root in [0, mu) exists iff g(0) <= 0, which holds exactly for
-    # p >= right_threshold (at the threshold the companion is 0).
-    g0 = g(0.0)
-    if g0 > 1e-12 * max(1.0, s):
-        raise RobustPriceError(
-            f"no companion point in [0, mu) for p={p}: price lies strictly "
-            "between the mean and the right threshold")
-    if g0 >= 0:
-        return 0.0
-    return float(brentq(g, 0.0, mu, xtol=_BRENTQ_XTOL, rtol=_BRENTQ_RTOL))
+def _solve_companion(market: MarketInfo, p: np.ndarray) -> np.ndarray:
+    """Companion points of nondegenerate, non-variance markets (1-d p).
+
+    Root of g(a) = phi(a)(mu-p) + phi(p)(a-mu) - s(a-p), the defining
+    equation times (a - p).  Below the mean g is convex with g(mu) < 0; above
+    it g is concave with g(mu) > 0; in both cases g rises through its one
+    root in the bracket, found by safeguarded Newton-bisection started at
+    the end from which Newton converges monotonically.  Every operation is
+    elementwise and converged entries leave the working arrays, so each
+    price follows the same iterates alone or inside an array.
+    """
+    mu, s, m = market.mu, market.s, market.measure
+    phi, dphi = m.value, m.derivative
+    out = np.zeros_like(p)
+    below = p < mu
+    # g(a) = phi(a) w + c a + c0, grouped so that no terms of size s*a cancel.
+    phi_p = phi(p)
+    w, c, c0 = mu - p, phi_p - s, s * p - phi_p * mu
+    # Above the mean: a root in [0, mu) exists iff g(0) <= 0, which holds
+    # exactly for p >= right_threshold (at the threshold the companion is 0).
+    g0 = phi(0.0) * w + c0
+    bad = ~below & (g0 > 1e-12 * abs(s) * p)
+    if bad.any():
+        raise _no_companion(p[bad][0])
+    pos = np.flatnonzero(below | (g0 < 0))
+    if pos.size == 0:
+        return out
+    below, w, c, c0 = below[pos], w[pos], c[pos], c0[pos]
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # Below the mean: walk hi = mu + mu * 2**k up until g(hi) > 0,
+        # raising lo to each hi passed.
+        lo = np.where(below, mu, 0.0)
+        hi = np.where(below, 2.0 * mu, mu)
+        grow = below
+        for _ in range(_COMPANION_MAXITER):
+            if not grow.any():
+                break
+            grow = grow & ~(phi(hi) * w + c * hi + c0 > 0)
+            lo = np.where(grow, hi, lo)
+            hi = np.where(grow, 2.0 * hi - mu, hi)
+        if grow.any():
+            raise RootFindingError(f"no sign change found above {mu} after bracket expansion")
+
+        x = np.where(below, hi, lo)
+        fx = phi(x) * w + c * x + c0
+        dfx = dphi(x) * w + c
+        dx = hi - lo
+        tol = _BRENTQ_XTOL * mu
+        for _ in range(_COMPANION_MAXITER):
+            step = fx / dfx
+            newton = x - step
+            take = (newton >= lo) & (newton <= hi) & (np.abs(2.0 * fx) <= np.abs(dx * dfx))
+            if take.all():
+                dx, x = step, newton
+            else:
+                half = 0.5 * (hi - lo)
+                dx = np.where(take, step, half)
+                x = np.where(take, newton, lo + half)
+            fx = phi(x) * w + c * x + c0
+            done = (np.abs(dx) <= tol + _BRENTQ_RTOL * np.abs(x)) | (fx == 0)
+            if done.any():
+                out[pos[done]] = x[done]
+                keep = ~done
+                if not keep.any():
+                    break
+                x, fx, lo, hi, dx, pos, w, c, c0 = (
+                    v[keep] for v in (x, fx, lo, hi, dx, pos, w, c, c0))
+            dfx = dphi(x) * w + c
+            neg = fx < 0
+            lo = np.where(neg, x, lo)
+            hi = np.where(neg, hi, x)
+        else:
+            raise RootFindingError("companion point iteration did not converge")
+    return out
 
 
 def shift_unit_cost(market: MarketInfo, c: float) -> ShiftedProblem:

@@ -13,8 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ambiguity import (MODE_EXACT, MODE_UPPER, MarketInfo, companion_point,
-                        left_threshold, right_threshold)
+import numpy as np
+
+from .ambiguity import (MODE_UPPER, MarketInfo, as_price_array,
+                        companion_point, left_threshold, right_threshold)
 from .errors import (InternalConsistencyError, ModeError, RobustPriceError,
                      UnboundedSupportError)
 from .extremal import three_point_masses
@@ -40,38 +42,70 @@ class TailBounds:
     regime: str
 
 
-def _check_price(market: MarketInfo, p: float) -> None:
-    if not p > 0:
-        raise RobustPriceError(f"price must be positive, got {p}")
-    if p > market.beta:
-        raise RobustPriceError(f"price {p} exceeds maximum valuation {market.beta}")
+def _check_price(market: MarketInfo, p: np.ndarray) -> None:
+    if ((p > 0) & (p <= market.beta)).all():
+        return
+    bad = ~(p > 0)
+    if bad.any():
+        raise RobustPriceError(f"price must be positive, got {p[bad][0]}")
+    raise RobustPriceError(
+        f"price {p[p > market.beta][0]} exceeds maximum valuation {market.beta}")
 
 
 def _scale(market: MarketInfo) -> float:
-    return market.beta if math.isfinite(market.beta) else max(1.0, market.mu)
+    return market.beta if math.isfinite(market.beta) else market.mu
 
 
-def _dispatch(market: MarketInfo, p: float, low, mid, high) -> float:
-    """Evaluate the piecewise value with a consistency check at boundaries."""
-    t1 = left_threshold(market)
-    t2 = right_threshold(market)
-    band = _BAND * max(1.0, _scale(market))
+def _agree(a, b, where: str) -> np.ndarray:
+    """Average of two branch values that continuity says must agree."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    bad = np.abs(a - b) > _BOUNDARY_AGREE
+    if bad.any():
+        raise InternalConsistencyError(
+            f"branch formulas disagree at {where}: {a[bad][0]} vs {b[bad][0]}")
+    return 0.5 * (a + b)
 
-    def agree(a, b, where):
-        if abs(a - b) > _BOUNDARY_AGREE:
-            raise InternalConsistencyError(
-                f"branch formulas disagree at {where}: {a} vs {b}")
-        return 0.5 * (a + b)
 
-    if abs(p - t1) <= band and t1 > 0:
-        return agree(low(p), mid(p), f"left threshold {t1}")
-    if abs(p - t2) <= band:
-        return agree(mid(p), high(p), f"right threshold {t2}")
-    if p < t1:
-        return low(p)
-    if p < t2:
-        return mid(p)
-    return high(p)
+def _by_part(p: np.ndarray, part: np.ndarray, branches) -> np.ndarray:
+    """Evaluate branches[k] on the prices whose part is k."""
+    out = np.empty_like(p)
+    if part.size and (part == part[0]).all():
+        out[:] = branches[part[0]](p)
+        return out
+    for k in np.unique(part):
+        mask = part == k
+        out[mask] = branches[k](p[mask])
+    return out
+
+
+def _dispatch(market: MarketInfo, p: np.ndarray, low, mid, high) -> np.ndarray:
+    """Evaluate the piecewise value with a consistency check at boundaries.
+
+    p is a 1-d price array; each branch maps an array of its prices to
+    values.  Inside the boundary band both adjacent branches are evaluated,
+    must agree, and are averaged.
+    """
+    t1 = market.left_threshold
+    t2 = market.right_threshold
+    band = _BAND * _scale(market)
+    part = (p >= t1).astype(np.int8) + (p >= t2)   # 0 low, 1 mid, 2 high
+    if t1 > 0:
+        part[np.abs(p - t1) <= band] = 3
+    part[(np.abs(p - t2) <= band) & (part != 3)] = 4
+    return _by_part(p, part, (
+        low, mid, high,
+        lambda x: _agree(low(x), mid(x), f"left threshold {t1}"),
+        lambda x: _agree(mid(x), high(x), f"right threshold {t2}"),
+    ))
+
+
+def _dispatch_unbounded(market: MarketInfo, p: np.ndarray, low, high) -> np.ndarray:
+    """beta = inf: the low branch below the mean, the high one from t2 on."""
+    part = (p >= market.mu).astype(np.int8) + (p >= market.right_threshold)
+    if (part == 1).any():
+        raise UnboundedSupportError(
+            "three-point regime needs a finite maximum valuation")
+    return _by_part(p, part, (low, None, high))
 
 
 def _singleton_extreme(market: MarketInfo) -> bool:
@@ -79,68 +113,66 @@ def _singleton_extreme(market: MarketInfo) -> bool:
     single two-point distribution {0, beta}."""
     if not math.isfinite(market.beta):
         return False
-    t2 = right_threshold(market)
-    return t2 >= market.beta * (1.0 - 1e-12)
+    return market.right_threshold >= market.beta * (1.0 - 1e-12)
 
 
-def _mid_masses(market: MarketInfo, p: float):
+def _mid_masses(market: MarketInfo, p: np.ndarray):
+    """Masses (w0, wp, wb) of the {0, p, beta} member at each price."""
+    if not _singleton_extreme(market):
+        return three_point_masses(market, p)
     # At p = beta the three-point system degenerates; only reachable in the
     # maximal-dispersion case, where the market is the {0, beta} two-point.
-    if p >= market.beta * (1.0 - 1e-15) and _singleton_extreme(market):
-        return 1.0 - market.mu / market.beta, 0.0, market.mu / market.beta
-    return three_point_masses(market, p)
+    r = market.mu / market.beta
+    w = [np.full_like(p, 1.0 - r), np.zeros_like(p), np.full_like(p, r)]
+    inner = p < market.beta * (1.0 - 1e-15)
+    if inner.any():
+        for wk, v in zip(w, three_point_masses(market, p[inner])):
+            wk[inner] = v
+    return w
 
 
-def tail_prob_max(market: MarketInfo, p: float) -> float:
-    """Best-case conversion rate sup P(X >= p) over the market."""
+def _two_point_tails(market: MarketInfo, p: np.ndarray):
+    """Mass at p and at its companion a of the {p, a} member, per price."""
+    a = companion_point(market, p)
+    return (a - market.mu) / (a - p), (market.mu - p) / (a - p)
+
+
+def tail_prob_max(market: MarketInfo, p):
+    """Best-case conversion rate sup P(X >= p) over the market (p: float or array)."""
+    p, restore = as_price_array(p)
     _check_price(market, p)
     if market.is_degenerate:
-        return 1.0 if p <= market.mu else 0.0
-    if not math.isfinite(market.beta):
-        if p < market.mu:
-            return 1.0
-        if p >= right_threshold(market):
-            a = companion_point(market, p)
-            return (a - market.mu) / (a - p)
-        raise UnboundedSupportError(
-            "three-point regime needs a finite maximum valuation")
+        return restore(np.where(p <= market.mu, 1.0, 0.0))
 
-    def low(p):
+    def low(x):
         return 1.0
 
-    def mid(p):
-        _, wp, wb = _mid_masses(market, p)
+    def mid(x):
+        _, wp, wb = _mid_masses(market, x)
         return wp + wb
 
-    def high(p):
-        a = companion_point(market, p)
-        return (a - market.mu) / (a - p)
+    def high(x):
+        return _two_point_tails(market, x)[0]
 
-    return _dispatch(market, p, low, mid, high)
+    if not math.isfinite(market.beta):
+        return restore(_dispatch_unbounded(market, p, low, high))
+    return restore(_dispatch(market, p, low, mid, high))
 
 
-def tail_prob_min(market: MarketInfo, p: float) -> float:
-    """Worst-case conversion rate inf P(X >= p) over the market."""
+def tail_prob_min(market: MarketInfo, p):
+    """Worst-case conversion rate inf P(X >= p) over the market (p: float or array)."""
+    p, restore = as_price_array(p)
     _check_price(market, p)
     if market.is_degenerate:
-        return 1.0 if p <= market.mu else 0.0
-    if not math.isfinite(market.beta):
-        if p < market.mu:
-            a = companion_point(market, p)
-            return (market.mu - p) / (a - p)
-        if p >= right_threshold(market):
-            return 0.0
-        raise UnboundedSupportError(
-            "three-point regime needs a finite maximum valuation")
+        return restore(np.where(p <= market.mu, 1.0, 0.0))
 
-    def low(p):
-        a = companion_point(market, p)
-        return (market.mu - p) / (a - p)
+    def low(x):
+        return _two_point_tails(market, x)[1]
 
-    def mid(p):
-        return _mid_masses(market, p)[2]
+    def mid(x):
+        return _mid_masses(market, x)[2]
 
-    def high(p):
+    def high(x):
         # The {0, t2} member has no mass at or above p > t2.  In the
         # maximal-dispersion singleton market the unique member keeps mass
         # mu/beta at beta.
@@ -148,32 +180,36 @@ def tail_prob_min(market: MarketInfo, p: float) -> float:
             return market.mu / market.beta
         return 0.0
 
-    return _dispatch(market, p, low, mid, high)
+    if not math.isfinite(market.beta):
+        return restore(_dispatch_unbounded(market, p, low, high))
+    return restore(_dispatch(market, p, low, mid, high))
 
 
-def cond_exp_max(market: MarketInfo, p: float) -> float:
-    """Best-case conditional expectation sup E[X | X >= p]."""
+def cond_exp_max(market: MarketInfo, p):
+    """Best-case conditional expectation sup E[X | X >= p] (p: float or array)."""
+    p, restore = as_price_array(p)
     _check_price(market, p)
     if market.is_degenerate:
-        return market.mu
-    t1 = left_threshold(market)
-    if p <= t1:
-        return companion_point(market, p)
-    return market.beta
+        return restore(np.full_like(p, market.mu))
+    part = (p > market.left_threshold).astype(int)
+    return restore(_by_part(p, part, (lambda x: companion_point(market, x),
+                                      lambda x: market.beta)))
 
 
-def best_case_revenue(market: MarketInfo, p: float) -> float:
+def best_case_revenue(market: MarketInfo, p):
     """p * sup P(X >= p); non-decreasing up to the right threshold."""
-    t2 = right_threshold(market)
-    if p > t2 * (1.0 + 1e-12):
+    t2 = market.right_threshold
+    p, restore = as_price_array(p)
+    bad = p > t2 * (1.0 + 1e-12)
+    if bad.any():
         raise RobustPriceError(
-            f"best-case revenue defined on (0, {t2}], got p={p}")
-    return p * tail_prob_max(market, min(p, t2))
+            f"best-case revenue defined on (0, {t2}], got p={p[bad][0]}")
+    return restore(p * tail_prob_max(market, np.minimum(p, t2)))
 
 
 def tail_bounds(market: MarketInfo, p: float) -> TailBounds:
     """All three key quantities plus the best-case revenue at one price."""
-    _check_price(market, p)
+    _check_price(market, np.atleast_1d(p))
     t1 = left_threshold(market)
     t2 = right_threshold(market)
     if p <= t1:
@@ -215,28 +251,23 @@ def tail_prob_min_dispersion_ub(market: MarketInfo, p: float) -> float:
     """
     if market.mode != MODE_UPPER:
         raise ModeError("upper-bound tail requires mode='upper'")
+    p, restore = as_price_array(p)
     _check_price(market, p)
-    if market.is_degenerate:
-        return 1.0 if p <= market.mu else 0.0
-    t1 = left_threshold(market)
     mu, beta = market.mu, market.beta
-    band = _BAND * max(1.0, _scale(market))
+    if market.is_degenerate:
+        return restore(np.where(p <= mu, 1.0, 0.0))
+    t1 = market.left_threshold
+    part = (p >= t1).astype(np.int8) + (p >= mu)   # 0 low, 1 mid, 2 zero
+    if t1 > 0:
+        part[np.abs(p - t1) <= _BAND * _scale(market)] = 3
 
-    def low(p):
-        a = companion_point(market, p)
-        return (mu - p) / (a - p)
+    def low(x):
+        return _two_point_tails(market, x)[1]
 
-    def mid(p):
-        return (mu - p) / (beta - p)
+    def mid(x):
+        return (mu - x) / (beta - x)
 
-    if abs(p - t1) <= band and t1 > 0:
-        a, b = low(p), mid(p)
-        if abs(a - b) > _BOUNDARY_AGREE:
-            raise InternalConsistencyError(
-                f"upper-bound branches disagree at left threshold: {a} vs {b}")
-        return 0.5 * (a + b)
-    if p < t1:
-        return low(p)
-    if p < mu:
-        return mid(p)
-    return 0.0
+    return restore(_by_part(p, part, (
+        low, mid, lambda x: 0.0,
+        lambda x: _agree(low(x), mid(x), f"left threshold {t1}"),
+    )))

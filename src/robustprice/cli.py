@@ -89,16 +89,34 @@ def _num(x):
 
 
 def _beta_arg(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
+    """A number or 'inf'; nan is a flag error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    return value
+
+
+def _finite_arg(text: str) -> float:
+    """A finite number; nan and inf are flag errors."""
+    value = _beta_arg(text)
+    if math.isinf(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _values_arg(text: str) -> List[float]:
+    """--values: comma-separated numbers, each one as --beta accepts it."""
+    return [_beta_arg(v) for v in text.split(",")]
 
 
 def _add_market_args(p: argparse.ArgumentParser, need_sigma=True) -> None:
-    p.add_argument("--mu", type=float, required=True, help="mean valuation")
-    p.add_argument("--sigma", type=float, default=None,
+    p.add_argument("--mu", type=_finite_arg, required=True, help="mean valuation")
+    p.add_argument("--sigma", type=_finite_arg, default=None,
                    help="standard deviation (variance measure)")
-    p.add_argument("--s", type=float, default=None,
+    p.add_argument("--s", type=_finite_arg, default=None,
                    help="dispersion statistic E[phi(X)] directly")
     p.add_argument("--beta", type=_beta_arg, required=True,
                    help="maximum valuation; 'inf' for unbounded")
@@ -262,7 +280,7 @@ def _fmt6(x: float) -> str:
 
 def _sweep_values(args) -> List[float]:
     if args.values is not None:
-        return [_beta_arg(v) for v in args.values.split(",")]
+        return args.values
     if args.start is None or args.stop is None:
         raise RobustPriceError("sweep needs --values or both --from and --to")
     if args.steps < 2:
@@ -424,20 +442,20 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("cr", help="worst-case competitive ratio at a price")
     _add_market_args(p)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=_finite_arg, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_cr)
 
     p = sub.add_parser("bounds", help="tail-probability bounds at a price")
     _add_market_args(p)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=_finite_arg, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("dist", help="worst-case distribution at a price")
     _add_market_args(p)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--eps", type=float, default=0.0,
+    p.add_argument("--p", type=_finite_arg, required=True)
+    p.add_argument("--eps", type=_finite_arg, default=0.0,
                    help="left-limit offset; 0 selects the default")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_dist)
@@ -445,10 +463,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="parameter sweep to CSV")
     _add_market_args(p)
     p.add_argument("--vary", choices=["sigma", "beta", "q", "s"], required=True)
-    p.add_argument("--from", dest="start", type=float, default=None)
-    p.add_argument("--to", dest="stop", type=float, default=None)
+    p.add_argument("--from", dest="start", type=_finite_arg, default=None)
+    p.add_argument("--to", dest="stop", type=_finite_arg, default=None)
     p.add_argument("--steps", type=int, default=11)
-    p.add_argument("--values", default=None,
+    p.add_argument("--values", type=_values_arg, default=None,
                    help="explicit comma-separated values (overrides from/to)")
     p.add_argument("--objective", choices=["cr", "rev", "both"], default="cr")
     p.add_argument("--compat-printed-pl", action="store_true", dest="compat_printed_pl")
@@ -464,8 +482,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="ratio vs revenue price orderings")
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--sigma", type=float, required=True)
+    p.add_argument("--mu", type=_finite_arg, required=True)
+    p.add_argument("--sigma", type=_finite_arg, required=True)
     p.add_argument("--beta", type=_beta_arg, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compare)

@@ -52,11 +52,14 @@ class DispersionMeasure:
 
     def value(self, x):
         """Evaluate the measure at x >= 0 (scalar or array)."""
-        if np.any(np.asarray(x) < 0):
+        if np.ndim(x):
+            x = np.asarray(x, dtype=float)
+            if (x < 0).any():
+                raise RobustPriceError(f"dispersion measure domain is x >= 0, got {x}")
+            return np.power(x, self.q) if self.family == "power" else self.value_fn(x)
+        if x < 0:
             raise RobustPriceError(f"dispersion measure domain is x >= 0, got {x}")
-        if self.family == "power":
-            return np.power(x, self.q) if np.ndim(x) else float(x) ** self.q
-        return self.value_fn(x)
+        return float(x) ** self.q if self.family == "power" else self.value_fn(x)
 
     def derivative(self, x):
         """Slope of the measure at x.
@@ -66,15 +69,16 @@ class DispersionMeasure:
         right-limit value 0 is returned there so dual certificates stay
         evaluable on the whole support.
         """
-        if np.any(np.asarray(x) < 0):
+        if np.ndim(x):
+            x = np.asarray(x, dtype=float)
+            if (x < 0).any():
+                raise RobustPriceError(f"dispersion derivative domain is x >= 0, got {x}")
+            # 0 ** (q - 1) = 0 for q > 1: the right-limit value at x = 0.
+            return self.q * np.power(x, self.q - 1.0) if self.family == "power" \
+                else self.deriv_fn(x)
+        if x < 0:
             raise RobustPriceError(f"dispersion derivative domain is x >= 0, got {x}")
         if self.family == "power":
-            if np.ndim(x):
-                x = np.asarray(x, dtype=float)
-                out = np.zeros_like(x)
-                nz = x > 0
-                out[nz] = self.q * np.power(x[nz], self.q - 1.0)
-                return out
             return 0.0 if x == 0 else self.q * float(x) ** (self.q - 1.0)
         return self.deriv_fn(x)
 

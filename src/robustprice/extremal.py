@@ -112,7 +112,7 @@ def two_point(market: MarketInfo, p: float) -> DiscreteDistribution:
         a = right_threshold(market)
     else:
         a = companion_point(market, p)
-    tol = 1e-9 * max(1.0, market.beta if math.isfinite(market.beta) else 1.0)
+    tol = 1e-9 * (market.beta if math.isfinite(market.beta) else mu)
     if a < -tol or a > market.beta + tol:
         raise RobustPriceError(
             f"companion point {a} of p={p} violates the support [0, {market.beta}]")
@@ -144,11 +144,14 @@ def three_point(market: MarketInfo, p: float) -> DiscreteDistribution:
 
 
 def three_point_masses(market: MarketInfo, p: float) -> Tuple[float, float, float]:
-    """Masses on {0, p, beta} solving the mean and dispersion constraints."""
+    """Masses on {0, p, beta} solving the mean and dispersion constraints.
+
+    p may be an array; the masses are then arrays of its shape.
+    """
     mu, beta, s, m = market.mu, market.beta, market.s, market.measure
     phi0, phip, phib = m.value(0.0), m.value(p), m.value(beta)
     denom = beta * (phi0 - phip) + p * (phib - phi0)
-    if denom <= 0:
+    if np.any(denom <= 0):
         raise RobustPriceError(
             f"degenerate three-point system at p={p} (denominator {denom})")
     w0 = (s * (beta - p) + (mu - beta) * phip + (p - mu) * phib) / denom
@@ -171,7 +174,7 @@ def worst_case_distribution(market: MarketInfo, p: float, eps: float = None) -> 
     if market.is_degenerate:
         return point_mass(market.mu)
     if eps is None:
-        eps = 1e-9 * (market.beta if math.isfinite(market.beta) else max(1.0, market.mu))
+        eps = 1e-9 * (market.beta if math.isfinite(market.beta) else market.mu)
     if not 0 < eps < p:
         raise RobustPriceError(f"need 0 < eps < p, got eps={eps}, p={p}")
     if p <= 0 or p > market.beta:

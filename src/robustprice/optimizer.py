@@ -14,20 +14,17 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from .ambiguity import (MarketInfo, companion_point, left_threshold,
                         power_market, require_feasible, right_threshold,
-                        variance_market)
-from .errors import (InfeasibleMarketError, RobustPriceError, RootFindingError)
+                        solve_bracketed, variance_market)
+from .errors import RobustPriceError, RootFindingError
 from .ratio import (worst_case_cr, worst_case_cr_power,
                     worst_case_cr_variance, worst_case_revenue)
 
 REGIME_LOW_PRICE = "low"
 REGIME_HIGH_PRICE = "high"
-
-_BRENTQ_XTOL = 1e-14
-_BRENTQ_RTOL = 8.881784197001252e-16
 
 # Scan resolutions: coarse for threshold bracketing, fine for root isolation.
 _THRESHOLD_SCAN = 200
@@ -44,9 +41,9 @@ class PriceSolution:
     threshold: Optional[float] = None
 
 
-def _cbrt(x: float) -> float:
-    """Real (sign-preserving) cube root."""
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
+def _real(x):
+    """A 0-d result as a float; arrays pass through."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def _select(candidates: List[Tuple[str, float, float]], threshold=None) -> PriceSolution:
@@ -68,43 +65,72 @@ def _select(candidates: List[Tuple[str, float, float]], threshold=None) -> Price
                          candidates=tuple(candidates), threshold=threshold)
 
 
-def low_price_variance(mu: float, sigma: float, compat_printed_pl: bool = False) -> float:
+def low_price_variance(mu: float, sigma, compat_printed_pl: bool = False):
     """Unconstrained maximizer of the low-branch ratio (variance measure).
 
     The adopted radical is sqrt(8/27 + (mu/(2 sigma))**2); the printed
     variant without the square is available behind the compatibility flag
-    and is known not to reproduce the reference values.
+    and is known not to reproduce the reference values.  sigma may be an
+    array.
     """
-    if sigma == 0.0:
-        return mu
-    x = mu / (2.0 * sigma)
-    r = math.sqrt(8.0 / 27.0 + (x if compat_printed_pl else x * x))
-    return mu - sigma * (_cbrt(x + r) + _cbrt(x - r))
+    sigma = np.asarray(sigma, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = mu / (2.0 * sigma)
+        r = np.sqrt(8.0 / 27.0 + (x if compat_printed_pl else x * x))
+        p = mu - sigma * (np.cbrt(x + r) + np.cbrt(x - r))
+    return _real(np.where(sigma == 0.0, mu, p))
 
 
-def high_prices_variance(mu: float, sigma: float, beta: float) -> Tuple[float, float]:
+def high_prices_variance(mu: float, sigma, beta: float):
     """The two high-regime candidates (three-point region), unclipped."""
-    t2 = mu + sigma * sigma / mu
+    t2 = mu + np.square(sigma) / mu
     disc = (3.0 * beta - t2) ** 2 - 4.0 * beta * beta
-    p_h1 = 0.5 * (beta + t2 - math.sqrt(max(disc, 0.0)))
-    return p_h1, 0.5 * t2
+    p_h1 = 0.5 * (beta + t2 - np.sqrt(np.maximum(disc, 0.0)))
+    return _real(p_h1), _real(0.5 * t2)
 
 
-def _variance_cr_candidates(mu, sigma, beta, compat_printed_pl=False):
-    """(label, price, value) candidates for the variance ratio objective."""
-    t2 = mu + sigma * sigma / mu
-    t1 = mu - sigma * sigma / (beta - mu) if math.isfinite(beta) else mu
-    out = []
-    if t1 > 0:
-        p_l = min(low_price_variance(mu, sigma, compat_printed_pl), t1)
-        out.append(("p_l", p_l, worst_case_cr_variance(mu, sigma, beta, p_l).cr))
+def _thresholds_variance(mu: float, sigma: np.ndarray, beta: float):
+    s2 = sigma * sigma
+    t1 = mu - s2 / (beta - mu) if math.isfinite(beta) else np.full_like(s2, mu)
+    return t1, mu + s2 / mu
+
+
+def _variance_cr_table(mu: float, sigma, beta: float, compat_printed_pl: bool = False):
+    """[(label, price, ratio, present)] for the variance ratio objective.
+
+    sigma > 0 is a float or an array and the columns have its shape.  A
+    candidate is present where it is admissible: p_l needs t1 > 0, the high
+    prices a finite beta and a positive clipped price.  Absent entries carry
+    an arbitrary admissible price, and their ratio is to be ignored.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    t1, t2 = _thresholds_variance(mu, sigma, beta)
+    rows = [("p_l", np.minimum(low_price_variance(mu, sigma, compat_printed_pl), t1), t1 > 0)]
     if math.isfinite(beta):
-        p_h1, p_h2 = high_prices_variance(mu, sigma, beta)
-        for label, p in (("p_h1", p_h1), ("p_h2", p_h2)):
-            p = min(max(p, t1), t2)
-            if p > 0:
-                out.append((label, p, worst_case_cr_variance(mu, sigma, beta, p).cr))
-    return out
+        for label, p in zip(("p_h1", "p_h2"), high_prices_variance(mu, sigma, beta)):
+            p = np.minimum(np.maximum(p, t1), t2)
+            rows.append((label, p, p > 0))
+    prices = np.stack([np.where(present, p, t2) for _, p, present in rows])
+    values = worst_case_cr_variance(mu, sigma, beta, prices).cr
+    return [(label, p, v, present)
+            for (label, _, present), p, v in zip(rows, prices, values)]
+
+
+def _candidates(table) -> List[Tuple[str, float, float]]:
+    """Present (label, price, value) rows of a scalar candidate table."""
+    return [(label, float(p), float(v)) for label, p, v, present in table if present]
+
+
+def _low_minus_high(table, low_label: str) -> np.ndarray:
+    """Best low-regime value minus best high-regime value (-inf if absent)."""
+    low = high = -np.inf
+    for label, _, v, present in table:
+        v = np.where(present, v, -np.inf)
+        if label == low_label:
+            low = np.maximum(low, v)
+        else:
+            high = np.maximum(high, v)
+    return low - high
 
 
 def optimal_price_variance(mu: float, sigma: float, beta: float,
@@ -116,7 +142,7 @@ def optimal_price_variance(mu: float, sigma: float, beta: float,
     if sigma == 0.0:
         return PriceSolution(mu, 1.0, REGIME_LOW_PRICE, "p_l",
                              (("p_l", mu, 1.0),), None)
-    cands = _variance_cr_candidates(mu, sigma, beta, compat_printed_pl)
+    cands = _candidates(_variance_cr_table(mu, sigma, beta, compat_printed_pl))
     thr = None
     if with_threshold:
         thr = math.inf if not math.isfinite(beta) else sigma_star(mu, beta)
@@ -124,21 +150,26 @@ def optimal_price_variance(mu: float, sigma: float, beta: float,
 
 
 def _crossing_sigma(mu: float, beta: float, gap) -> float:
-    """Root of gap(sigma) = low value - high value on (0, sigma_max)."""
+    """Root of gap(sigma) = low value - high value on (0, sigma_max).
+
+    gap maps a sigma array to an array; the scan evaluates it once on the
+    whole grid and brentq refines the first downward crossing.
+    """
     if not math.isfinite(beta):
         return math.inf
     sigma_max = math.sqrt(mu * (beta - mu))
     grid = np.linspace(1e-3 * sigma_max, sigma_max * (1.0 - 1e-9), _THRESHOLD_SCAN)
-    vals = [gap(s) for s in grid]
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            return float(grid[i])
-        if vals[i] > 0 >= vals[i + 1]:
-            return float(brentq(gap, grid[i], grid[i + 1],
-                                xtol=_BRENTQ_XTOL, rtol=_BRENTQ_RTOL))
-    raise RootFindingError(
-        f"no low/high value crossing on (0, {sigma_max}); "
-        f"scan range [{min(vals)}, {max(vals)}]")
+    vals = gap(grid)
+    hits = np.flatnonzero((vals[:-1] == 0.0) | ((vals[:-1] > 0) & (vals[1:] <= 0)))
+    if hits.size == 0:
+        raise RootFindingError(
+            f"no low/high value crossing on (0, {sigma_max}); "
+            f"scan range [{vals.min()}, {vals.max()}]")
+    i = hits[0]
+    if vals[i] == 0.0:
+        return float(grid[i])
+    return solve_bracketed(lambda s: float(gap(np.array([s]))[0]),
+                           grid[i], grid[i + 1], mu)
 
 
 def sigma_star(mu: float, beta: float) -> float:
@@ -147,42 +178,54 @@ def sigma_star(mu: float, beta: float) -> float:
     Below it the low price wins, above it a high price wins.  Goes to
     infinity as beta does (the high regime never takes over).
     """
-    def gap(sigma):
-        cands = _variance_cr_candidates(mu, sigma, beta)
-        low = max((v for l, _, v in cands if l == "p_l"), default=-math.inf)
-        high = max((v for l, _, v in cands if l != "p_l"), default=-math.inf)
-        return low - high
-
-    return _crossing_sigma(mu, beta, gap)
+    return _crossing_sigma(
+        mu, beta, lambda sigma: _low_minus_high(_variance_cr_table(mu, sigma, beta), "p_l"))
 
 
-def low_price_revenue_variance(mu: float, sigma: float) -> float:
+def low_price_revenue_variance(mu: float, sigma):
     """Unconstrained maximizer of the low-branch worst-case revenue."""
-    if sigma == 0.0:
-        return mu
-    y = mu / sigma
-    r = math.sqrt(1.0 + y * y)
-    return mu - sigma * (_cbrt(y + r) + _cbrt(y - r))
+    sigma = np.asarray(sigma, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = mu / sigma
+        r = np.sqrt(1.0 + y * y)
+        p = mu - sigma * (np.cbrt(y + r) + np.cbrt(y - r))
+    return _real(np.where(sigma == 0.0, mu, p))
 
 
-def high_price_revenue_variance(mu: float, sigma: float, beta: float) -> float:
+def high_price_revenue_variance(mu: float, sigma, beta: float):
     """Unconstrained maximizer of the mid-branch worst-case revenue."""
-    return beta - math.sqrt(beta * (beta - mu - sigma * sigma / mu))
+    return _real(beta - np.sqrt(beta * (beta - mu - np.square(sigma) / mu)))
 
 
-def _variance_rev_candidates(mu, sigma, beta):
-    market = variance_market(mu, sigma, beta)
-    t2 = mu + sigma * sigma / mu
-    t1 = mu - sigma * sigma / (beta - mu) if math.isfinite(beta) else mu
-    out = []
-    if t1 > 0:
-        p = min(low_price_revenue_variance(mu, sigma), t1)
-        out.append(("pi_l", p, worst_case_revenue(market, p)))
+def _variance_revenue(mu: float, sigma, beta: float, p):
+    """Worst-case revenue under variance knowledge, in closed form.
+
+    p * d**2 / (d**2 + sigma**2) with d = mu - p up to the left threshold,
+    p (mu**2 + sigma**2 - mu p) / (beta (beta - p)) on [t1, t2], 0 above.
+    sigma and p broadcast.
+    """
+    sigma, p = np.broadcast_arrays(np.asarray(sigma, dtype=float), np.asarray(p, dtype=float))
+    s2 = sigma * sigma
+    t1, t2 = _thresholds_variance(mu, sigma, beta)
+    d = mu - p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        low = p * d * d / (d * d + s2)
+        # p = beta lies in [t1, t2] only in the maximal-dispersion market
+        # {0, beta}, whose revenue there is beta * mu / beta.
+        mid = np.where(p < beta, p * (mu * mu + s2 - mu * p) / (beta * (beta - p)), mu)
+    return np.where(p <= t1, low, np.where(p <= t2, mid, 0.0))
+
+
+def _variance_rev_table(mu: float, sigma, beta: float):
+    """[(label, price, revenue, present)] for the variance revenue objective."""
+    sigma = np.asarray(sigma, dtype=float)
+    t1, t2 = _thresholds_variance(mu, sigma, beta)
+    rows = [("pi_l", np.minimum(low_price_revenue_variance(mu, sigma), t1), t1 > 0)]
     if math.isfinite(beta):
-        p = min(max(high_price_revenue_variance(mu, sigma, beta), t1), t2)
-        if p > 0:
-            out.append(("pi_h", p, worst_case_revenue(market, p)))
-    return out
+        p = np.minimum(np.maximum(high_price_revenue_variance(mu, sigma, beta), t1), t2)
+        rows.append(("pi_h", p, p > 0))
+    return [(label, p, _variance_revenue(mu, sigma, beta, p), present)
+            for label, p, present in rows]
 
 
 def optimal_price_revenue_variance(mu: float, sigma: float, beta: float,
@@ -193,7 +236,7 @@ def optimal_price_revenue_variance(mu: float, sigma: float, beta: float,
     if sigma == 0.0:
         return PriceSolution(mu, mu, REGIME_LOW_PRICE, "pi_l",
                              (("pi_l", mu, mu),), None)
-    cands = _variance_rev_candidates(mu, sigma, beta)
+    cands = _candidates(_variance_rev_table(mu, sigma, beta))
     thr = None
     if with_threshold:
         thr = math.inf if not math.isfinite(beta) else delta_star(mu, beta)
@@ -206,27 +249,24 @@ def delta_star(mu: float, beta: float) -> float:
     Defined operationally as the sigma where the low and high revenue
     candidates' worst-case revenues cross.
     """
-    def gap(sigma):
-        cands = _variance_rev_candidates(mu, sigma, beta)
-        low = max((v for l, _, v in cands if l == "pi_l"), default=-math.inf)
-        high = max((v for l, _, v in cands if l != "pi_l"), default=-math.inf)
-        return low - high
-
-    return _crossing_sigma(mu, beta, gap)
+    return _crossing_sigma(
+        mu, beta, lambda sigma: _low_minus_high(_variance_rev_table(mu, sigma, beta), "pi_l"))
 
 
-def _scan_roots(f, lo: float, hi: float, n: int = _ROOT_SCAN) -> List[float]:
-    """All sign-change roots of f on [lo, hi] found on an n-point scan."""
+def _scan_roots(f, lo: float, hi: float, scale: float,
+                n: int = _ROOT_SCAN) -> List[float]:
+    """All sign-change roots of f on [lo, hi] found on an n-point scan.
+
+    f maps a price array to residuals.  The scan evaluates it once on the
+    grid, and brentq refines each sign change on the same f (through
+    one-element arrays), with xtol relative to ``scale``.
+    """
     grid = np.linspace(lo, hi, n)
-    vals = np.array([f(x) for x in grid])
-    roots = []
-    for i in range(n - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(float(grid[i]))
-        elif a * b < 0:
-            roots.append(float(brentq(f, grid[i], grid[i + 1],
-                                      xtol=_BRENTQ_XTOL, rtol=_BRENTQ_RTOL)))
+    vals = f(grid)
+    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
+    roots = [float(grid[i]) if vals[i] == 0.0 else
+             solve_bracketed(lambda x: float(f(np.array([x]))[0]), grid[i], grid[i + 1], scale)
+             for i in hits]
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     return roots
@@ -248,19 +288,16 @@ def optimal_price_power(mu: float, s: float, q: float, beta: float) -> PriceSolu
     t2 = right_threshold(market)
     eps = 1e-9 * mu
 
-    def alpha(p):
-        return companion_point(market, p)
-
     def bar_pl_resid(p):
-        a = alpha(p)
-        return p - (a - math.sqrt(a * (a - mu)))
+        a = companion_point(market, p)
+        return p - (a - np.sqrt(a * (a - mu)))
 
     def hat_pl_resid(p):
-        a = alpha(p)
-        return (a ** q - p ** q) / (a - p) - q * s / mu
+        a = companion_point(market, p)
+        return (np.power(a, q) - np.power(p, q)) / (a - p) - q * s / mu
 
-    bar_pl_roots = _scan_roots(bar_pl_resid, eps, mu * (1.0 - 1e-7))
-    hat_pl_roots = _scan_roots(hat_pl_resid, eps, mu * (1.0 - 1e-7))
+    bar_pl_roots = _scan_roots(bar_pl_resid, eps, mu * (1.0 - 1e-7), mu)
+    hat_pl_roots = _scan_roots(hat_pl_resid, eps, mu * (1.0 - 1e-7), mu)
     raw = []
     low_parts = [t1]
     if bar_pl_roots:
@@ -272,28 +309,28 @@ def optimal_price_power(mu: float, s: float, q: float, beta: float) -> PriceSolu
 
     cands = []
     if t1 > 0:
-        p_low = min(low_parts)
-        cands.append(("p_l", p_low, worst_case_cr_power(mu, s, q, beta, p_low).cr))
+        cands.append(("p_l", min(low_parts)))
 
     hat_ph = (s / (q * mu)) ** (1.0 / (q - 1.0))
     raw.append(("hat_p_h", hat_ph))
     if math.isfinite(beta):
         def bar_ph_resid(p):
-            return (beta ** q - p ** q + beta * p ** (q - 1.0)) / (2.0 * beta - p) - s / mu
+            return (beta ** q - np.power(p, q) + beta * np.power(p, q - 1.0)) \
+                / (2.0 * beta - p) - s / mu
 
-        bar_ph_roots = _scan_roots(bar_ph_resid, eps, t2)
+        bar_ph_roots = _scan_roots(bar_ph_resid, eps, t2, mu)
         high_parts = [t1, hat_ph]
         if bar_ph_roots:
             raw.append(("bar_p_h", bar_ph_roots[-1]))  # right-most
             high_parts.append(bar_ph_roots[-1])
         p_high = min(max(high_parts), t2)
         if p_high > 0:
-            cands.append(("p_h", p_high, worst_case_cr_power(mu, s, q, beta, p_high).cr))
+            cands.append(("p_h", p_high))
 
     # Raw candidate values are reported at their in-range clip for audit.
-    for label, p in raw:
-        pc = min(max(p, eps), t2)
-        cands.append((label, pc, worst_case_cr_power(mu, s, q, beta, pc).cr))
+    cands += [(label, min(max(p, eps), t2)) for label, p in raw]
+    values = worst_case_cr_power(mu, s, q, beta, np.array([p for _, p in cands])).cr
+    cands = [(label, float(p), float(v)) for (label, p), v in zip(cands, values)]
     return _select(cands[:2] + sorted(cands[2:], key=lambda c: c[0]))
 
 
@@ -314,7 +351,7 @@ def optimal_price_general(market: MarketInfo, tol: float = 1e-8,
         return PriceSolution(mu, val, REGIME_LOW_PRICE, "p_l",
                              (("p_l", mu, val),), None)
 
-    def f(p):
+    def f(p):  # a float or a price array
         if objective == "cr":
             return worst_case_cr(market, p).cr
         return worst_case_revenue(market, p)
@@ -331,14 +368,14 @@ def optimal_price_general(market: MarketInfo, tol: float = 1e-8,
     cands = []
     for label, lo, hi in segments:
         grid = np.linspace(lo, hi, _ROOT_SCAN)
-        vals = np.array([f(p) for p in grid])
-        i = int(np.argmax(vals))
+        i = int(np.argmax(f(grid)))
         blo, bhi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
         res = minimize_scalar(lambda p: -f(p), bounds=(blo, bhi), method="bounded",
                               options={"xatol": tol})
         p_best, v_best = float(res.x), float(-res.fun)
-        if vals[i] > v_best:
-            p_best, v_best = float(grid[i]), float(vals[i])
+        v_grid = f(float(grid[i]))
+        if v_grid > v_best:
+            p_best, v_best = float(grid[i]), v_grid
         cands.append((label, p_best, v_best))
     return _select(cands)
 

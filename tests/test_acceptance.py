@@ -17,7 +17,7 @@ from robustprice.optimizer import (compare_prices, optimal_price_power,
                                    optimal_price_revenue_variance,
                                    optimal_price_variance, sigma_star)
 from robustprice.oracle import (TARGET_INF_TAIL, TARGET_SUP_TAIL,
-                                oracle_worst_case_cr, oracle_worst_case_rev,
+                                oracle_worst_case, oracle_worst_case_cr,
                                 random_feasible_instance,
                                 verify_dual_certificate)
 from robustprice.ratio import worst_case_cr, worst_case_cr_variance
@@ -126,8 +126,7 @@ def test_06_witness_agreement(capsys):
     for _ in range(50):
         market, p = random_feasible_instance(rng)
         res = 1.5 * market.beta / grid_n
-        cr_min, cw = oracle_worst_case_cr(market, p, grid_n)
-        rev_min, rw = oracle_worst_case_rev(market, p, grid_n)
+        cr_min, cw, rev_min, rw = oracle_worst_case(market, p, grid_n)
         dev = max(dev, (rw.ratio(p) - cr_min) / 0.02)
         b = worst_case_cr(market, p)
         if b.cr > 0 and b.tail_ratio < b.price_over_y - 0.05:

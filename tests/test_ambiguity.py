@@ -233,3 +233,125 @@ class TestTransforms:
                        measure=custom_measure(lambda x: np.square(x), lambda x: 2 * x))
         with pytest.raises(RobustPriceError):
             scale_to_unit_mean(m)
+
+
+def _exp_measure(mu):
+    """phi(x) = exp(x / mu), a strictly convex custom measure."""
+    return custom_measure(lambda x: np.exp(np.asarray(x, dtype=float) / mu),
+                          lambda x: np.exp(np.asarray(x, dtype=float) / mu) / mu)
+
+
+def _companion_markets():
+    mu, beta = 0.7, 1.8
+    out = []
+    for q in (1.05, 1.5, 2.5, 4.0):
+        lo, hi = mu ** q, mu * beta ** (q - 1.0)
+        out.append(power_market(mu=mu, s=lo + 0.4 * (hi - lo), q=q, beta=beta))
+    lo, hi = math.e, (1 - mu / beta) + (mu / beta) * math.exp(beta / mu)
+    out.append(MarketInfo(mu=mu, s=lo + 0.4 * (hi - lo), beta=beta, measure=_exp_measure(mu)))
+    return out
+
+
+def _brentq_companion(market, p):
+    """Scalar reference: bracket above the mean by doubling, then brentq.
+
+    The defining equation phi(a)(mu-p) + phi(p)(a-mu) - s(a-p) = 0 is
+    grouped as phi(a)(mu-p) + (phi(p)-s) a + (s p - phi(p) mu): expanded, its
+    terms of size s*a cancel, which for q near 1 and p near mu (a ~ 1e5 mu)
+    moves the computed root by about 1e-13 relative.  phi is evaluated on
+    one-element arrays, as the solver does: numpy's vectorized pow may round
+    differently from the scalar one, which there moves the root as much.
+    """
+    from scipy.optimize import brentq
+    mu, s, m = market.mu, market.s, market.measure
+    phi_p = m.value(np.array([p]))[0]
+
+    def g(a):
+        return m.value(np.array([a]))[0] * (mu - p) + (phi_p - s) * a + (s * p - phi_p * mu)
+
+    if p < mu:
+        step = mu
+        while g(mu + step) <= 0:
+            step *= 2.0
+        return brentq(g, mu, mu + step, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    if g(0.0) >= 0:
+        return 0.0
+    return brentq(g, 0.0, mu, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+
+
+def _companion_prices(market):
+    t1, t2 = left_threshold(market), right_threshold(market)
+    return np.concatenate([np.linspace(1e-6, market.mu * 0.999, 40), [t1, t2],
+                           np.linspace(t2, market.beta, 12)[1:]])
+
+
+class TestCompanionArray:
+    @pytest.mark.parametrize("market", _companion_markets(),
+                             ids=["q1.05", "q1.5", "q2.5", "q4", "exp"])
+    def test_matches_brentq_reference(self, market):
+        ps = _companion_prices(market)
+        got = companion_point(market, ps)
+        ref = np.array([_brentq_companion(market, p) for p in ps])
+        # Relative to the companion, or to the mean where it is near 0.
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(np.abs(ref), market.mu))
+
+    @pytest.mark.parametrize("market", _companion_markets(),
+                             ids=["q1.05", "q1.5", "q2.5", "q4", "exp"])
+    def test_array_entries_equal_scalar_calls(self, market):
+        ps = _companion_prices(market)
+        got = companion_point(market, ps)
+        assert got.shape == ps.shape
+        assert [companion_point(market, float(p)) for p in ps] == list(got)
+
+    def test_shape_kept(self):
+        m = _companion_markets()[1]
+        ps = np.linspace(0.1, 0.6, 6).reshape(2, 3)
+        assert companion_point(m, ps).shape == (2, 3)
+        assert isinstance(companion_point(m, 0.3), float)
+
+    @pytest.mark.parametrize("market", _companion_markets()[1:2]
+                             + [variance_market(0.5, 0.5, 1.2)], ids=["power", "variance"])
+    def test_array_raises_like_scalar(self, market):
+        mu, t2 = market.mu, right_threshold(market)
+        inside = 0.5 * (mu + t2)
+        for bad, match in ((mu, "singular"), (-0.1, "nonnegative"),
+                           (inside, "no companion point")):
+            with pytest.raises(RobustPriceError, match=match):
+                companion_point(market, bad)
+            with pytest.raises(RobustPriceError, match=match):
+                companion_point(market, np.array([0.2, bad, t2]))
+
+
+class TestThresholdCache:
+    def test_solved_once_per_market(self):
+        calls = []
+        q = 1.5
+
+        def value(x):
+            calls.append(1)
+            return np.power(x, q)
+
+        m = MarketInfo(mu=0.5, s=0.45, beta=1.0,
+                       measure=custom_measure(value, lambda x: q * np.sqrt(x)))
+        t1, t2 = left_threshold(m), right_threshold(m)
+        n = len(calls)
+        assert n > 0
+        assert (left_threshold(m), right_threshold(m)) == (t1, t2)
+        assert m.is_degenerate is False
+        assert len(calls) == n
+
+    def test_replace_gives_fresh_thresholds(self):
+        from dataclasses import replace
+        m = power_market(mu=0.5, s=0.45, q=1.5, beta=1.0)
+        t1 = left_threshold(m)
+        m2 = replace(m, s=0.40)
+        fresh = power_market(mu=0.5, s=0.40, q=1.5, beta=1.0)
+        assert left_threshold(m2) == left_threshold(fresh) != t1
+        assert right_threshold(m2) == right_threshold(fresh) != right_threshold(m)
+        assert left_threshold(m) == t1
+
+    def test_failure_not_cached(self):
+        m = variance_market(0.5, 0.8, 1.0)   # sigma^2 > mu (beta - mu)
+        for _ in range(2):
+            with pytest.raises(InfeasibleMarketError):
+                left_threshold(m)

@@ -105,6 +105,39 @@ class TestPrice:
                              "--beta", "1.2", "--p", "0.25"])
 
 
+# One argv per numeric flag with a nan (or inf) value swapped in; each must
+# be a flag error naming the flag, not an infeasible market.
+_MARKET = ["--mu", "0.5", "--sigma", "0.3", "--beta", "1"]
+_NONFINITE_FLAGS = [
+    ("--mu", ["price", "--mu", "nan", "--sigma", "0.3", "--beta", "1"]),
+    ("--mu", ["price", "--mu", "inf", "--sigma", "0.3", "--beta", "1"]),
+    ("--sigma", ["price", "--mu", "0.5", "--sigma", "nan", "--beta", "1"]),
+    ("--s", ["price", "--mu", "0.5", "--s", "nan", "--beta", "1",
+             "--phi", "power:q=1.5"]),
+    ("--beta", ["price", "--mu", "0.5", "--sigma", "0.3", "--beta", "nan"]),
+    ("--p", ["cr", *_MARKET, "--p", "nan"]),
+    ("--p", ["bounds", *_MARKET, "--p", "nan"]),
+    ("--eps", ["dist", *_MARKET, "--p", "0.3", "--eps", "nan"]),
+    ("--from", ["sweep", *_MARKET, "--vary", "sigma", "--from", "nan", "--to", "0.4"]),
+    ("--to", ["sweep", *_MARKET, "--vary", "sigma", "--from", "0.1", "--to", "nan"]),
+    ("--values", ["sweep", *_MARKET, "--vary", "beta", "--values", "1,nan"]),
+    ("--sigma", ["compare", "--mu", "0.5", "--sigma", "nan", "--beta", "1"]),
+]
+
+
+@pytest.mark.parametrize("flag,argv", _NONFINITE_FLAGS,
+                         ids=[f"{a[0]}{f}={a[a.index(f) + 1]}" for f, a in _NONFINITE_FLAGS])
+def test_nonfinite_flag_is_flag_error(capsys, flag, argv):
+    err = usage_error(capsys, argv)
+    assert f"argument {flag}" in err
+
+
+def test_inf_beta_still_accepted(capsys):
+    out = run_json(capsys, ["cr", "--mu", "0.5", "--sigma", "0.3", "--beta", "inf",
+                            "--p", "0.3"])
+    assert out["p"] == 0.3
+
+
 class TestCr:
     def test_breakdown(self, capsys):
         obj = run_json(capsys, ["cr", "--mu", "0.5", "--sigma", "0.5",

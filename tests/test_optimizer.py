@@ -3,10 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from robustprice.ambiguity import (left_threshold, power_market,
-                                   right_threshold, variance_market)
-from robustprice.errors import InfeasibleMarketError, RobustPriceError
-from robustprice.optimizer import (compare_prices, delta_star,
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
+
+from robustprice.ambiguity import (MarketInfo, companion_point, left_threshold,
+                                   power_market, right_threshold,
+                                   variance_market)
+from robustprice.dispersion import custom_measure
+from robustprice.errors import (InfeasibleMarketError, RobustPriceError,
+                                RootFindingError)
+from robustprice.optimizer import (_ROOT_SCAN, _THRESHOLD_SCAN, _scan_roots,
+                                   _variance_revenue, compare_prices, delta_star,
                                    high_price_revenue_variance,
                                    high_prices_variance, low_price_variance,
                                    low_price_revenue_variance,
@@ -332,3 +340,149 @@ class TestComparePrices:
             if rep.high_ordering_applies:
                 n_high += 1
                 assert rep.high_ordering_holds
+
+
+# --------------------------------------------------------------------------
+# Array scans against the scalar loops they replace.
+
+_XTOL, _RTOL = 1e-14, 4 * np.finfo(float).eps
+
+
+def _scan_roots_loop(f, lo, hi, n, scale):
+    """Reference: one scalar call per grid point, brentq per sign change."""
+    grid = np.linspace(lo, hi, n)
+    vals = [f(x) for x in grid]
+    roots = []
+    for i in range(n - 1):
+        if vals[i] == 0.0:
+            roots.append(float(grid[i]))
+        elif vals[i] * vals[i + 1] < 0:
+            roots.append(brentq(f, grid[i], grid[i + 1], xtol=_XTOL * scale, rtol=_RTOL))
+    if vals[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    return roots
+
+
+def _crossing_loop(mu, beta, gap):
+    """Reference for sigma_star/delta_star: scalar gap per grid sigma."""
+    sigma_max = math.sqrt(mu * (beta - mu))
+    grid = np.linspace(1e-3 * sigma_max, sigma_max * (1.0 - 1e-9), _THRESHOLD_SCAN)
+    vals = [gap(s) for s in grid]
+    for i in range(len(grid) - 1):
+        if vals[i] == 0.0:
+            return float(grid[i])
+        if vals[i] > 0 >= vals[i + 1]:
+            return brentq(gap, grid[i], grid[i + 1], xtol=_XTOL * mu, rtol=_RTOL)
+    raise AssertionError("no crossing")
+
+
+def _gap_from_candidates(solve, low_label):
+    def gap(sigma):
+        cands = solve(sigma).candidates
+        low = max((v for l, _, v in cands if l == low_label), default=-math.inf)
+        high = max((v for l, _, v in cands if l != low_label), default=-math.inf)
+        return low - high
+    return gap
+
+
+_MU_BETA = [(0.5, 1.0), (0.5, 1.2), (1.0, 1.5), (0.8, 2.9), (1.3, 1.7)]
+
+
+class TestArrayScans:
+    def test_scan_roots_matches_scalar_loop(self):
+        m = power_market(mu=0.5, s=0.45, q=1.5, beta=1.0)
+
+        def hat_pl_resid(p):
+            a = companion_point(m, p)
+            return (np.power(a, 1.5) - np.power(p, 1.5)) / (a - p) - 1.5 * 0.45 / 0.5
+
+        cubic = lambda p: (p - 0.1) * (p - 0.25) * (p - 0.4)  # noqa: E731
+        for f, lo, hi in ((hat_pl_resid, 5e-10, 0.5 * (1 - 1e-7)), (cubic, 0.0, 0.5)):
+            scalar = lambda x, f=f: float(f(np.array([x]))[0])  # noqa: E731
+            ref = _scan_roots_loop(scalar, lo, hi, _ROOT_SCAN, 0.5)
+            assert ref
+            assert _scan_roots(f, lo, hi, 0.5) == ref
+
+    @pytest.mark.parametrize("mu,beta", _MU_BETA)
+    def test_sigma_star_matches_scalar_loop(self, mu, beta):
+        gap = _gap_from_candidates(
+            lambda sg: optimal_price_variance(mu, sg, beta, with_threshold=False), "p_l")
+        assert sigma_star(mu, beta) == _crossing_loop(mu, beta, gap)
+
+    @pytest.mark.parametrize("mu,beta", _MU_BETA)
+    def test_delta_star_matches_scalar_loop(self, mu, beta):
+        gap = _gap_from_candidates(
+            lambda sg: optimal_price_revenue_variance(mu, sg, beta, with_threshold=False),
+            "pi_l")
+        assert delta_star(mu, beta) == _crossing_loop(mu, beta, gap)
+
+    @pytest.mark.parametrize("mu,sigma,beta", [(0.5, 0.1, 1.0), (0.5, 0.3, 1.2),
+                                               (1.0, 0.45, 1.6), (0.5, 0.5, 1.0),
+                                               (0.5, 0.3, math.inf)])
+    def test_variance_revenue_closed_form(self, mu, sigma, beta):
+        m = variance_market(mu, sigma, beta)
+        t1, t2 = left_threshold(m), right_threshold(m)
+        top = min(beta, 1.2 * t2)
+        ps = np.concatenate([np.linspace(1e-3 * mu, top, 400),
+                             [p for p in (t1, t2) if 0 < p <= top]])
+        ref = np.array([worst_case_revenue(m, p) for p in ps])
+        assert np.max(np.abs(_variance_revenue(mu, sigma, beta, ps) - ref)) <= 1e-13 * mu
+
+    def test_general_objective_array_equals_scalar(self):
+        mu, beta = 0.7, 1.8
+        measure = custom_measure(lambda x: np.exp(np.asarray(x, dtype=float) / mu),
+                                 lambda x: np.exp(np.asarray(x, dtype=float) / mu) / mu)
+        s = math.e + 0.4 * ((1 - mu / beta) + (mu / beta) * math.exp(beta / mu) - math.e)
+        m = MarketInfo(mu=mu, s=s, beta=beta, measure=measure)
+        ps = np.concatenate([np.linspace(1e-6, right_threshold(m), 300),
+                             [left_threshold(m), right_threshold(m), beta]])
+        b = worst_case_cr(m, ps)
+        assert list(b.cr) == [worst_case_cr(m, float(p)).cr for p in ps]
+        assert list(worst_case_revenue(m, ps)) == [worst_case_revenue(m, float(p)) for p in ps]
+        assert list(b.regime) == [worst_case_cr(m, float(p)).regime for p in ps]
+
+
+# --------------------------------------------------------------------------
+# Scale invariance: prices scale with the market, ratios do not move.
+
+class TestScaleInvariance:
+    def test_small_scale_variance_regression(self):
+        # Absolute tolerances once raised InternalConsistencyError here.
+        small = optimal_price_variance(5e-7, 3e-7, 1e-6)
+        unit = optimal_price_variance(0.5, 0.3, 1.0)
+        assert small.price / 5e-7 == pytest.approx(0.59338, abs=5e-6)
+        assert small.price / 5e-7 == pytest.approx(unit.price / 0.5, rel=1e-9)
+        assert small.value == pytest.approx(unit.value, rel=1e-9)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(mu=st.floats(0.3, 1.5), spread=st.floats(1.3, 3.5), u=st.floats(0.1, 0.9),
+           log10_k=st.floats(-6.0, 6.0))
+    def test_variance_homogeneity(self, mu, spread, u, log10_k):
+        beta = mu * spread
+        sigma = u * math.sqrt(mu * (beta - mu))
+        k = 10.0 ** log10_k
+        for solve in (optimal_price_variance, optimal_price_revenue_variance):
+            a, b = solve(mu, sigma, beta), solve(k * mu, k * sigma, k * beta)
+            assert b.price == pytest.approx(k * a.price, rel=1e-9)
+            assert b.value == pytest.approx(a.value * (1.0 if solve is optimal_price_variance
+                                                       else k), rel=1e-9)
+            assert b.threshold == pytest.approx(k * a.threshold, rel=1e-9)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(mu=st.floats(0.3, 1.5), spread=st.floats(1.3, 3.5), u=st.floats(0.1, 0.9),
+           q=st.floats(1.0, 4.0, exclude_min=True), log10_k=st.floats(-6.0, 6.0))
+    def test_power_homogeneity(self, mu, spread, u, q, log10_k):
+        beta = mu * spread
+        lo, hi = mu ** q, mu * beta ** (q - 1.0)
+        s = lo + u * (hi - lo)
+        k = 10.0 ** log10_k
+        try:
+            a = optimal_price_power(mu, s, q, beta)
+        except RootFindingError:
+            # For q near 1 the low-price scan reaches prices whose companion
+            # point lies beyond the doubling bracket (about 1e60 mu); such
+            # markets fail at every scale and are outside this property.
+            assume(False)
+        b = optimal_price_power(k * mu, s * k ** q, q, k * beta)
+        assert b.price == pytest.approx(k * a.price, rel=1e-9)
+        assert b.value == pytest.approx(a.value, rel=1e-9)
