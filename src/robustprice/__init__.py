@@ -8,10 +8,10 @@ oracle and dual certificates independently verify every closed form.
 """
 
 from .ambiguity import (MODE_EXACT, MODE_UPPER, FeasibilityReport, MarketInfo,
-                        ShiftedProblem, SupportThresholds, check_feasible,
-                        companion_point, left_threshold, power_market,
-                        require_feasible, right_threshold, scale_to_unit_mean,
-                        shift_unit_cost, support_thresholds, variance_market)
+                        SupportThresholds, check_feasible, companion_point,
+                        left_threshold, power_market, require_feasible,
+                        right_threshold, scale_to_unit_mean,
+                        support_thresholds, variance_market)
 from .bounds import (TailBounds, best_case_revenue, cond_exp_max,
                      mean_range_tail_bounds, tail_bounds, tail_prob_max,
                      tail_prob_min, tail_prob_min_dispersion_ub)
@@ -39,10 +39,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MODE_EXACT", "MODE_UPPER", "MarketInfo", "SupportThresholds",
-    "FeasibilityReport", "ShiftedProblem", "variance_market", "power_market",
+    "FeasibilityReport", "variance_market", "power_market",
     "right_threshold", "left_threshold", "support_thresholds",
     "check_feasible", "require_feasible", "companion_point",
-    "shift_unit_cost", "scale_to_unit_mean",
+    "scale_to_unit_mean",
     "DispersionMeasure", "power_moment", "variance_measure", "custom_measure",
     "check_convexity",
     "DiscreteDistribution", "point_mass", "two_point", "three_point",

@@ -135,22 +135,6 @@ class FeasibilityReport:
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class ShiftedProblem:
-    """Parameter transformation absorbing a unit cost c into the market.
-
-    Prices and valuations shift down by c; the support lower bound becomes
-    -c and the measure becomes x -> phi(x + c).  This is a pure data
-    mapping: solving on the shifted support is out of scope.
-    """
-
-    c: float
-    mu_shift: float
-    beta_shift: float
-    lower_shift: float
-    measure_shift: str
-
-
 def _expand_bracket_up(f, lo: float, step: float, max_doublings: int = 200) -> Tuple[float, float]:
     """Find hi > lo with f(hi) > 0 by doubling, given f(lo) < 0."""
     hi = lo + step
@@ -383,22 +367,6 @@ def _solve_companion(market: MarketInfo, p: np.ndarray) -> np.ndarray:
         else:
             raise RootFindingError("companion point iteration did not converge")
     return out
-
-
-def shift_unit_cost(market: MarketInfo, c: float) -> ShiftedProblem:
-    """Absorb a unit cost c into shifted market parameters (no solving)."""
-    if c < 0:
-        raise RobustPriceError(f"unit cost must be nonnegative, got {c}")
-    if c >= market.mu:
-        raise RobustPriceError(
-            f"unit cost {c} >= mean {market.mu}: shifted mean would be nonpositive")
-    return ShiftedProblem(
-        c=c,
-        mu_shift=market.mu - c,
-        beta_shift=market.beta - c,
-        lower_shift=-c,
-        measure_shift="x -> phi(x + c)",
-    )
 
 
 def scale_to_unit_mean(market: MarketInfo) -> Tuple[MarketInfo, float]:

@@ -18,21 +18,17 @@ from typing import List, Optional
 
 import numpy as np
 
-from .ambiguity import (MODE_EXACT, MODE_UPPER, MarketInfo, left_threshold,
-                        right_threshold, variance_market)
-from .bounds import best_case_revenue, tail_bounds
+from .ambiguity import MODE_EXACT, MODE_UPPER, MarketInfo
+from .bounds import tail_bounds
 from .dispersion import DispersionMeasure, power_moment, variance_measure
 from .errors import RobustPriceError
 from .extremal import worst_case_distribution
 from .optimizer import (PriceSolution, compare_prices, optimal_price_general,
                         optimal_price_power, optimal_price_revenue_variance,
                         optimal_price_variance)
-from .oracle import (TARGET_INF_TAIL, TARGET_SUP_TAIL, oracle_worst_case,
-                     random_feasible_instance, random_four_point,
-                     verify_dual_certificate)
 from .ratio import (worst_case_cr, worst_case_cr_dispersion_ub,
-                    worst_case_cr_power, worst_case_cr_variance,
-                    worst_case_revenue)
+                    worst_case_cr_power, worst_case_cr_variance)
+from .verify import run_checks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,14 +37,6 @@ EXIT_OUTPUT = 3
 EXIT_VERIFY = 4
 
 log = logging.getLogger("robustprice")
-
-# Table 1 reference rows (mu=0.5, beta=1): sigma -> (price, value).
-_TABLE1 = {
-    0.00: (0.5000, 1.0000), 0.05: (0.4076, 0.7734), 0.10: (0.3672, 0.6382),
-    0.15: (0.3404, 0.5310), 0.20: (0.3213, 0.4439), 0.25: (0.3073, 0.3728),
-    0.30: (0.2967, 0.3147), 0.35: (0.3725, 0.3524), 0.40: (0.4763, 0.4763),
-    0.45: (0.6406, 0.6406), 0.50: (1.0000, 1.0000),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,7 +100,7 @@ def _values_arg(text: str) -> List[float]:
     return [_beta_arg(v) for v in text.split(",")]
 
 
-def _add_market_args(p: argparse.ArgumentParser, need_sigma=True) -> None:
+def _add_market_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mu", type=_finite_arg, required=True, help="mean valuation")
     p.add_argument("--sigma", type=_finite_arg, default=None,
                    help="standard deviation (variance measure)")
@@ -154,23 +142,10 @@ def _market(args) -> MarketInfo:
                       mode=args.mode)
 
 
-def _emit_json(obj, out: Optional[str]) -> int:
-    text = json.dumps(obj, indent=2) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-        return EXIT_OK
-    try:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        sys.stderr.write(json.dumps({"error": "unwritable output path",
-                                     "detail": str(exc)}) + "\n")
-        return EXIT_OUTPUT
-    return EXIT_OK
-
-
-def _emit_lines(lines: List[str], out: Optional[str]) -> int:
-    text = "\n".join(lines) + "\n"
+def _emit(obj, out: Optional[str]) -> int:
+    """Write obj (CSV text or a JSON object) to stdout or to the --out path;
+    exit 3 if the path is unwritable."""
+    text = obj if isinstance(obj, str) else json.dumps(obj, indent=2) + "\n"
     if out is None:
         sys.stdout.write(text)
         return EXIT_OK
@@ -214,7 +189,7 @@ def cmd_price(args) -> int:
                "rev": _sol_json(_solve_price(args, "rev"))}
     else:
         obj = _sol_json(_solve_price(args, args.objective))
-    return _emit_json(obj, args.out)
+    return _emit(obj, args.out)
 
 
 def cmd_cr(args) -> int:
@@ -222,15 +197,15 @@ def cmd_cr(args) -> int:
     market = _market(args)
     if args.mode == MODE_UPPER:
         cr = worst_case_cr_dispersion_ub(market, args.p)
-        return _emit_json({"p": _num(args.p), "cr": _num(cr), "mode": MODE_UPPER},
-                          args.out)
+        return _emit({"p": _num(args.p), "cr": _num(cr), "mode": MODE_UPPER},
+                     args.out)
     if measure.is_variance and args.sigma is not None:
         b = worst_case_cr_variance(args.mu, args.sigma, args.beta, args.p)
     elif measure.is_power:
         b = worst_case_cr_power(args.mu, market.s, measure.q, args.beta, args.p)
     else:
         b = worst_case_cr(market, args.p)
-    return _emit_json({
+    return _emit({
         "p": _num(b.p), "cr": _num(b.cr), "branch": b.branch,
         "tail_ratio": _num(b.tail_ratio), "price_over_y": _num(b.price_over_y),
         "regime": b.regime,
@@ -239,7 +214,7 @@ def cmd_cr(args) -> int:
 
 def cmd_bounds(args) -> int:
     tb = tail_bounds(_market(args), args.p)
-    return _emit_json({
+    return _emit({
         "p": _num(tb.p), "inf_tail": _num(tb.inf_tail),
         "sup_tail": _num(tb.sup_tail), "sup_cond_exp": _num(tb.sup_cond_exp),
         "best_case_rev": _num(tb.best_case_rev), "regime": tb.regime,
@@ -250,7 +225,7 @@ def cmd_dist(args) -> int:
     market = _market(args)
     d = worst_case_distribution(market, args.p,
                                 eps=args.eps if args.eps > 0 else None)
-    return _emit_json({
+    return _emit({
         "supports": [_num(x) for x in d.supports],
         "masses": [_num(w) for w in d.masses],
         "mean": _num(d.mean()),
@@ -260,7 +235,7 @@ def cmd_dist(args) -> int:
 
 def cmd_compare(args) -> int:
     r = compare_prices(args.mu, args.sigma, args.beta)
-    return _emit_json({
+    return _emit({
         "pi_l": _num(r.pi_l), "p_l": _num(r.p_l),
         "pi_h": _num(r.pi_h), "p_h": _num(r.p_h),
         "sigma": _num(r.sigma), "sigma_star": _num(r.sigma_star),
@@ -331,101 +306,19 @@ def cmd_sweep(args) -> int:
             rsol = _sweep_solution(args, v, "rev")
             row += [_fmt6(rsol.price), _fmt6(rsol.value)]
         lines.append(",".join(row))
-    return _emit_lines(lines, args.out)
-
-
-def _verify_checks(trials: int, grid_n: int, seed: int, compat_pl: bool):
-    """Run the verification suite; yields (name, instances, max_dev, tol, ok)."""
-    rng = np.random.default_rng(seed)
-
-    dev = 0.0
-    for sg, (p_ref, v_ref) in _TABLE1.items():
-        sol = optimal_price_variance(0.5, sg, 1.0, compat_printed_pl=compat_pl,
-                                     with_threshold=False)
-        dev = max(dev, abs(sol.price - p_ref), abs(sol.value - v_ref))
-    yield ("table1_reproduction", len(_TABLE1), dev, 5e-4, dev <= 5e-4)
-
-    markets = [random_feasible_instance(rng) for _ in range(trials)]
-    # One enumeration per instance serves the sandwich, witness and
-    # four-point checks.
-    worst = [oracle_worst_case(market, p, grid_n) for market, p in markets]
-
-    hi_dev, lo_dev = 0.0, 0.0
-    for (market, p), (o, _, _, _) in zip(markets, worst):
-        closed = worst_case_cr(market, p).cr
-        hi_dev = max(hi_dev, o - closed)
-        lo_dev = max(lo_dev, closed - o)
-    ok = hi_dev <= 0.02 and lo_dev <= 1e-9
-    yield ("oracle_sandwich_cr", trials, hi_dev, 0.02, ok)
-
-    # Where the tail-ratio branch strictly governs the CR minimizer is
-    # unique and the CR/REV witnesses must share supports; where the
-    # price-over-y branch governs a whole family of distributions attains
-    # exactly p/y, so only exchangeability (each witness near-attains the
-    # other objective) is required.
-    wit_dev = 0.0
-    for (market, p), (cr_min, cw, rev_min, rw) in zip(markets, worst):
-        res = 1.5 * market.beta / grid_n
-        wit_dev = max(wit_dev, (rw.ratio(p) - cr_min) / 0.02)
-        b = worst_case_cr(market, p)
-        if b.cr > 0 and b.tail_ratio < b.price_over_y - 0.05:
-            wit_dev = max(wit_dev,
-                          (p * cw.tail(p) - rev_min) / (0.02 * market.mu))
-            cs = cw.supports[cw.masses > 0.02]
-            rs = rw.supports[rw.masses > 0.02]
-            wit_dev = max(wit_dev, _support_distance(cs, rs) / res)
-    yield ("witness_agreement", trials, wit_dev, 1.0, wit_dev <= 1.0)
-
-    cert_dev, cert_ok, n_cert = 0.0, True, 0
-    for market, _ in markets:
-        t1, t2 = left_threshold(market), right_threshold(market)
-        probes = [0.5 * t1, 0.5 * (t1 + t2), min(1.05 * t2, market.beta)]
-        for p in probes:
-            if not 0 < p <= market.beta:
-                continue
-            for target in (TARGET_SUP_TAIL, TARGET_INF_TAIL):
-                rep = verify_dual_certificate(market, p, target)
-                n_cert += 1
-                cert_dev = max(cert_dev, rep.max_violation,
-                               abs(rep.dual_objective - rep.primal_bound))
-                cert_ok = cert_ok and rep.passed
-    yield ("dual_certificates", n_cert, cert_dev, 1e-9, cert_ok)
-
-    fp_dev = 0.0
-    for (market, p), (o, _, _, _) in zip(markets[:min(trials, 10)], worst):
-        controls = [random_four_point(market, rng).ratio(p) for _ in range(100)]
-        fp_dev = max(fp_dev, o - min(controls))
-    yield ("four_point_control", min(trials, 10), fp_dev, 1e-9, fp_dev <= 1e-9)
-
-    mono_dev = 0.0
-    for market, _ in markets:
-        t2 = right_threshold(market)
-        ps = np.linspace(1e-6 * t2, t2, 2000)
-        g = np.array([best_case_revenue(market, p) for p in ps])
-        mono_dev = max(mono_dev, float(np.max(np.maximum(-np.diff(g), 0.0))))
-    yield ("best_case_rev_monotone", trials, mono_dev, 1e-12, mono_dev <= 1e-12)
-
-
-def _support_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Hausdorff distance between two support sets."""
-    a = np.asarray(a)[:, None]
-    b = np.asarray(b)[None, :]
-    d = np.abs(a - b)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    return _emit("\n".join(lines) + "\n", args.out)
 
 
 def cmd_verify(args) -> int:
     lines = ["check,instances,max_deviation,tolerance,pass"]
     all_ok = True
-    for name, n, dev, tol, ok in _verify_checks(args.trials, args.grid,
-                                                args.seed, args.compat_printed_pl):
+    for name, n, dev, tol, ok in run_checks(args.trials, args.grid, args.seed,
+                                            args.compat_printed_pl):
         all_ok = all_ok and ok
         lines.append(f"{name},{n},{dev:.3e},{tol:.1e},{'pass' if ok else 'FAIL'}")
         log.info("verify %s: dev=%.3e ok=%s", name, dev, ok)
-    code = _emit_lines(lines, args.out)
-    if code != EXIT_OK:
-        return code
-    return EXIT_OK if all_ok else EXIT_VERIFY
+    code = _emit("\n".join(lines) + "\n", args.out)
+    return code if code != EXIT_OK or all_ok else EXIT_VERIFY
 
 
 def build_parser() -> _Parser:
@@ -433,23 +326,20 @@ def build_parser() -> _Parser:
                  description="Robust pricing under mean/dispersion/maximum knowledge")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("price", parents=[], help="optimal robust price")
+    p = sub.add_parser("price", help="optimal robust price")
     _add_market_args(p)
     p.add_argument("--objective", choices=["cr", "rev", "both"], default="cr")
     p.add_argument("--compat-printed-pl", action="store_true", dest="compat_printed_pl")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_price)
 
     p = sub.add_parser("cr", help="worst-case competitive ratio at a price")
     _add_market_args(p)
     p.add_argument("--p", type=_finite_arg, required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_cr)
 
     p = sub.add_parser("bounds", help="tail-probability bounds at a price")
     _add_market_args(p)
     p.add_argument("--p", type=_finite_arg, required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("dist", help="worst-case distribution at a price")
@@ -457,7 +347,6 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=_finite_arg, required=True)
     p.add_argument("--eps", type=_finite_arg, default=0.0,
                    help="left-limit offset; 0 selects the default")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("sweep", help="parameter sweep to CSV")
@@ -470,7 +359,6 @@ def build_parser() -> _Parser:
                    help="explicit comma-separated values (overrides from/to)")
     p.add_argument("--objective", choices=["cr", "rev", "both"], default="cr")
     p.add_argument("--compat-printed-pl", action="store_true", dest="compat_printed_pl")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the oracle verification suite")
@@ -478,16 +366,16 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", type=int, default=201)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--compat-printed-pl", action="store_true", dest="compat_printed_pl")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="ratio vs revenue price orderings")
     p.add_argument("--mu", type=_finite_arg, required=True)
     p.add_argument("--sigma", type=_finite_arg, required=True)
     p.add_argument("--beta", type=_beta_arg, required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compare)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return ap
 
 

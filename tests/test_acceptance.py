@@ -9,18 +9,13 @@ import time
 
 import numpy as np
 
-from robustprice.ambiguity import (left_threshold, right_threshold,
-                                   variance_market)
-from robustprice.bounds import best_case_revenue
-from robustprice.cli import _support_distance
+from robustprice.ambiguity import variance_market
 from robustprice.optimizer import (compare_prices, optimal_price_power,
-                                   optimal_price_revenue_variance,
                                    optimal_price_variance, sigma_star)
-from robustprice.oracle import (TARGET_INF_TAIL, TARGET_SUP_TAIL,
-                                oracle_worst_case, oracle_worst_case_cr,
-                                random_feasible_instance,
-                                verify_dual_certificate)
+from robustprice.oracle import oracle_worst_case, random_feasible_instance
 from robustprice.ratio import worst_case_cr, worst_case_cr_variance
+from robustprice.verify import (certificate_deviation, max_revenue_decrease,
+                                sandwich_gaps, witness_deviation)
 
 from test_optimizer import TABLE1, TABLE1_UNBOUNDED, TABLE2
 
@@ -79,14 +74,12 @@ def test_04_oracle_sandwich(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(SEED)
     instances = [random_feasible_instance(rng) for _ in range(50)]
-    hi1 = lo = hi2 = 0.0
-    for market, p in instances:
-        closed = worst_case_cr(market, p).cr
-        o1, _ = oracle_worst_case_cr(market, p, grid_n=201)
-        o2, _ = oracle_worst_case_cr(market, p, grid_n=402)
-        hi1 = max(hi1, o1 - closed)
-        hi2 = max(hi2, o2 - closed)
-        lo = max(lo, closed - o1, closed - o2)
+    closed = [worst_case_cr(market, p) for market, p in instances]
+    hi1, lo1 = sandwich_gaps(closed, [oracle_worst_case(market, p, 201)
+                                      for market, p in instances])
+    hi2, lo2 = sandwich_gaps(closed, [oracle_worst_case(market, p, 402)
+                                      for market, p in instances])
+    lo = max(lo1, lo2)
     dt = time.perf_counter() - t0
     ok = lo <= 1e-9 and hi1 <= 0.02 and hi2 <= hi1 + 1e-9 and dt < 300.0
     report(capsys, 4, "oracle CR sandwich on 50 instances, gap shrinks at 2x grid",
@@ -96,19 +89,9 @@ def test_04_oracle_sandwich(capsys):
 def test_05_dual_certificates(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(SEED)
-    dev, all_ok, n = 0.0, True, 0
-    for _ in range(100):
-        market = random_feasible_instance(rng, with_price=False)
-        t1, t2 = left_threshold(market), right_threshold(market)
-        for p in (0.5 * t1, 0.5 * (t1 + t2), min(1.05 * t2, market.beta)):
-            if not 0 < p <= market.beta:
-                continue
-            for target in (TARGET_SUP_TAIL, TARGET_INF_TAIL):
-                rep = verify_dual_certificate(market, p, target)
-                n += 1
-                all_ok = all_ok and rep.passed
-                dev = max(dev, rep.max_violation,
-                          abs(rep.dual_objective - rep.primal_bound))
+    markets = [random_feasible_instance(rng, with_price=False)
+               for _ in range(100)]
+    n, dev, all_ok = certificate_deviation(markets)
     dt = time.perf_counter() - t0
     ok = all_ok and dev <= 1e-9 and dt < 60.0
     report(capsys, 5, "dual certificates on 100 instances, all regimes, 1e-9",
@@ -116,24 +99,11 @@ def test_05_dual_certificates(capsys):
 
 
 def test_06_witness_agreement(capsys):
-    # Where the tail-ratio branch strictly governs, the CR minimizer is the
-    # unique worst case and both witnesses must share supports; where the
-    # price branch governs, minimizers form a family and only the revenue
-    # witness attaining the CR minimum is required.
     rng = np.random.default_rng(SEED)
-    grid_n = 201
-    dev = 0.0
-    for _ in range(50):
-        market, p = random_feasible_instance(rng)
-        res = 1.5 * market.beta / grid_n
-        cr_min, cw, rev_min, rw = oracle_worst_case(market, p, grid_n)
-        dev = max(dev, (rw.ratio(p) - cr_min) / 0.02)
-        b = worst_case_cr(market, p)
-        if b.cr > 0 and b.tail_ratio < b.price_over_y - 0.05:
-            dev = max(dev, (p * cw.tail(p) - rev_min) / (0.02 * market.mu))
-            cs = cw.supports[cw.masses > 0.02]
-            rs = rw.supports[rw.masses > 0.02]
-            dev = max(dev, _support_distance(cs, rs) / res)
+    instances = [random_feasible_instance(rng) for _ in range(50)]
+    closed = [worst_case_cr(market, p) for market, p in instances]
+    worst = [oracle_worst_case(market, p, 201) for market, p in instances]
+    dev = witness_deviation(instances, closed, worst, 201)
     ok = dev <= 1.0
     report(capsys, 6, "CR and revenue oracle witnesses agree on 50 instances",
            ok, f"normalized dev={dev:.3f}")
@@ -141,13 +111,9 @@ def test_06_witness_agreement(capsys):
 
 def test_07_best_case_revenue_monotone(capsys):
     rng = np.random.default_rng(SEED)
-    worst = 0.0
-    for _ in range(100):
-        market = random_feasible_instance(rng, with_price=False)
-        t2 = right_threshold(market)
-        ps = np.linspace(1e-6 * t2, t2, 10_000)
-        g = np.array([best_case_revenue(market, p) for p in ps])
-        worst = max(worst, float(np.max(np.maximum(-np.diff(g), 0.0))))
+    markets = [random_feasible_instance(rng, with_price=False)
+               for _ in range(100)]
+    worst = max_revenue_decrease(markets, 10_000)
     ok = worst <= 1e-12
     report(capsys, 7, "best-case revenue non-decreasing on 10k grids, 100 markets",
            ok, f"max decrease={worst:.2e}")

@@ -6,8 +6,7 @@ import pytest
 from robustprice.ambiguity import (MarketInfo, check_feasible, companion_point,
                                    left_threshold, power_market,
                                    right_threshold, scale_to_unit_mean,
-                                   shift_unit_cost, support_thresholds,
-                                   variance_market)
+                                   support_thresholds, variance_market)
 from robustprice.dispersion import custom_measure, power_moment
 from robustprice.errors import InfeasibleMarketError, RobustPriceError
 
@@ -194,16 +193,6 @@ class TestCompanionPoint:
 
 
 class TestTransforms:
-    def test_shift_unit_cost(self):
-        sp = shift_unit_cost(variance_market(0.5, 0.3, 1.0), 0.2)
-        assert sp.mu_shift == pytest.approx(0.3)
-        assert sp.beta_shift == pytest.approx(0.8)
-        assert sp.lower_shift == pytest.approx(-0.2)
-
-    def test_shift_rejects_cost_at_mean(self):
-        with pytest.raises(RobustPriceError):
-            shift_unit_cost(variance_market(0.5, 0.3, 1.0), 0.5)
-
     def test_scale_to_unit_mean_variance(self):
         scaled, scale = scale_to_unit_mean(variance_market(0.5, 0.3, 1.0))
         assert scale == pytest.approx(0.5)

@@ -118,12 +118,18 @@ class TestBestCaseRevenue:
             best_case_revenue(M, 1.1)
 
     def test_non_decreasing(self):
+        # The scalar loop is the reference for the array call; the prices
+        # at and within 1e-13 of t1, and at t2, fall in the boundary bands
+        # where both adjacent branches are averaged.
         rng = np.random.default_rng(23)
         for _ in range(20):
             m = random_market(rng)
-            t2 = right_threshold(m)
-            ps = np.linspace(1e-6 * t2, t2, 2000)
+            t1, t2 = left_threshold(m), right_threshold(m)
+            ps = np.sort(np.concatenate([
+                np.linspace(1e-6 * t2, t2, 2000),
+                [t1 * (1 - 1e-13), t1, t1 * (1 + 1e-13), t2]]))
             g = np.array([best_case_revenue(m, p) for p in ps])
+            assert np.array_equal(best_case_revenue(m, ps), g)
             assert np.all(np.diff(g) >= -1e-12)
 
 

@@ -244,11 +244,17 @@ class TestSweep:
         assert code == cli.EXIT_INFEASIBLE
 
     def test_unwritable_output_exit_code(self, capsys):
-        code, _, _ = run(capsys, ["sweep", "--mu", "0.5", "--sigma", "0",
-                                  "--beta", "1", "--vary", "sigma",
-                                  "--values", "0.1,0.2",
-                                  "--out", "/nonexistent-dir/sweep.csv"])
+        code, stdout, _ = run(capsys, ["sweep", "--mu", "0.5", "--sigma", "0",
+                                       "--beta", "1", "--vary", "sigma",
+                                       "--values", "0.1,0.2",
+                                       "--out", "/nonexistent-dir/sweep.csv"])
         assert code == cli.EXIT_OUTPUT
+        assert stdout == ""
+        code, stdout, _ = run(capsys, ["price", "--mu", "0.5", "--sigma", "0.3",
+                                       "--beta", "1",
+                                       "--out", "/nonexistent-dir/x.json"])
+        assert code == cli.EXIT_OUTPUT
+        assert stdout == ""
 
     def test_out_file(self, capsys, tmp_path):
         out = tmp_path / "sweep.csv"
