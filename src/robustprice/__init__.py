@@ -8,10 +8,9 @@ oracle and dual certificates independently verify every closed form.
 """
 
 from .ambiguity import (MODE_EXACT, MODE_UPPER, FeasibilityReport, MarketInfo,
-                        SupportThresholds, check_feasible, companion_point,
-                        left_threshold, power_market, require_feasible,
-                        right_threshold, scale_to_unit_mean,
-                        support_thresholds, variance_market)
+                        check_feasible, companion_point, left_threshold,
+                        power_market, require_feasible, right_threshold,
+                        variance_market)
 from .bounds import (TailBounds, best_case_revenue, cond_exp_max,
                      mean_range_tail_bounds, tail_bounds, tail_prob_max,
                      tail_prob_min, tail_prob_min_dispersion_ub)
@@ -32,17 +31,16 @@ from .oracle import (CertificateReport, DualCertificate, oracle_worst_case,
                      random_feasible_instance, random_four_point,
                      verify_dual_certificate)
 from .ratio import (RatioBreakdown, worst_case_cr, worst_case_cr_dispersion_ub,
-                    worst_case_cr_mean_range, worst_case_cr_power,
-                    worst_case_cr_variance, worst_case_revenue)
+                    worst_case_cr_mean_range, worst_case_cr_variance,
+                    worst_case_revenue)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MODE_EXACT", "MODE_UPPER", "MarketInfo", "SupportThresholds",
+    "MODE_EXACT", "MODE_UPPER", "MarketInfo",
     "FeasibilityReport", "variance_market", "power_market",
-    "right_threshold", "left_threshold", "support_thresholds",
+    "right_threshold", "left_threshold",
     "check_feasible", "require_feasible", "companion_point",
-    "scale_to_unit_mean",
     "DispersionMeasure", "power_moment", "variance_measure", "custom_measure",
     "check_convexity",
     "DiscreteDistribution", "point_mass", "two_point", "three_point",
@@ -51,7 +49,7 @@ __all__ = [
     "best_case_revenue", "tail_bounds", "mean_range_tail_bounds",
     "tail_prob_min_dispersion_ub",
     "RatioBreakdown", "worst_case_cr", "worst_case_cr_variance",
-    "worst_case_cr_power", "worst_case_cr_mean_range",
+    "worst_case_cr_mean_range",
     "worst_case_cr_dispersion_ub", "worst_case_revenue",
     "PriceSolution", "OrderingReport", "optimal_price_variance", "sigma_star",
     "optimal_price_power", "optimal_price_revenue_variance", "delta_star",

@@ -17,7 +17,7 @@ carries the required mean and dispersion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Tuple
 
@@ -39,6 +39,10 @@ _DEGEN_RTOL = 1e-12
 _BRENTQ_XTOL = 1e-14
 _BRENTQ_RTOL = 8.881784197001252e-16  # 4 * eps, the minimum brentq accepts
 _COMPANION_MAXITER = 200
+# Doublings of the companion bracket above the mean: enough to reach the
+# largest float, since near the mean the companion grows like a power of
+# 1 / (mu - p) whose exponent is large for measures close to linear.
+_COMPANION_DOUBLINGS = 1100
 
 
 def solve_bracketed(f, lo: float, hi: float, scale: float) -> float:
@@ -123,12 +127,6 @@ def power_market(mu: float, s: float, q: float, beta: float, mode: str = MODE_EX
 
 
 @dataclass(frozen=True)
-class SupportThresholds:
-    left: float
-    right: float
-
-
-@dataclass(frozen=True)
 class FeasibilityReport:
     feasible: bool
     right_threshold: float
@@ -171,7 +169,7 @@ def _solve_left_threshold(market: MarketInfo) -> float:
         return market.mu
     mu, beta, s, m = market.mu, market.beta, market.s, market.measure
     if m.is_variance:
-        t = mu - (s - mu * mu) / (beta - mu)
+        t = variance_thresholds(mu, s - mu * mu, beta)[0]
         if t < -1e-12 * mu:
             raise InfeasibleMarketError(
                 f"dispersion exceeds the maximum attainable on [0, {beta}] with mean {mu}")
@@ -212,8 +210,14 @@ def left_threshold(market: MarketInfo) -> float:
     return market.left_threshold
 
 
-def support_thresholds(market: MarketInfo) -> SupportThresholds:
-    return SupportThresholds(left=left_threshold(market), right=right_threshold(market))
+def variance_thresholds(mu: float, s2, beta: float):
+    """(left, right) thresholds of mean/variance/maximum knowledge.
+
+    mu - s2 / (beta - mu) (mu when beta = inf) and mu + s2 / mu, with
+    s2 = sigma**2 a float or an array.  Unclipped: the left one is
+    negative only for infeasible markets.
+    """
+    return mu - s2 / (beta - mu), mu + s2 / mu
 
 
 def check_feasible(market: MarketInfo) -> FeasibilityReport:
@@ -269,27 +273,36 @@ def companion_point(market: MarketInfo, p):
     inside an array.  Raises if any price is at the mean, negative, or
     strictly between the mean and the right threshold.
     """
-    mu, s, m = market.mu, market.s, market.measure
+    mu = market.mu
     p, restore = as_price_array(p)
-    if market.is_degenerate:
-        # Point mass at mu: no genuine two-point companion exists, but the
-        # defining equation still has the limit solution mu.
-        a = np.full_like(p, mu)
-    else:
+    if not market.is_degenerate:
         if np.any(np.abs(p - mu) <= _DEGEN_RTOL * mu):
             raise RobustPriceError("companion point is singular at p = mu")
         if np.any(p < 0):
             raise RobustPriceError(f"price must be nonnegative, got {p[p < 0][0]}")
-        if m.is_variance:
-            a = mu + (s - mu * mu) / (mu - p)
-            above = p > mu
-            bad = above & (a < -1e-12 * mu)
-            if np.any(bad):
-                raise _no_companion(p[bad][0])
-            a = np.where(above, np.maximum(a, 0.0), a)
-        else:
-            a = _solve_companion(market, p)
-    return restore(a)
+        above = p > mu
+        if above.any():
+            gap = above & (p < market.right_threshold * (1.0 - _DEGEN_RTOL))
+            if gap.any():
+                raise _no_companion(p[gap][0])
+    return restore(_companion(market, p))
+
+
+def _companion(market: MarketInfo, p: np.ndarray) -> np.ndarray:
+    """Companion points of a 1-d price array, without range checks.
+
+    Above the mean a price with no companion in [0, mu) (one in
+    (mu, right_threshold)) gets 0, the companion's limit at the right
+    threshold.
+    """
+    mu, s = market.mu, market.s
+    if market.is_degenerate:
+        # Point mass at mu: no genuine two-point companion exists, but the
+        # defining equation still has the limit solution mu.
+        return np.full_like(p, mu)
+    if market.measure.is_variance:
+        return np.maximum(mu + (s - mu * mu) / (mu - p), 0.0)
+    return _solve_companion(market, p)
 
 
 def _solve_companion(market: MarketInfo, p: np.ndarray) -> np.ndarray:
@@ -311,11 +324,9 @@ def _solve_companion(market: MarketInfo, p: np.ndarray) -> np.ndarray:
     phi_p = phi(p)
     w, c, c0 = mu - p, phi_p - s, s * p - phi_p * mu
     # Above the mean: a root in [0, mu) exists iff g(0) <= 0, which holds
-    # exactly for p >= right_threshold (at the threshold the companion is 0).
+    # exactly for p >= right_threshold (at the threshold the companion is 0);
+    # the other prices keep 0.
     g0 = phi(0.0) * w + c0
-    bad = ~below & (g0 > 1e-12 * abs(s) * p)
-    if bad.any():
-        raise _no_companion(p[bad][0])
     pos = np.flatnonzero(below | (g0 < 0))
     if pos.size == 0:
         return out
@@ -327,7 +338,7 @@ def _solve_companion(market: MarketInfo, p: np.ndarray) -> np.ndarray:
         lo = np.where(below, mu, 0.0)
         hi = np.where(below, 2.0 * mu, mu)
         grow = below
-        for _ in range(_COMPANION_MAXITER):
+        for _ in range(_COMPANION_DOUBLINGS):
             if not grow.any():
                 break
             grow = grow & ~(phi(hi) * w + c * hi + c0 > 0)
@@ -367,20 +378,3 @@ def _solve_companion(market: MarketInfo, p: np.ndarray) -> np.ndarray:
         else:
             raise RootFindingError("companion point iteration did not converge")
     return out
-
-
-def scale_to_unit_mean(market: MarketInfo) -> Tuple[MarketInfo, float]:
-    """Rescale a power-measure market to mean 1; prices scale back by mu.
-
-    Returns (scaled market, scale) with scale = mu, beta' = beta / mu and
-    s' = s / mu**q.  Solving the scaled problem and multiplying the price
-    by the scale reproduces the unscaled optimum.
-    """
-    if not market.measure.is_power:
-        raise RobustPriceError("unit-mean scaling supported for power measures only")
-    mu = market.mu
-    if mu == 1.0:
-        return market, 1.0
-    q = market.measure.q
-    scaled = replace(market, mu=1.0, s=market.s / mu ** q, beta=market.beta / mu)
-    return scaled, mu

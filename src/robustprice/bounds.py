@@ -6,6 +6,8 @@ conversion rate (inf of the tail probability), and the best-case
 conditional expectation of the valuation above the price.  Each is
 piecewise in the price with the support thresholds as regime boundaries,
 and each piece is attained by a two- or three-point member of the market.
+The worst-case market for the ratio is also the worst case for revenue,
+so one pass gives all three and both objectives follow from them.
 """
 
 from __future__ import annotations
@@ -15,25 +17,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import (MODE_UPPER, MarketInfo, as_price_array,
-                        companion_point, left_threshold, right_threshold)
+from .ambiguity import (MODE_EXACT, MODE_UPPER, MarketInfo, _companion,
+                        as_price_array, variance_thresholds)
 from .errors import (InternalConsistencyError, ModeError, RobustPriceError,
                      UnboundedSupportError)
-from .extremal import three_point_masses
+from .extremal import _member_masses
 
 REGIME_LOW = "low_two_point"
 REGIME_MID = "mid_three_point"
 REGIME_HIGH = "above_right_threshold"
 
-# Half-width of the boundary band (relative): inside it both adjacent
-# branch formulas are evaluated and must agree, since continuity at the
-# thresholds is a theorem.
+# Regime codes of the pass, indexing REGIMES.
+LOW, MID, HIGH = 0, 1, 2
+REGIMES = np.array([REGIME_LOW, REGIME_MID, REGIME_HIGH], dtype=object)
+
+# Half-width of the boundary band, relative to beta (to mu when beta is
+# infinite): inside it both adjacent pieces are evaluated and must agree,
+# since continuity at the thresholds is a theorem.
 _BAND = 1e-12
 _BOUNDARY_AGREE = 1e-9
 
 
 @dataclass(frozen=True)
 class TailBounds:
+    """The key quantities at a price; fields are arrays for a price array."""
+
     p: float
     inf_tail: float
     sup_tail: float
@@ -42,191 +50,200 @@ class TailBounds:
     regime: str
 
 
-def _check_price(market: MarketInfo, p: np.ndarray) -> None:
-    if ((p > 0) & (p <= market.beta)).all():
+def _check_price(beta: float, p: np.ndarray) -> None:
+    if ((p > 0) & (p <= beta)).all():
         return
     bad = ~(p > 0)
     if bad.any():
         raise RobustPriceError(f"price must be positive, got {p[bad][0]}")
-    raise RobustPriceError(
-        f"price {p[p > market.beta][0]} exceeds maximum valuation {market.beta}")
+    raise RobustPriceError(f"price {p[p > beta][0]} exceeds maximum valuation {beta}")
 
 
-def _scale(market: MarketInfo) -> float:
-    return market.beta if math.isfinite(market.beta) else market.mu
+def _evaluate(p, mu, s, beta, t1, t2, phi, companion, point):
+    """(inf tail, sup tail, sup conditional expectation, regime code) per price.
 
+    The one regime evaluator.  p is a 1-d price array in (0, beta]; s, t1,
+    t2 and point (True where the market is the point mass at mu) are
+    scalars or arrays of p's length.  The measure enters only through phi
+    and companion(index), the companion points of p[index].  The pieces
+    and the members attaining them:
 
-def _agree(a, b, where: str) -> np.ndarray:
-    """Average of two branch values that continuity says must agree."""
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    bad = np.abs(a - b) > _BOUNDARY_AGREE
-    if bad.any():
-        raise InternalConsistencyError(
-            f"branch formulas disagree at {where}: {a[bad][0]} vs {b[bad][0]}")
-    return 0.5 * (a + b)
+    * low, p <= t1: {p, a} with a = companion(p) > mu; inf (mu-p)/(a-p),
+      sup 1, y = a;
+    * mid, t1 < p <= t2: {0, p, beta}; inf w_beta, sup w_p + w_beta,
+      y = beta.  With beta = inf these are the limits 0, mu/p and inf,
+      which no member attains;
+    * high, p > t2: {a, p} with a = companion(p) < mu; inf 0 (the {0, t2}
+      member sells nothing), sup (a-mu)/(a-p), y = beta.
 
+    Each piece is evaluated only at the prices that need it: one companion
+    solve or one mass solve per price, two in the bands.
 
-def _by_part(p: np.ndarray, part: np.ndarray, branches) -> np.ndarray:
-    """Evaluate branches[k] on the prices whose part is k."""
-    out = np.empty_like(p)
-    if part.size and (part == part[0]).all():
-        out[:] = branches[part[0]](p)
-        return out
-    for k in np.unique(part):
-        mask = part == k
-        out[mask] = branches[k](p[mask])
-    return out
-
-
-def _dispatch(market: MarketInfo, p: np.ndarray, low, mid, high) -> np.ndarray:
-    """Evaluate the piecewise value with a consistency check at boundaries.
-
-    p is a 1-d price array; each branch maps an array of its prices to
-    values.  Inside the boundary band both adjacent branches are evaluated,
-    must agree, and are averaged.
+    Labelling rule, the same for every entry point: a price within the
+    band _BAND * beta (_BAND * mu when beta = inf) of a threshold is
+    labelled with the regime below it, low at t1 and mid at t2; there both
+    adjacent pieces are evaluated, must agree within _BOUNDARY_AGREE, and
+    are averaged.  The point mass (inf = sup = 1 up to mu, y = mu; low up
+    to mu, high above) and the maximal-dispersion market {0, beta}
+    (t2 = beta; inf = sup = mu/beta, y = beta, mid) have one member and no
+    bands.
     """
-    t1 = market.left_threshold
-    t2 = market.right_threshold
-    band = _BAND * _scale(market)
-    part = (p >= t1).astype(np.int8) + (p >= t2)   # 0 low, 1 mid, 2 high
-    if t1 > 0:
-        part[np.abs(p - t1) <= band] = 3
-    part[(np.abs(p - t2) <= band) & (part != 3)] = 4
-    return _by_part(p, part, (
-        low, mid, high,
-        lambda x: _agree(low(x), mid(x), f"left threshold {t1}"),
-        lambda x: _agree(mid(x), high(x), f"right threshold {t2}"),
-    ))
+    finite = math.isfinite(beta)
+    scale = beta if finite else mu
+    band = _BAND * scale
+
+    def low_piece(i):
+        x, a = p[i], companion(i)
+        if not finite:
+            a = np.where(x >= mu, math.inf, a)   # the piece's limit at mu
+        return (mu - x) / (a - x), 1.0, a
+
+    def mid_piece(i):
+        x = p[i]
+        if not finite:
+            return 0.0, np.minimum(mu / x, 1.0), math.inf
+        wp, wb = _member_masses(mu, _at(s, i), beta, phi, x)
+        sup = np.minimum(np.maximum(wp + wb, 0.0), 1.0)   # rounding can leave [0, 1]
+        return np.minimum(np.maximum(wb, 0.0), sup), sup, beta
+
+    def high_piece(i):
+        x, a = p[i], companion(i)
+        return 0.0, (a - mu) / (a - x), beta
+
+    with np.errstate(all="ignore"):
+        above = [p > t for t in (t1 - band, t1 + band, t2 - band, t2 + band)]
+        regime = np.add(above[1], above[3], dtype=np.int8)
+        at_t1, at_t2 = above[0] ^ above[1], above[2] ^ above[3]
+        out = np.empty((3, p.size))   # rows: inf tail, sup tail, sup cond. exp.
+        pieces = (low_piece, mid_piece, high_piece)
+        for code, n in enumerate(np.bincount(regime, minlength=3)):
+            if n == p.size:
+                _put(out, slice(None), pieces[code](slice(None)))
+            elif n:
+                at = regime == code
+                _put(out, at, pieces[code](at))
+        single = point | (t2 >= beta * (1.0 - _BAND))
+        if (at_t1 | at_t2).any():
+            keep = np.logical_not(single)
+            for at, piece in ((at_t1 & keep, mid_piece), (at_t2 & keep, high_piece)):
+                if at.any():
+                    _blend(out, at, piece(at), p[at], scale)
+        if single is not False and np.any(single):   # a market gives a plain bool
+            one = np.where(point, p <= mu, mu / beta)   # the member's tail
+            for k, v in enumerate((one, one, np.where(point, mu, beta))):
+                out[k] = np.where(single, v, out[k])
+            regime = np.where(point, np.where(p <= mu, LOW, HIGH),
+                              np.where(single, MID, regime))
+    return out[0], out[1], out[2], regime
 
 
-def _dispatch_unbounded(market: MarketInfo, p: np.ndarray, low, high) -> np.ndarray:
-    """beta = inf: the low branch below the mean, the high one from t2 on."""
-    part = (p >= market.mu).astype(np.int8) + (p >= market.right_threshold)
-    if (part == 1).any():
-        raise UnboundedSupportError(
-            "three-point regime needs a finite maximum valuation")
-    return _by_part(p, part, (low, None, high))
+def _at(v, i):
+    """v[i] for an array of the prices' length; a scalar as it is."""
+    return v[i] if np.ndim(v) else v
 
 
-def _singleton_extreme(market: MarketInfo) -> bool:
-    """True when dispersion is maximal on [0, beta]: the market is the
-    single two-point distribution {0, beta}."""
-    if not math.isfinite(market.beta):
-        return False
-    return market.right_threshold >= market.beta * (1.0 - 1e-12)
+def _put(out, i, values) -> None:
+    """Write one value (a scalar or an array over p[i]) per row of out."""
+    for row, v in zip(out, values):
+        row[i] = v
 
 
-def _mid_masses(market: MarketInfo, p: np.ndarray):
-    """Masses (w0, wp, wb) of the {0, p, beta} member at each price."""
-    if not _singleton_extreme(market):
-        return three_point_masses(market, p)
-    # At p = beta the three-point system degenerates; only reachable in the
-    # maximal-dispersion case, where the market is the {0, beta} two-point.
-    r = market.mu / market.beta
-    w = [np.full_like(p, 1.0 - r), np.zeros_like(p), np.full_like(p, r)]
-    inner = p < market.beta * (1.0 - 1e-15)
-    if inner.any():
-        for wk, v in zip(w, three_point_masses(market, p[inner])):
-            wk[inner] = v
-    return w
+def _blend(out, at, piece, p, scale) -> None:
+    """Average, in place, the values at the band prices `at` with the
+    adjacent piece there, after checking that the two tails agree.
+
+    The mass solve divides by a quantity of order p * beta, so its
+    rounding grows like scale / p near p = 0; the tolerance grows alike.
+    The conditional expectation is not compared: with beta = inf it tends
+    to inf at t1 = mu only in the limit.
+    """
+    lo, hi, y = out[:, at]
+    gap = np.maximum(np.abs(lo - piece[0]), np.abs(hi - piece[1]))
+    bad = gap > _BOUNDARY_AGREE * np.maximum(1.0, scale / p)
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        raise InternalConsistencyError(
+            f"pieces disagree at the threshold band for p={p[k]}: "
+            f"{(lo[k], hi[k], y[k])} vs {[np.broadcast_to(v, p.shape)[k] for v in piece]}")
+    _put(out, at, [0.5 * (u + v) for u, v in zip((lo, hi, y), piece)])
 
 
-def _two_point_tails(market: MarketInfo, p: np.ndarray):
-    """Mass at p and at its companion a of the {p, a} member, per price."""
-    a = companion_point(market, p)
-    return (a - market.mu) / (a - p), (market.mu - p) / (a - p)
+def _tails(market: MarketInfo, p: np.ndarray, mode: str = MODE_EXACT):
+    """The one pass over a 1-d price array: :func:`_evaluate` on the market.
+
+    ``mode`` is the mode the caller's answer is for; a market in the other
+    mode raises :class:`ModeError` here, the one place it is checked.
+    """
+    if market.mode != mode:
+        raise ModeError(f"this bound requires mode={mode!r}, the market has mode="
+                        f"{market.mode!r}")
+    _check_price(market.beta, p)
+    return _evaluate(p, market.mu, market.s, market.beta, market.left_threshold,
+                     market.right_threshold, market.measure.value,
+                     lambda i: _companion(market, p[i]), market.is_degenerate)
+
+
+def variance_tails(mu: float, s2, beta: float, p: np.ndarray):
+    """The pass for mean/variance/maximum knowledge with sigma**2 = s2 exact.
+
+    s2 is a float or an array of p's length (1-d), so many markets are
+    evaluated in one call; the companion is mu + s2 / (mu - p).
+    """
+    _check_price(beta, p)
+    t1, t2 = variance_thresholds(mu, s2, beta)
+    return _evaluate(p, mu, mu * mu + s2, beta, t1, t2, np.square,
+                     lambda i: np.maximum(mu + _at(s2, i) / (mu - p[i]), 0.0), s2 == 0.0)
+
+
+def _attained(market: MarketInfo, p: np.ndarray):
+    """The pass where each bound is attained by a member of the market.
+
+    With beta = inf the mid regime between the mean and the right
+    threshold has no attaining member.
+    """
+    out = _tails(market, p)
+    if not math.isfinite(market.beta) and (
+            (out[3] == MID) & (p < market.right_threshold)).any():
+        raise UnboundedSupportError("three-point regime needs a finite maximum valuation")
+    return out
 
 
 def tail_prob_max(market: MarketInfo, p):
     """Best-case conversion rate sup P(X >= p) over the market (p: float or array)."""
     p, restore = as_price_array(p)
-    _check_price(market, p)
-    if market.is_degenerate:
-        return restore(np.where(p <= market.mu, 1.0, 0.0))
-
-    def low(x):
-        return 1.0
-
-    def mid(x):
-        _, wp, wb = _mid_masses(market, x)
-        return wp + wb
-
-    def high(x):
-        return _two_point_tails(market, x)[0]
-
-    if not math.isfinite(market.beta):
-        return restore(_dispatch_unbounded(market, p, low, high))
-    return restore(_dispatch(market, p, low, mid, high))
+    return restore(_attained(market, p)[1])
 
 
 def tail_prob_min(market: MarketInfo, p):
     """Worst-case conversion rate inf P(X >= p) over the market (p: float or array)."""
     p, restore = as_price_array(p)
-    _check_price(market, p)
-    if market.is_degenerate:
-        return restore(np.where(p <= market.mu, 1.0, 0.0))
-
-    def low(x):
-        return _two_point_tails(market, x)[1]
-
-    def mid(x):
-        return _mid_masses(market, x)[2]
-
-    def high(x):
-        # The {0, t2} member has no mass at or above p > t2.  In the
-        # maximal-dispersion singleton market the unique member keeps mass
-        # mu/beta at beta.
-        if _singleton_extreme(market):
-            return market.mu / market.beta
-        return 0.0
-
-    if not math.isfinite(market.beta):
-        return restore(_dispatch_unbounded(market, p, low, high))
-    return restore(_dispatch(market, p, low, mid, high))
+    return restore(_attained(market, p)[0])
 
 
 def cond_exp_max(market: MarketInfo, p):
     """Best-case conditional expectation sup E[X | X >= p] (p: float or array)."""
     p, restore = as_price_array(p)
-    _check_price(market, p)
-    if market.is_degenerate:
-        return restore(np.full_like(p, market.mu))
-    part = (p > market.left_threshold).astype(int)
-    return restore(_by_part(p, part, (lambda x: companion_point(market, x),
-                                      lambda x: market.beta)))
+    return restore(_tails(market, p)[2])
 
 
 def best_case_revenue(market: MarketInfo, p):
     """p * sup P(X >= p); non-decreasing up to the right threshold."""
     t2 = market.right_threshold
     p, restore = as_price_array(p)
-    bad = p > t2 * (1.0 + 1e-12)
+    bad = p > t2 * (1.0 + _BAND)
     if bad.any():
         raise RobustPriceError(
             f"best-case revenue defined on (0, {t2}], got p={p[bad][0]}")
-    return restore(p * tail_prob_max(market, np.minimum(p, t2)))
+    return restore(p * _attained(market, np.minimum(p, t2))[1])
 
 
-def tail_bounds(market: MarketInfo, p: float) -> TailBounds:
-    """All three key quantities plus the best-case revenue at one price."""
-    _check_price(market, np.atleast_1d(p))
-    t1 = left_threshold(market)
-    t2 = right_threshold(market)
-    if p <= t1:
-        regime = REGIME_LOW
-    elif p <= t2:
-        regime = REGIME_MID
-    else:
-        regime = REGIME_HIGH
-    hi = tail_prob_max(market, p)
-    return TailBounds(
-        p=p,
-        inf_tail=tail_prob_min(market, p),
-        sup_tail=hi,
-        sup_cond_exp=cond_exp_max(market, p),
-        best_case_rev=p * hi,
-        regime=regime,
-    )
+def tail_bounds(market: MarketInfo, p) -> TailBounds:
+    """All three key quantities plus the best-case revenue (p: float or array)."""
+    p, restore = as_price_array(p)
+    lo, hi, y, regime = _attained(market, p)
+    return TailBounds(p=restore(p), inf_tail=restore(lo), sup_tail=restore(hi),
+                      sup_cond_exp=restore(y), best_case_rev=restore(p * hi),
+                      regime=restore(REGIMES[regime]))
 
 
 def mean_range_tail_bounds(mu: float, beta: float, p: float):
@@ -240,7 +257,7 @@ def mean_range_tail_bounds(mu: float, beta: float, p: float):
     return lo, hi
 
 
-def tail_prob_min_dispersion_ub(market: MarketInfo, p: float) -> float:
+def tail_prob_min_dispersion_ub(market: MarketInfo, p):
     """Worst-case conversion rate when s is only an upper bound.
 
     With an upper-bound dispersion constraint the adversary may also use
@@ -249,25 +266,9 @@ def tail_prob_min_dispersion_ub(market: MarketInfo, p: float) -> float:
     mass at the mean drives it to zero.  Stated without full proof in the
     source analysis; validated against the enumeration oracle only.
     """
-    if market.mode != MODE_UPPER:
-        raise ModeError("upper-bound tail requires mode='upper'")
     p, restore = as_price_array(p)
-    _check_price(market, p)
-    mu, beta = market.mu, market.beta
-    if market.is_degenerate:
-        return restore(np.where(p <= mu, 1.0, 0.0))
-    t1 = market.left_threshold
-    part = (p >= t1).astype(np.int8) + (p >= mu)   # 0 low, 1 mid, 2 zero
-    if t1 > 0:
-        part[np.abs(p - t1) <= _BAND * _scale(market)] = 3
-
-    def low(x):
-        return _two_point_tails(market, x)[1]
-
-    def mid(x):
-        return (mu - x) / (beta - x)
-
-    return restore(_by_part(p, part, (
-        low, mid, lambda x: 0.0,
-        lambda x: _agree(low(x), mid(x), f"left threshold {t1}"),
-    )))
+    lo, _, _, regime = _tails(market, p, MODE_UPPER)
+    mu = market.mu
+    with np.errstate(divide="ignore", invalid="ignore"):
+        relaxed = np.where(p < mu, (mu - p) / (market.beta - p), 0.0)
+    return restore(np.where(regime == LOW, lo, relaxed))

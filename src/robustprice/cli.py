@@ -27,7 +27,7 @@ from .optimizer import (PriceSolution, compare_prices, optimal_price_general,
                         optimal_price_power, optimal_price_revenue_variance,
                         optimal_price_variance)
 from .ratio import (worst_case_cr, worst_case_cr_dispersion_ub,
-                    worst_case_cr_power, worst_case_cr_variance)
+                    worst_case_cr_variance)
 from .verify import run_checks
 
 EXIT_OK = 0
@@ -110,9 +110,6 @@ def _add_market_args(p: argparse.ArgumentParser) -> None:
                    help="maximum valuation; 'inf' for unbounded")
     p.add_argument("--phi", type=_phi_arg, default="variance",
                    help="dispersion measure: 'variance' or 'power:q=<q>'")
-    p.add_argument("--mode", choices=[MODE_EXACT, MODE_UPPER],
-                   default=MODE_EXACT,
-                   help="treat the statistic as exact or as an upper bound")
 
 
 def _phi_arg(text: str) -> DispersionMeasure:
@@ -128,7 +125,7 @@ def _phi_arg(text: str) -> DispersionMeasure:
         f"unknown value {text!r}; use 'variance' or 'power:q=<q>'")
 
 
-def _market(args) -> MarketInfo:
+def _market(args, mode: str = MODE_EXACT) -> MarketInfo:
     measure = args.phi
     if args.s is not None:
         s = args.s
@@ -138,8 +135,7 @@ def _market(args) -> MarketInfo:
         s = args.mu ** 2 + args.sigma ** 2
     else:
         raise RobustPriceError("one of --sigma or --s is required")
-    return MarketInfo(mu=args.mu, s=s, beta=args.beta, measure=measure,
-                      mode=args.mode)
+    return MarketInfo(mu=args.mu, s=s, beta=args.beta, measure=measure, mode=mode)
 
 
 def _emit(obj, out: Optional[str]) -> int:
@@ -193,16 +189,13 @@ def cmd_price(args) -> int:
 
 
 def cmd_cr(args) -> int:
-    measure = args.phi
-    market = _market(args)
+    market = _market(args, args.mode)
     if args.mode == MODE_UPPER:
         cr = worst_case_cr_dispersion_ub(market, args.p)
         return _emit({"p": _num(args.p), "cr": _num(cr), "mode": MODE_UPPER},
                      args.out)
-    if measure.is_variance and args.sigma is not None:
+    if market.measure.is_variance and args.sigma is not None:
         b = worst_case_cr_variance(args.mu, args.sigma, args.beta, args.p)
-    elif measure.is_power:
-        b = worst_case_cr_power(args.mu, market.s, measure.q, args.beta, args.p)
     else:
         b = worst_case_cr(market, args.p)
     return _emit({
@@ -335,6 +328,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("cr", help="worst-case competitive ratio at a price")
     _add_market_args(p)
     p.add_argument("--p", type=_finite_arg, required=True)
+    p.add_argument("--mode", choices=[MODE_EXACT, MODE_UPPER], default=MODE_EXACT,
+                   help="treat the statistic as exact or as an upper bound")
     p.set_defaults(func=cmd_cr)
 
     p = sub.add_parser("bounds", help="tail-probability bounds at a price")

@@ -148,16 +148,25 @@ def three_point_masses(market: MarketInfo, p: float) -> Tuple[float, float, floa
 
     p may be an array; the masses are then arrays of its shape.
     """
-    mu, beta, s, m = market.mu, market.beta, market.s, market.measure
-    phi0, phip, phib = m.value(0.0), m.value(p), m.value(beta)
+    bad = ~((np.asarray(p) > 0) & (np.asarray(p) < market.beta))
+    if np.any(bad):
+        raise RobustPriceError(f"degenerate three-point system at p={p}: needs 0 < p < beta")
+    wp, wb = _member_masses(market.mu, market.s, market.beta, market.measure.value, p)
+    return 1.0 - wp - wb, wp, wb
+
+
+def _member_masses(mu: float, s, beta: float, phi, p):
+    """(w_p, w_beta) of the {0, p, beta} member with mean mu and dispersion s.
+
+    s may be an array of p's shape.  No checks: outside 0 < p < beta the
+    masses are meaningless or not finite.
+    """
+    phi0, phib = phi(0.0), phi(beta)
+    phip = phi(p)
     denom = beta * (phi0 - phip) + p * (phib - phi0)
-    if np.any(denom <= 0):
-        raise RobustPriceError(
-            f"degenerate three-point system at p={p} (denominator {denom})")
-    w0 = (s * (beta - p) + (mu - beta) * phip + (p - mu) * phib) / denom
     wp = (beta * (phi0 - s) + mu * (phib - phi0)) / denom
     wb = (mu * (phi0 - phip) - p * (phi0 - s)) / denom
-    return w0, wp, wb
+    return wp, wb
 
 
 def worst_case_distribution(market: MarketInfo, p: float, eps: float = None) -> DiscreteDistribution:
@@ -167,26 +176,27 @@ def worst_case_distribution(market: MarketInfo, p: float, eps: float = None) -> 
     the shifted price p - eps, written with masses expressed through the
     tail bounds: {0, p - eps, y(p - eps)} where y is the best-case
     conditional expectation.  Above the right threshold the {0, t2}
-    two-point member already gives ratio 0.
+    two-point member already gives ratio 0.  With beta = inf no member
+    attains the bounds between the mean and the right threshold.
     """
-    from .bounds import cond_exp_max, tail_prob_max, tail_prob_min  # cycle guard
+    from .bounds import _tails  # cycle guard
 
-    if market.is_degenerate:
-        return point_mass(market.mu)
     if eps is None:
         eps = 1e-9 * (market.beta if math.isfinite(market.beta) else market.mu)
     if not 0 < eps < p:
         raise RobustPriceError(f"need 0 < eps < p, got eps={eps}, p={p}")
-    if p <= 0 or p > market.beta:
+    if p > market.beta:
         raise RobustPriceError(f"price {p} outside (0, {market.beta}]")
-    t2 = right_threshold(market)
-    if p > t2:
-        return two_point(market, 0.0)
     pm = p - eps
-    hi = tail_prob_max(market, pm)
-    lo = tail_prob_min(market, pm)
-    y = cond_exp_max(market, pm)
-    return _finalize([0.0, pm, y], [1.0 - hi, hi - lo, lo])
+    lo, hi, y, _ = _tails(market, np.array([pm]))
+    if market.is_degenerate:
+        return point_mass(market.mu)
+    if p > right_threshold(market):
+        return two_point(market, 0.0)
+    if not math.isfinite(y[0]):
+        raise UnboundedSupportError(
+            f"no member attains the worst case at p={p} with an infinite maximum valuation")
+    return _finalize([0.0, pm, y[0]], [1.0 - hi[0], hi[0] - lo[0], lo[0]])
 
 
 def mean_range_two_point(mu: float, beta: float, p: float, eps: float = 1e-9) -> DiscreteDistribution:

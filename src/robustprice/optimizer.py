@@ -18,10 +18,11 @@ from scipy.optimize import minimize_scalar
 
 from .ambiguity import (MarketInfo, companion_point, left_threshold,
                         power_market, require_feasible, right_threshold,
-                        solve_bracketed, variance_market)
+                        solve_bracketed, variance_market, variance_thresholds)
+from .bounds import variance_tails
 from .errors import RobustPriceError, RootFindingError
-from .ratio import (worst_case_cr, worst_case_cr_power,
-                    worst_case_cr_variance, worst_case_revenue)
+from .ratio import (_branches, worst_case_cr, worst_case_cr_variance,
+                    worst_case_revenue)
 
 REGIME_LOW_PRICE = "low"
 REGIME_HIGH_PRICE = "high"
@@ -83,16 +84,10 @@ def low_price_variance(mu: float, sigma, compat_printed_pl: bool = False):
 
 def high_prices_variance(mu: float, sigma, beta: float):
     """The two high-regime candidates (three-point region), unclipped."""
-    t2 = mu + np.square(sigma) / mu
+    t2 = variance_thresholds(mu, np.square(sigma), beta)[1]
     disc = (3.0 * beta - t2) ** 2 - 4.0 * beta * beta
     p_h1 = 0.5 * (beta + t2 - np.sqrt(np.maximum(disc, 0.0)))
     return _real(p_h1), _real(0.5 * t2)
-
-
-def _thresholds_variance(mu: float, sigma: np.ndarray, beta: float):
-    s2 = sigma * sigma
-    t1 = mu - s2 / (beta - mu) if math.isfinite(beta) else np.full_like(s2, mu)
-    return t1, mu + s2 / mu
 
 
 def _variance_cr_table(mu: float, sigma, beta: float, compat_printed_pl: bool = False):
@@ -104,16 +99,25 @@ def _variance_cr_table(mu: float, sigma, beta: float, compat_printed_pl: bool = 
     an arbitrary admissible price, and their ratio is to be ignored.
     """
     sigma = np.asarray(sigma, dtype=float)
-    t1, t2 = _thresholds_variance(mu, sigma, beta)
+    t1, t2 = variance_thresholds(mu, sigma * sigma, beta)
     rows = [("p_l", np.minimum(low_price_variance(mu, sigma, compat_printed_pl), t1), t1 > 0)]
     if math.isfinite(beta):
         for label, p in zip(("p_h1", "p_h2"), high_prices_variance(mu, sigma, beta)):
             p = np.minimum(np.maximum(p, t1), t2)
             rows.append((label, p, p > 0))
     prices = np.stack([np.where(present, p, t2) for _, p, present in rows])
-    values = worst_case_cr_variance(mu, sigma, beta, prices).cr
+    p, tails = _variance_pass(mu, sigma, beta, prices)
+    values = np.minimum(*_branches(p, *tails)).reshape(prices.shape)
     return [(label, p, v, present)
             for (label, _, present), p, v in zip(rows, prices, values)]
+
+
+def _variance_pass(mu: float, sigma: np.ndarray, beta: float, prices: np.ndarray):
+    """(prices, tail pass) over a candidate table: prices has a row per
+    candidate and sigma's shape, one market per sigma; both flattened."""
+    p = prices.reshape(-1)
+    return p, variance_tails(mu, np.broadcast_to(sigma * sigma, prices.shape).reshape(-1),
+                             beta, p)
 
 
 def _candidates(table) -> List[Tuple[str, float, float]]:
@@ -194,38 +198,24 @@ def low_price_revenue_variance(mu: float, sigma):
 
 def high_price_revenue_variance(mu: float, sigma, beta: float):
     """Unconstrained maximizer of the mid-branch worst-case revenue."""
-    return _real(beta - np.sqrt(beta * (beta - mu - np.square(sigma) / mu)))
-
-
-def _variance_revenue(mu: float, sigma, beta: float, p):
-    """Worst-case revenue under variance knowledge, in closed form.
-
-    p * d**2 / (d**2 + sigma**2) with d = mu - p up to the left threshold,
-    p (mu**2 + sigma**2 - mu p) / (beta (beta - p)) on [t1, t2], 0 above.
-    sigma and p broadcast.
-    """
-    sigma, p = np.broadcast_arrays(np.asarray(sigma, dtype=float), np.asarray(p, dtype=float))
-    s2 = sigma * sigma
-    t1, t2 = _thresholds_variance(mu, sigma, beta)
-    d = mu - p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        low = p * d * d / (d * d + s2)
-        # p = beta lies in [t1, t2] only in the maximal-dispersion market
-        # {0, beta}, whose revenue there is beta * mu / beta.
-        mid = np.where(p < beta, p * (mu * mu + s2 - mu * p) / (beta * (beta - p)), mu)
-    return np.where(p <= t1, low, np.where(p <= t2, mid, 0.0))
+    t2 = variance_thresholds(mu, np.square(sigma), beta)[1]
+    return _real(beta - np.sqrt(beta * np.maximum(beta - t2, 0.0)))
 
 
 def _variance_rev_table(mu: float, sigma, beta: float):
-    """[(label, price, revenue, present)] for the variance revenue objective."""
+    """[(label, price, revenue, present)] for the variance revenue objective,
+    laid out as :func:`_variance_cr_table`."""
     sigma = np.asarray(sigma, dtype=float)
-    t1, t2 = _thresholds_variance(mu, sigma, beta)
+    t1, t2 = variance_thresholds(mu, sigma * sigma, beta)
     rows = [("pi_l", np.minimum(low_price_revenue_variance(mu, sigma), t1), t1 > 0)]
     if math.isfinite(beta):
         p = np.minimum(np.maximum(high_price_revenue_variance(mu, sigma, beta), t1), t2)
         rows.append(("pi_h", p, p > 0))
-    return [(label, p, _variance_revenue(mu, sigma, beta, p), present)
-            for label, p, present in rows]
+    prices = np.stack([np.where(present, p, t2) for _, p, present in rows])
+    p, tails = _variance_pass(mu, sigma, beta, prices)
+    values = (p * tails[0]).reshape(prices.shape)
+    return [(label, p, v, present)
+            for (label, _, present), p, v in zip(rows, prices, values)]
 
 
 def optimal_price_revenue_variance(mu: float, sigma: float, beta: float,
@@ -275,9 +265,10 @@ def _scan_roots(f, lo: float, hi: float, scale: float,
 def optimal_price_power(mu: float, s: float, q: float, beta: float) -> PriceSolution:
     """Price maximizing the worst-case ratio under fractional-moment knowledge.
 
-    Four candidates: two low-regime roots (clipped by the left threshold)
-    and two high-regime points (clipped into the three-point region); the
-    optimum is the better of the clipped low and high candidates.
+    Four candidates: two low-regime roots (clipped by the left threshold,
+    and searched only below it when beta is finite) and two high-regime
+    points (clipped into the three-point region); the optimum is the
+    better of the clipped low and high candidates.
     """
     market = power_market(mu, s, q, beta)
     require_feasible(market)
@@ -288,16 +279,24 @@ def optimal_price_power(mu: float, s: float, q: float, beta: float) -> PriceSolu
     t2 = right_threshold(market)
     eps = 1e-9 * mu
 
+    # With beta = inf the companion near mu can be so large that the terms
+    # below overflow; the residual is then +inf, which keeps its sign.
     def bar_pl_resid(p):
         a = companion_point(market, p)
-        return p - (a - np.sqrt(a * (a - mu)))
+        with np.errstate(over="ignore"):
+            return p - (a - np.sqrt(a * (a - mu)))
 
     def hat_pl_resid(p):
         a = companion_point(market, p)
-        return (np.power(a, q) - np.power(p, q)) / (a - p) - q * s / mu
+        with np.errstate(over="ignore"):
+            return (np.power(a, q) - np.power(p, q)) / (a - p) - q * s / mu
 
-    bar_pl_roots = _scan_roots(bar_pl_resid, eps, mu * (1.0 - 1e-7), mu)
-    hat_pl_roots = _scan_roots(hat_pl_resid, eps, mu * (1.0 - 1e-7), mu)
+    # Low roots above t1 never win (the low candidate is the smallest of
+    # t1 and the roots), and at t1 the companion point is beta; scanning on
+    # towards mu reaches companions beyond any bracket when q is near 1.
+    top = t1 if math.isfinite(beta) else mu * (1.0 - 1e-7)
+    bar_pl_roots = _scan_roots(bar_pl_resid, eps, top, mu) if top > eps else []
+    hat_pl_roots = _scan_roots(hat_pl_resid, eps, top, mu) if top > eps else []
     raw = []
     low_parts = [t1]
     if bar_pl_roots:
@@ -329,7 +328,7 @@ def optimal_price_power(mu: float, s: float, q: float, beta: float) -> PriceSolu
 
     # Raw candidate values are reported at their in-range clip for audit.
     cands += [(label, min(max(p, eps), t2)) for label, p in raw]
-    values = worst_case_cr_power(mu, s, q, beta, np.array([p for _, p in cands])).cr
+    values = worst_case_cr(market, np.array([p for _, p in cands])).cr
     cands = [(label, float(p), float(v)) for (label, p), v in zip(cands, values)]
     return _select(cands[:2] + sorted(cands[2:], key=lambda c: c[0]))
 
@@ -409,8 +408,7 @@ def compare_prices(mu: float, sigma: float, beta: float) -> OrderingReport:
         raise RobustPriceError("price comparison needs a finite maximum valuation")
     market = variance_market(mu, sigma, beta)
     require_feasible(market)
-    t2 = mu + sigma * sigma / mu
-    t1 = mu - sigma * sigma / (beta - mu)
+    t1, t2 = variance_thresholds(mu, sigma * sigma, beta)
     if sigma == 0.0:
         return OrderingReport(mu, mu, mu, mu, sigma, sigma_star(mu, beta),
                               delta_star(mu, beta), False, True, False, True)

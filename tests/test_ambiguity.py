@@ -5,8 +5,7 @@ import pytest
 
 from robustprice.ambiguity import (MarketInfo, check_feasible, companion_point,
                                    left_threshold, power_market,
-                                   right_threshold, scale_to_unit_mean,
-                                   support_thresholds, variance_market)
+                                   right_threshold, variance_market)
 from robustprice.dispersion import custom_measure, power_moment
 from robustprice.errors import InfeasibleMarketError, RobustPriceError
 
@@ -112,8 +111,7 @@ class TestLeftThreshold:
 
     def test_ordering(self):
         m = variance_market(0.5, 0.3, 1.2)
-        th = support_thresholds(m)
-        assert th.left < m.mu < th.right
+        assert left_threshold(m) < m.mu < right_threshold(m)
 
 
 class TestFeasibility:
@@ -193,35 +191,13 @@ class TestCompanionPoint:
 
 
 class TestTransforms:
-    def test_scale_to_unit_mean_variance(self):
-        scaled, scale = scale_to_unit_mean(variance_market(0.5, 0.3, 1.0))
-        assert scale == pytest.approx(0.5)
-        assert scaled.mu == pytest.approx(1.0)
-        assert scaled.beta == pytest.approx(2.0)
-        assert scaled.sigma == pytest.approx(0.6)
-
-    def test_scale_to_unit_mean_power(self):
-        scaled, scale = scale_to_unit_mean(power_market(mu=2.0, s=8.0, q=1.5, beta=4.0))
-        assert scale == pytest.approx(2.0)
-        assert scaled.s == pytest.approx(8.0 / 2.0 ** 1.5, abs=1e-12)
-        assert scaled.beta == pytest.approx(2.0)
-
-    def test_scale_identity_at_unit_mean(self):
-        m = variance_market(1.0, 0.5, 2.0)
-        scaled, scale = scale_to_unit_mean(m)
-        assert scale == 1.0 and scaled is m
-
     def test_scale_preserves_thresholds(self):
+        # Scaling (mu, beta) by k and s by k**q scales both thresholds by k.
         m = power_market(mu=0.5, s=0.45, q=1.5, beta=1.0)
-        scaled, scale = scale_to_unit_mean(m)
-        assert scale * right_threshold(scaled) == pytest.approx(right_threshold(m), abs=1e-10)
-        assert scale * left_threshold(scaled) == pytest.approx(left_threshold(m), abs=1e-10)
-
-    def test_scale_rejects_custom_measure(self):
-        m = MarketInfo(mu=0.5, s=0.34, beta=1.0,
-                       measure=custom_measure(lambda x: np.square(x), lambda x: 2 * x))
-        with pytest.raises(RobustPriceError):
-            scale_to_unit_mean(m)
+        k = 2.0
+        scaled = power_market(mu=k * 0.5, s=0.45 * k ** 1.5, q=1.5, beta=k * 1.0)
+        assert right_threshold(scaled) == pytest.approx(k * right_threshold(m), abs=1e-10)
+        assert left_threshold(scaled) == pytest.approx(k * left_threshold(m), abs=1e-10)
 
 
 def _exp_measure(mu):

@@ -3,18 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from robustprice.ambiguity import (MarketInfo, companion_point, left_threshold,
                                    power_market, right_threshold,
                                    variance_market)
+from robustprice.bounds import variance_tails
 from robustprice.dispersion import custom_measure
-from robustprice.errors import (InfeasibleMarketError, RobustPriceError,
-                                RootFindingError)
+from robustprice.errors import InfeasibleMarketError, RobustPriceError
 from robustprice.optimizer import (_ROOT_SCAN, _THRESHOLD_SCAN, _scan_roots,
-                                   _variance_revenue, compare_prices, delta_star,
+                                   compare_prices, delta_star,
                                    high_price_revenue_variance,
                                    high_prices_variance, low_price_variance,
                                    low_price_revenue_variance,
@@ -425,8 +425,16 @@ class TestArrayScans:
         top = min(beta, 1.2 * t2)
         ps = np.concatenate([np.linspace(1e-3 * mu, top, 400),
                              [p for p in (t1, t2) if 0 < p <= top]])
-        ref = np.array([worst_case_revenue(m, p) for p in ps])
-        assert np.max(np.abs(_variance_revenue(mu, sigma, beta, ps) - ref)) <= 1e-13 * mu
+        # p d^2 / (d^2 + sigma^2), d = mu - p, up to t1; then
+        # p (mu^2 + sigma^2 - mu p) / (beta (beta - p)) up to t2; 0 above.
+        s2, d = sigma * sigma, mu - ps
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # p = beta lies in [t1, t2] only in the maximal-dispersion market
+            # {0, beta}, whose revenue there is mu.
+            mid = np.where(ps < beta, ps * (mu * mu + s2 - mu * ps) / (beta * (beta - ps)), mu)
+        ref = np.where(ps <= t1, ps * d * d / (d * d + s2), np.where(ps <= t2, mid, 0.0))
+        for got in (worst_case_revenue(m, ps), ps * variance_tails(mu, s2, beta, ps)[0]):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * mu
 
     def test_general_objective_array_equals_scalar(self):
         mu, beta = 0.7, 1.8
@@ -476,13 +484,7 @@ class TestScaleInvariance:
         lo, hi = mu ** q, mu * beta ** (q - 1.0)
         s = lo + u * (hi - lo)
         k = 10.0 ** log10_k
-        try:
-            a = optimal_price_power(mu, s, q, beta)
-        except RootFindingError:
-            # For q near 1 the low-price scan reaches prices whose companion
-            # point lies beyond the doubling bracket (about 1e60 mu); such
-            # markets fail at every scale and are outside this property.
-            assume(False)
+        a = optimal_price_power(mu, s, q, beta)
         b = optimal_price_power(k * mu, s * k ** q, q, k * beta)
         assert b.price == pytest.approx(k * a.price, rel=1e-9)
         assert b.value == pytest.approx(a.value, rel=1e-9)

@@ -11,8 +11,8 @@ from robustprice.errors import (InfeasibleMarketError, ModeError,
 from robustprice.extremal import worst_case_distribution
 from robustprice.ratio import (BRANCH_DEGENERATE, BRANCH_PRICE, BRANCH_TAIL,
                                worst_case_cr, worst_case_cr_dispersion_ub,
-                               worst_case_cr_mean_range, worst_case_cr_power,
-                               worst_case_cr_variance, worst_case_revenue)
+                               worst_case_cr_mean_range, worst_case_cr_variance,
+                               worst_case_revenue)
 
 from test_extremal import random_market
 
@@ -130,28 +130,19 @@ class TestPowerClosedForm:
         for sigma in (0.1, 0.3, 0.5):
             for p in (0.1, 0.3, 0.6, 0.9):
                 a = worst_case_cr_variance(0.5, sigma, 1.2, p)
-                b = worst_case_cr_power(0.5, 0.25 + sigma * sigma, 2.0, 1.2, p)
+                b = worst_case_cr(power_market(0.5, 0.25 + sigma * sigma, 2.0, 1.2), p)
                 assert b.cr == pytest.approx(a.cr, abs=1e-12)
-
-    def test_matches_general_decomposition(self):
-        rng = np.random.default_rng(34)
-        for _ in range(60):
-            m = random_market(rng, power_prob=1.0)
-            p = rng.uniform(0.02, 1.0) * m.beta
-            a = worst_case_cr(m, p)
-            b = worst_case_cr_power(m.mu, m.s, m.measure.q, m.beta, p)
-            assert b.cr == pytest.approx(a.cr, abs=1e-10)
 
     def test_mid_regime_formula(self):
         mu, s, q, beta, p = 0.5, 0.45, 1.5, 1.0, 0.6
-        b = worst_case_cr_power(mu, s, q, beta, p)
+        b = worst_case_cr(power_market(mu, s, q, beta), p)
         num = p * s - mu * p ** q
         den = mu * (beta ** q - p ** q) - s * (beta - p)
         assert b.tail_ratio == pytest.approx(num / den, abs=1e-12)
 
     def test_bad_exponent(self):
         with pytest.raises(RobustPriceError):
-            worst_case_cr_power(0.5, 0.5, 1.0, 1.2, 0.3)
+            worst_case_cr(power_market(0.5, 0.5, 1.0, 1.2), 0.3)
 
 
 class TestMeanRange:
