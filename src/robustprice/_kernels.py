@@ -6,17 +6,14 @@ competitive-ratio and revenue objectives at a fixed price p.
 
 Two interchangeable implementations are provided: a loop kernel, compiled
 with numba when numba is installed (the optional ``fast`` extra), and a
-vectorized numpy kernel used otherwise, or when the environment variable
-ROBUSTPRICE_PURE_NUMPY=1 is set.  The numpy kernel builds no triple index:
-it enumerates the triples in one block per first support point, each
-block a slice of a single pair index.  Both kernels enumerate candidates
+vectorized numpy kernel used otherwise.  The numpy kernel builds no triple
+index: it enumerates the triples in one block per first support point,
+each block a slice of a single pair index.  Both kernels enumerate candidates
 in the same lexicographic order and break ties by first occurrence, so
 results are bit-comparable.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -265,8 +262,6 @@ def _enumerate_numpy(g, phi, mu, s, p, disp_tol, mass_tol):
 
 
 def _build_kernel():
-    if os.environ.get("ROBUSTPRICE_PURE_NUMPY", "") == "1":
-        return _enumerate_numpy, "numpy"
     try:
         from numba import njit
     except ImportError:

@@ -19,10 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dispersion import DispersionMeasure, power_moment, variance_measure
 from .errors import InfeasibleMarketError, RobustPriceError, RootFindingError
@@ -37,7 +35,8 @@ _DEGEN_RTOL = 1e-12
 # Root-finder tolerances: the absolute one is relative to the market scale
 # mu, so a market and its rescaled copy are solved to the same digits.
 _BRENTQ_XTOL = 1e-14
-_BRENTQ_RTOL = 8.881784197001252e-16  # 4 * eps, the minimum brentq accepts
+_BRENTQ_RTOL = 8.881784197001252e-16  # 4 * eps
+_BRENTQ_MAXITER = 100
 _COMPANION_MAXITER = 200
 # Doublings of the companion bracket above the mean: enough to reach the
 # largest float, since near the mean the companion grows like a power of
@@ -45,9 +44,75 @@ _COMPANION_MAXITER = 200
 _COMPANION_DOUBLINGS = 1100
 
 
-def solve_bracketed(f, lo: float, hi: float, scale: float) -> float:
-    """Root of f on [lo, hi] (a sign change) by brentq, xtol relative to scale."""
-    return float(brentq(f, lo, hi, xtol=_BRENTQ_XTOL * scale, rtol=_BRENTQ_RTOL))
+def solve_bracketed(f, lo, hi, scale: float):
+    """Roots of f on brackets [lo, hi] (sign changes) by Brent's method.
+
+    lo and hi are floats or arrays of bracket ends; f maps a point array to
+    residuals elementwise and is called once per step, on the iterates of
+    the brackets still open.  Tolerances: xtol = 1e-14 * scale, rtol = 4 eps.
+    """
+    lo, restore = as_price_array(lo)
+    hi, n, xtol = np.asarray(hi, dtype=float).reshape(-1), lo.size, _BRENTQ_XTOL * scale
+    fx = _residuals(f, np.concatenate([lo, hi]))
+    roots = np.empty(n)
+    open_ = [(i, _brent(a, b, fa, fb, xtol), None) for i, (a, b, fa, fb) in
+             enumerate(zip(lo.tolist(), hi.tolist(), fx[:n], fx[n:]))]
+    while open_:  # (bracket index, Brent coroutine, residual to send it)
+        stepped, xs = [], []
+        for i, brent, fcur in open_:
+            try:
+                xs.append(brent.send(fcur))
+                stepped.append((i, brent))
+            except StopIteration as done:
+                roots[i] = done.value
+        open_ = [(i, brent, fcur) for (i, brent), fcur in
+                 zip(stepped, _residuals(f, np.array(xs)))]
+    return restore(roots)
+
+
+def _residuals(f, x: np.ndarray) -> list:
+    fx = np.asarray(f(x), dtype=float).reshape(-1) if x.size else x
+    if np.isnan(fx).any():
+        raise RootFindingError(f"residual is NaN at x = {x[np.isnan(fx)][0]}")
+    return fx.tolist()
+
+
+def _brent(xpre: float, xcur: float, fpre: float, fcur: float, xtol: float):
+    """Brent's method on one bracket: a coroutine on floats that yields each
+    iterate, is sent f there and returns the root (as C brentq, Brent 1973)."""
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise RootFindingError(f"no sign change on [{xpre}, {xcur}]: f = {fpre}, {fcur}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENTQ_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENTQ_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless interpolation takes a good short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic; a zero denominator bisects
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = yield xcur
+    raise RootFindingError(f"Brent's method did not converge in {_BRENTQ_MAXITER} steps")
 
 
 @dataclass(frozen=True)
@@ -133,17 +198,6 @@ class FeasibilityReport:
     reason: str = ""
 
 
-def _expand_bracket_up(f, lo: float, step: float, max_doublings: int = 200) -> Tuple[float, float]:
-    """Find hi > lo with f(hi) > 0 by doubling, given f(lo) < 0."""
-    hi = lo + step
-    for _ in range(max_doublings):
-        if f(hi) > 0:
-            return lo, hi
-        step *= 2.0
-        hi = lo + step
-    raise RootFindingError(f"no sign change found above {lo} after bracket expansion")
-
-
 def _solve_right_threshold(market: MarketInfo) -> float:
     m = market.measure
     if market.is_degenerate:
@@ -157,9 +211,12 @@ def _solve_right_threshold(market: MarketInfo) -> float:
         return (m.value(t) - phi0) / t - target
 
     # Secant slope from 0 is increasing; at t = mu it is below target for
-    # nondegenerate markets, so the root lies above mu.
-    lo, hi = _expand_bracket_up(f, market.mu, market.mu)
-    return solve_bracketed(f, lo, hi, market.mu)
+    # nondegenerate markets, so the root lies above mu: double the bracket.
+    for k in range(200):
+        hi = market.mu + market.mu * 2.0 ** k
+        if f(hi) > 0:
+            return solve_bracketed(f, market.mu, hi, market.mu)
+    raise RootFindingError(f"no sign change found above {market.mu} after bracket expansion")
 
 
 def _solve_left_threshold(market: MarketInfo) -> float:
@@ -186,7 +243,8 @@ def _solve_left_threshold(market: MarketInfo) -> float:
             f"dispersion exceeds the maximum attainable on [0, {beta}] with mean {mu}")
     if f0 <= 0:
         return 0.0
-    return solve_bracketed(f, 0.0, mu, mu)
+    # Point by point: for powers, pow on floats and np.power can differ in the last bit.
+    return solve_bracketed(np.vectorize(f), 0.0, mu, mu)
 
 
 def right_threshold(market: MarketInfo) -> float:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .ambiguity import (MarketInfo, companion_point, left_threshold,
                         power_market, require_feasible, right_threshold,
@@ -30,6 +29,7 @@ REGIME_HIGH_PRICE = "high"
 # Scan resolutions: coarse for threshold bracketing, fine for root isolation.
 _THRESHOLD_SCAN = 200
 _ROOT_SCAN = 2001
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def _crossing_sigma(mu: float, beta: float, gap) -> float:
     """Root of gap(sigma) = low value - high value on (0, sigma_max).
 
     gap maps a sigma array to an array; the scan evaluates it once on the
-    whole grid and brentq refines the first downward crossing.
+    whole grid and Brent's method refines the first downward crossing.
     """
     if not math.isfinite(beta):
         return math.inf
@@ -169,11 +169,7 @@ def _crossing_sigma(mu: float, beta: float, gap) -> float:
         raise RootFindingError(
             f"no low/high value crossing on (0, {sigma_max}); "
             f"scan range [{vals.min()}, {vals.max()}]")
-    i = hits[0]
-    if vals[i] == 0.0:
-        return float(grid[i])
-    return solve_bracketed(lambda s: float(gap(np.array([s]))[0]),
-                           grid[i], grid[i + 1], mu)
+    return solve_bracketed(gap, grid[hits[0]], grid[hits[0] + 1], mu)
 
 
 def sigma_star(mu: float, beta: float) -> float:
@@ -248,18 +244,13 @@ def _scan_roots(f, lo: float, hi: float, scale: float,
     """All sign-change roots of f on [lo, hi] found on an n-point scan.
 
     f maps a price array to residuals.  The scan evaluates it once on the
-    grid, and brentq refines each sign change on the same f (through
-    one-element arrays), with xtol relative to ``scale``.
+    grid, and Brent's method refines all sign changes together (a grid
+    point where f is 0 is a root), with xtol relative to ``scale``.
     """
     grid = np.linspace(lo, hi, n)
     vals = f(grid)
-    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
-    roots = [float(grid[i]) if vals[i] == 0.0 else
-             solve_bracketed(lambda x: float(f(np.array([x]))[0]), grid[i], grid[i + 1], scale)
-             for i in hits]
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    return roots
+    hits = np.flatnonzero((vals == 0.0) | (vals * np.append(vals[1:], 0.0) < 0))
+    return solve_bracketed(f, grid[hits], grid[np.minimum(hits + 1, n - 1)], scale).tolist()
 
 
 def optimal_price_power(mu: float, s: float, q: float, beta: float) -> PriceSolution:
@@ -335,22 +326,24 @@ def optimal_price_power(mu: float, s: float, q: float, beta: float) -> PriceSolu
 
 def optimal_price_general(market: MarketInfo, tol: float = 1e-8,
                           objective: str = "cr") -> PriceSolution:
-    """Scan-plus-refine maximizer of the worst-case ratio (or revenue).
+    """Scan-and-rescan maximizer of the worst-case ratio (or revenue).
 
-    Fallback path for custom dispersion measures: a fine scan on each
-    regime branch seeds a bounded scalar search; accuracy is claimed only
-    up to the scan resolution for multi-modal objectives.
+    Fallback path for custom dispersion measures: a fine scan of each regime
+    branch, rescanned around its best point down to a step of ``tol * mu``.
+    Accuracy is claimed only up to the first scan for multi-modal objectives.
     """
     require_feasible(market)
     if objective not in ("cr", "rev"):
         raise RobustPriceError(f"objective must be 'cr' or 'rev', got {objective!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise RobustPriceError(f"tol must be positive and finite, got {tol}")
     mu = market.mu
     if market.is_degenerate:
         val = 1.0 if objective == "cr" else mu
         return PriceSolution(mu, val, REGIME_LOW_PRICE, "p_l",
                              (("p_l", mu, val),), None)
 
-    def f(p):  # a float or a price array
+    def f(p):
         if objective == "cr":
             return worst_case_cr(market, p).cr
         return worst_case_revenue(market, p)
@@ -364,19 +357,21 @@ def optimal_price_general(market: MarketInfo, tol: float = 1e-8,
         segments.append(("p_l", 1e-9 * mu, t1))
     if t2 > t1:
         segments.append(("p_h", t1 if t1 > 0 else 1e-9 * mu, t2))
-    cands = []
-    for label, lo, hi in segments:
-        grid = np.linspace(lo, hi, _ROOT_SCAN)
-        i = int(np.argmax(f(grid)))
-        blo, bhi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-        res = minimize_scalar(lambda p: -f(p), bounds=(blo, bhi), method="bounded",
-                              options={"xatol": tol})
-        p_best, v_best = float(res.x), float(-res.fun)
-        v_grid = f(float(grid[i]))
-        if v_grid > v_best:
-            p_best, v_best = float(grid[i]), v_grid
-        cands.append((label, p_best, v_best))
-    return _select(cands)
+    labels, lo, hi = (np.array(v) for v in zip(*segments))
+    # A rescan spans at most two steps of the grid before it, so it divides
+    # the step by (_ROOT_SCAN - 1) / 2 at least; eps * mu is the finest step.
+    shrink = math.log(np.max(hi - lo) / ((_ROOT_SCAN - 1) * mu)) - math.log(max(tol, _EPS))
+    rows = np.arange(len(labels))
+    best_p = best_v = np.full(len(labels), -np.inf)
+    for _ in range(1 + max(0, math.ceil(shrink / math.log((_ROOT_SCAN - 1) / 2)))):
+        grid = np.linspace(lo, hi, _ROOT_SCAN, axis=-1)
+        vals = f(grid.reshape(-1)).reshape(grid.shape)
+        i = np.argmax(vals, axis=1)
+        p, v = grid[rows, i], vals[rows, i]
+        best_p, best_v = np.where(v > best_v, p, best_p), np.maximum(v, best_v)
+        lo = grid[rows, np.maximum(i - 1, 0)]
+        hi = grid[rows, np.minimum(i + 1, _ROOT_SCAN - 1)]
+    return _select(list(zip(labels.tolist(), best_p.tolist(), best_v.tolist())))
 
 
 @dataclass(frozen=True)
