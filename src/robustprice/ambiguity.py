@@ -47,39 +47,29 @@ _COMPANION_DOUBLINGS = 1100
 def solve_bracketed(f, lo, hi, scale: float):
     """Roots of f on brackets [lo, hi] (sign changes) by Brent's method.
 
-    lo and hi are floats or arrays of bracket ends; f maps a point array to
-    residuals elementwise and is called once per step, on the iterates of
-    the brackets still open.  Tolerances: xtol = 1e-14 * scale, rtol = 4 eps.
+    lo and hi are floats or arrays of bracket ends, solved one bracket at a
+    time; f maps a point array to residuals elementwise and is called on a
+    bracket's two ends, then on one point per step.  Tolerances:
+    xtol = 1e-14 * scale, rtol = 4 eps.
     """
     lo, restore = as_price_array(lo)
-    hi, n, xtol = np.asarray(hi, dtype=float).reshape(-1), lo.size, _BRENTQ_XTOL * scale
-    fx = _residuals(f, np.concatenate([lo, hi]))
-    roots = np.empty(n)
-    open_ = [(i, _brent(a, b, fa, fb, xtol), None) for i, (a, b, fa, fb) in
-             enumerate(zip(lo.tolist(), hi.tolist(), fx[:n], fx[n:]))]
-    while open_:  # (bracket index, Brent coroutine, residual to send it)
-        stepped, xs = [], []
-        for i, brent, fcur in open_:
-            try:
-                xs.append(brent.send(fcur))
-                stepped.append((i, brent))
-            except StopIteration as done:
-                roots[i] = done.value
-        open_ = [(i, brent, fcur) for (i, brent), fcur in
-                 zip(stepped, _residuals(f, np.array(xs)))]
-    return restore(roots)
+    hi, xtol = np.asarray(hi, dtype=float).reshape(-1), _BRENTQ_XTOL * scale
+
+    def residuals(*x):
+        fx = np.asarray(f(np.array(x)), dtype=float).reshape(-1).tolist()
+        for xi, fi in zip(x, fx):
+            if math.isnan(fi):
+                raise RootFindingError(f"residual is NaN at x = {xi}")
+        return fx
+
+    return restore(np.array([_brent(residuals, a, b, xtol)
+                             for a, b in zip(lo.tolist(), hi.tolist())], dtype=float))
 
 
-def _residuals(f, x: np.ndarray) -> list:
-    fx = np.asarray(f(x), dtype=float).reshape(-1) if x.size else x
-    if np.isnan(fx).any():
-        raise RootFindingError(f"residual is NaN at x = {x[np.isnan(fx)][0]}")
-    return fx.tolist()
-
-
-def _brent(xpre: float, xcur: float, fpre: float, fcur: float, xtol: float):
-    """Brent's method on one bracket: a coroutine on floats that yields each
-    iterate, is sent f there and returns the root (as C brentq, Brent 1973)."""
+def _brent(f, xpre: float, xcur: float, xtol: float) -> float:
+    """Brent's method on one bracket, on floats, as C brentq (Brent 1973);
+    f maps points to a list of residuals."""
+    fpre, fcur = f(xpre, xcur)
     if fpre == 0 or fcur == 0:
         return xpre if fpre == 0 else xcur
     if (fpre < 0) == (fcur < 0):
@@ -111,7 +101,7 @@ def _brent(xpre: float, xcur: float, fpre: float, fcur: float, xtol: float):
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = yield xcur
+        fcur, = f(xcur)
     raise RootFindingError(f"Brent's method did not converge in {_BRENTQ_MAXITER} steps")
 
 
@@ -244,7 +234,7 @@ def _solve_left_threshold(market: MarketInfo) -> float:
     if f0 <= 0:
         return 0.0
     # Point by point: for powers, pow on floats and np.power can differ in the last bit.
-    return solve_bracketed(np.vectorize(f), 0.0, mu, mu)
+    return solve_bracketed(np.vectorize(f, otypes=[float]), 0.0, mu, mu)
 
 
 def right_threshold(market: MarketInfo) -> float:

@@ -244,8 +244,8 @@ def _scan_roots(f, lo: float, hi: float, scale: float,
     """All sign-change roots of f on [lo, hi] found on an n-point scan.
 
     f maps a price array to residuals.  The scan evaluates it once on the
-    grid, and Brent's method refines all sign changes together (a grid
-    point where f is 0 is a root), with xtol relative to ``scale``.
+    grid, and Brent's method refines each sign change (a grid point where
+    f is 0 is a root), with xtol relative to ``scale``.
     """
     grid = np.linspace(lo, hi, n)
     vals = f(grid)

@@ -1,4 +1,4 @@
-"""The package's own solvers: Brent's method on arrays of brackets, and the
+"""The package's own solvers: Brent's method on brackets, and the
 scan-and-rescan maximizer of optimal_price_general."""
 
 import math
@@ -76,7 +76,8 @@ class TestSolveBracketed:
         g, calls = _recording(lambda x: (x - 0.25) * (x - 0.75))
         got = solve_bracketed(g, np.array([0.25, 0.5, 0.0]), np.array([0.5, 0.75, 0.25]), 1.0)
         assert got.tolist() == [0.25, 0.75, 0.25]
-        assert len(calls) == 1  # the bracket ends only
+        # The bracket ends only, one call per bracket.
+        assert [c.tolist() for c in calls] == [[0.25, 0.5], [0.5, 0.75], [0.0, 0.25]]
 
     def test_empty_brackets_call_nothing(self):
         g, calls = _recording(_wavy)
@@ -91,17 +92,17 @@ class TestSolveBracketed:
         with pytest.raises(RootFindingError, match="NaN"):
             solve_bracketed(lambda x: np.where(x > 0.3, np.nan, x - 0.2), 0.0, 1.0, 1.0)
 
-    def test_f_receives_only_unconverged_points(self):
+    def test_f_calls_follow_brentq(self):
         g, calls = _recording(_wavy)
         got = solve_bracketed(g, _LO, _HI, 1.0)
-        steps = [_reference(_wavy, a, b, 1.0)[1] - 2 for a, b in zip(_LO, _HI)]
-        assert len(set(steps)) > 1  # the brackets converge after different steps
-        # First the 2n bracket ends, then at step k one point per bracket
-        # that needs more than k - 1 steps.
-        assert calls[0].tolist() == _LO.tolist() + _HI.tolist()
-        assert [c.size for c in calls[1:]] == [sum(s >= k for s in steps)
-                                               for k in range(1, max(steps) + 1)]
-        assert got.tolist() == [_reference(_wavy, a, b, 1.0)[0] for a, b in zip(_LO, _HI)]
+        ref = [_reference(_wavy, a, b, 1.0) for a, b in zip(_LO, _HI)]
+        # Per bracket: its two ends in one call, then one point per brentq step.
+        sizes = []
+        for a, b, (_, n) in zip(_LO, _HI, ref):
+            assert calls[len(sizes)].tolist() == [a, b]
+            sizes += [2] + [1] * (n - 2)
+        assert [c.size for c in calls] == sizes
+        assert got.tolist() == [root for root, _ in ref]
 
 
 def _exp_market(k, u=0.5, mu0=0.5, beta0=1.2):
