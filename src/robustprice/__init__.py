@@ -11,17 +11,15 @@ from .ambiguity import (MODE_EXACT, MODE_UPPER, FeasibilityReport, MarketInfo,
                         check_feasible, companion_point, left_threshold,
                         power_market, require_feasible, right_threshold,
                         variance_market)
-from .bounds import (TailBounds, best_case_revenue, cond_exp_max,
-                     mean_range_tail_bounds, tail_bounds, tail_prob_max,
-                     tail_prob_min, tail_prob_min_dispersion_ub)
-from .dispersion import (DispersionMeasure, check_convexity, custom_measure,
-                         power_moment, variance_measure)
+from .bounds import (TailBounds, best_case_revenue, cond_exp_max, tail_bounds,
+                     tail_prob_max, tail_prob_min, tail_prob_min_dispersion_ub)
+from .dispersion import (DispersionMeasure, custom_measure, power_moment,
+                         variance_measure)
 from .errors import (InfeasibleMarketError, InternalConsistencyError,
                      ModeError, RobustPriceError, RootFindingError,
                      UnboundedSupportError)
-from .extremal import (DiscreteDistribution, mean_range_two_point, point_mass,
-                       three_point, three_point_masses, two_point,
-                       worst_case_distribution)
+from .extremal import (DiscreteDistribution, point_mass, three_point,
+                       three_point_masses, two_point, worst_case_distribution)
 from .optimizer import (OrderingReport, PriceSolution, compare_prices,
                         delta_star, optimal_price_general, optimal_price_power,
                         optimal_price_revenue_variance, optimal_price_variance,
@@ -42,12 +40,10 @@ __all__ = [
     "right_threshold", "left_threshold",
     "check_feasible", "require_feasible", "companion_point",
     "DispersionMeasure", "power_moment", "variance_measure", "custom_measure",
-    "check_convexity",
     "DiscreteDistribution", "point_mass", "two_point", "three_point",
-    "three_point_masses", "worst_case_distribution", "mean_range_two_point",
+    "three_point_masses", "worst_case_distribution",
     "TailBounds", "tail_prob_max", "tail_prob_min", "cond_exp_max",
-    "best_case_revenue", "tail_bounds", "mean_range_tail_bounds",
-    "tail_prob_min_dispersion_ub",
+    "best_case_revenue", "tail_bounds", "tail_prob_min_dispersion_ub",
     "RatioBreakdown", "worst_case_cr", "worst_case_cr_variance",
     "worst_case_cr_mean_range",
     "worst_case_cr_dispersion_ub", "worst_case_revenue",

@@ -151,7 +151,10 @@ class MarketInfo:
     @cached_property
     def right_threshold(self) -> float:
         """See :func:`right_threshold`."""
-        return _solve_right_threshold(self)
+        t2 = _solve_right_threshold(self)
+        # At maximal dispersion it can round just above beta; feasibility
+        # allows that much, and the only member is then {0, beta}.
+        return self.beta if self.beta < t2 <= self.beta + _feasibility_tol(self) else t2
 
     @cached_property
     def left_threshold(self) -> float:
@@ -242,7 +245,8 @@ def right_threshold(market: MarketInfo) -> float:
 
     Solves (s - phi(0)) / mu = (phi(t) - phi(0)) / t for t >= mu.  Closed
     form (s/mu)**(1/(q-1)) for the power family; for variance this is
-    mu + sigma**2 / mu.  Computed once per market.
+    mu + sigma**2 / mu.  A value above beta by no more than the feasibility
+    tolerance is beta.  Computed once per market.
     """
     return market.right_threshold
 
@@ -262,16 +266,22 @@ def variance_thresholds(mu: float, s2, beta: float):
     """(left, right) thresholds of mean/variance/maximum knowledge.
 
     mu - s2 / (beta - mu) (mu when beta = inf) and mu + s2 / mu, with
-    s2 = sigma**2 a float or an array.  Unclipped: the left one is
-    negative only for infeasible markets.
+    s2 = sigma**2 a float or an array.  The right one is capped at beta,
+    which at maximal dispersion it can exceed by rounding; the left one is
+    unclipped, negative only for infeasible markets.
     """
-    return mu - s2 / (beta - mu), mu + s2 / mu
+    return mu - s2 / (beta - mu), np.minimum(mu + s2 / mu, beta)
+
+
+def _feasibility_tol(market: MarketInfo) -> float:
+    """How far the right threshold may lie outside [mu, beta] in a feasible market."""
+    return 1e-12 * (market.beta if math.isfinite(market.beta) else market.mu)
 
 
 def check_feasible(market: MarketInfo) -> FeasibilityReport:
     """Non-emptiness test: the market is feasible iff mu <= right_threshold <= beta."""
     t2 = right_threshold(market)
-    tol = 1e-12 * (market.beta if math.isfinite(market.beta) else market.mu)
+    tol = _feasibility_tol(market)
     if t2 < market.mu - tol:
         return FeasibilityReport(False, t2, f"right threshold {t2} below mean {market.mu}")
     if t2 > market.beta + tol:

@@ -246,17 +246,6 @@ def tail_bounds(market: MarketInfo, p) -> TailBounds:
                       regime=restore(REGIMES[regime]))
 
 
-def mean_range_tail_bounds(mu: float, beta: float, p: float):
-    """(inf, sup) of P(X >= p) with mean and maximum knowledge only."""
-    if not p > 0:
-        raise RobustPriceError(f"price must be positive, got {p}")
-    if p > beta:
-        raise RobustPriceError(f"price {p} exceeds maximum valuation {beta}")
-    lo = max((mu - p) / (beta - p), 0.0) if p < beta else (1.0 if p <= mu else 0.0)
-    hi = min(mu / p, 1.0)
-    return lo, hi
-
-
 def tail_prob_min_dispersion_ub(market: MarketInfo, p):
     """Worst-case conversion rate when s is only an upper bound.
 

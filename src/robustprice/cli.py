@@ -26,6 +26,7 @@ from .extremal import worst_case_distribution
 from .optimizer import (PriceSolution, compare_prices, optimal_price_general,
                         optimal_price_power, optimal_price_revenue_variance,
                         optimal_price_variance)
+from .oracle import MIN_GRID_N
 from .ratio import (worst_case_cr, worst_case_cr_dispersion_ub,
                     worst_case_cr_variance)
 from .verify import run_checks
@@ -95,6 +96,16 @@ def _finite_arg(text: str) -> float:
     return value
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than minimum."""
+    def count(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as a flag error
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return count
+
+
 def _values_arg(text: str) -> List[float]:
     """--values: comma-separated numbers, each one as --beta accepts it."""
     return [_beta_arg(v) for v in text.split(",")]
@@ -102,10 +113,11 @@ def _values_arg(text: str) -> List[float]:
 
 def _add_market_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mu", type=_finite_arg, required=True, help="mean valuation")
-    p.add_argument("--sigma", type=_finite_arg, default=None,
-                   help="standard deviation (variance measure)")
-    p.add_argument("--s", type=_finite_arg, default=None,
-                   help="dispersion statistic E[phi(X)] directly")
+    spread = p.add_mutually_exclusive_group()
+    spread.add_argument("--sigma", type=_finite_arg, default=None,
+                        help="standard deviation (variance measure)")
+    spread.add_argument("--s", type=_finite_arg, default=None,
+                        help="dispersion statistic E[phi(X)] directly")
     p.add_argument("--beta", type=_beta_arg, required=True,
                    help="maximum valuation; 'inf' for unbounded")
     p.add_argument("--phi", type=_phi_arg, default="variance",
@@ -166,13 +178,13 @@ def _sol_json(sol: PriceSolution) -> dict:
     }
 
 
-def _solve_price(args, objective: str) -> PriceSolution:
+def _solve_price(args, objective: str, with_threshold: bool = True) -> PriceSolution:
     measure = args.phi
     if measure.is_variance and args.sigma is not None:
         if objective == "cr":
             return optimal_price_variance(args.mu, args.sigma, args.beta,
-                                          compat_printed_pl=args.compat_printed_pl)
-        return optimal_price_revenue_variance(args.mu, args.sigma, args.beta)
+                                          args.compat_printed_pl, with_threshold)
+        return optimal_price_revenue_variance(args.mu, args.sigma, args.beta, with_threshold)
     market = _market(args)
     if measure.is_power and objective == "cr":
         return optimal_price_power(args.mu, market.s, measure.q, args.beta)
@@ -259,31 +271,17 @@ def _sweep_values(args) -> List[float]:
 
 
 def _sweep_solution(args, v: float, objective: str) -> PriceSolution:
-    measure = args.phi
-    mu, sigma, beta = args.mu, args.sigma, args.beta
+    """The price with the varied flag set to v; sigma and s replace each other."""
+    point = argparse.Namespace(**vars(args))
+    if args.vary == "q":
+        point.phi = power_moment(v)
+    else:
+        setattr(point, args.vary, v)
     if args.vary == "sigma":
-        sigma = v
-    elif args.vary == "beta":
-        beta = v
-    if args.vary in ("q", "s"):
-        if not measure.is_power:
-            raise RobustPriceError(f"--vary {args.vary} needs --phi power:q=..")
-        q = v if args.vary == "q" else measure.q
-        s = args.s if args.vary == "q" else v
-        if s is None:
-            raise RobustPriceError("--s is required when varying q")
-        if objective == "cr":
-            return optimal_price_power(mu, s, q, beta)
-        return optimal_price_general(
-            MarketInfo(mu, s, beta, power_moment(q)), objective="rev")
-    if measure.is_variance and sigma is not None:
-        if objective == "cr":
-            return optimal_price_variance(mu, sigma, beta, with_threshold=False,
-                                          compat_printed_pl=args.compat_printed_pl)
-        return optimal_price_revenue_variance(mu, sigma, beta,
-                                              with_threshold=False)
-    raise RobustPriceError("sweep needs --sigma with the variance measure, "
-                           "or --phi power:q=.. with --vary q|s")
+        point.s = None
+    elif args.vary == "s":
+        point.sigma = None
+    return _solve_price(point, objective, with_threshold=False)
 
 
 def cmd_sweep(args) -> int:
@@ -357,8 +355,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the oracle verification suite")
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--grid", type=int, default=201)
+    p.add_argument("--trials", type=_at_least(1), default=50)
+    p.add_argument("--grid", type=_at_least(MIN_GRID_N), default=201)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--compat-printed-pl", action="store_true", dest="compat_printed_pl")
     p.set_defaults(func=cmd_verify)

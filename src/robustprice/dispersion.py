@@ -5,7 +5,7 @@ strictly convex differentiable function of the valuation.  The power family
 ``x**q`` (q > 1) covers fractional moments; q = 2 with
 ``s = mu**2 + sigma**2`` encodes variance.  Arbitrary strictly convex
 measures can be plugged in through an evaluator pair (value, derivative);
-convexity of custom evaluators is validated by sampling, not symbolically.
+their convexity is the caller's to ensure, since it is not checked.
 """
 
 from __future__ import annotations
@@ -82,12 +82,6 @@ class DispersionMeasure:
             return 0.0 if x == 0 else self.q * float(x) ** (self.q - 1.0)
         return self.deriv_fn(x)
 
-    def secant_slope(self, a: float, b: float) -> float:
-        """(value(b) - value(a)) / (b - a); strictly increasing in b."""
-        if not a < b:
-            raise RobustPriceError(f"secant slope needs a < b, got a={a}, b={b}")
-        return (self.value(b) - self.value(a)) / (b - a)
-
 
 def power_moment(q: float) -> DispersionMeasure:
     """Fractional-moment measure x**q with q > 1."""
@@ -102,32 +96,3 @@ def variance_measure() -> DispersionMeasure:
 def custom_measure(value_fn, deriv_fn) -> DispersionMeasure:
     """Wrap a user-supplied strictly convex measure given as (value, derivative)."""
     return DispersionMeasure(family="custom", value_fn=value_fn, deriv_fn=deriv_fn)
-
-
-def check_convexity(measure: DispersionMeasure, beta: float, n_triples: int = 1000,
-                    seed: int = 0) -> None:
-    """Sampled strict-convexity and derivative-consistency check.
-
-    Raises RobustPriceError on the first violated triple.  Used to vet
-    custom evaluator pairs, for which convexity cannot be verified
-    symbolically.
-    """
-    rng = np.random.default_rng(seed)
-    hi = beta if np.isfinite(beta) else 10.0
-    for _ in range(n_triples):
-        a, b = np.sort(rng.uniform(0.0, hi, size=2))
-        if b - a < 1e-9:
-            continue
-        t = rng.uniform(0.05, 0.95)
-        mid = t * a + (1 - t) * b
-        lhs = measure.value(mid)
-        rhs = t * measure.value(a) + (1 - t) * measure.value(b)
-        if not lhs < rhs + 1e-14:
-            raise RobustPriceError(
-                f"measure not strictly convex on ({a}, {b}): f(mix)={lhs} >= {rhs}")
-        x = rng.uniform(1e-3, hi)
-        h = 1e-6 * max(1.0, x)
-        fd = (measure.value(x + h) - measure.value(x - h)) / (2 * h)
-        if abs(fd - measure.derivative(x)) > 1e-6 * max(1.0, abs(fd)):
-            raise RobustPriceError(
-                f"derivative inconsistent with finite differences at x={x}")

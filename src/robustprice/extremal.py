@@ -197,13 +197,3 @@ def worst_case_distribution(market: MarketInfo, p: float, eps: float = None) -> 
         raise UnboundedSupportError(
             f"no member attains the worst case at p={p} with an infinite maximum valuation")
     return _finalize([0.0, pm, y[0]], [1.0 - hi[0], hi[0] - lo[0], lo[0]])
-
-
-def mean_range_two_point(mu: float, beta: float, p: float, eps: float = 1e-9) -> DiscreteDistribution:
-    """Two-point {p - eps, beta} worst case under mean/maximum knowledge only."""
-    if not 0 < p <= mu <= beta:
-        raise RobustPriceError(f"need 0 < p <= mu <= beta, got p={p}, mu={mu}, beta={beta}")
-    if not 0 < eps < p:
-        raise RobustPriceError(f"need 0 < eps < p, got {eps}")
-    pm = p - eps
-    return _finalize([pm, beta], [(beta - mu) / (beta - pm), (mu - pm) / (beta - pm)])

@@ -20,8 +20,7 @@ from .ambiguity import (MarketInfo, companion_point, left_threshold,
                         solve_bracketed, variance_market, variance_thresholds)
 from .bounds import variance_tails
 from .errors import RobustPriceError, RootFindingError
-from .ratio import (_branches, worst_case_cr, worst_case_cr_variance,
-                    worst_case_revenue)
+from .ratio import _branches, worst_case_cr, worst_case_revenue
 
 REGIME_LOW_PRICE = "low"
 REGIME_HIGH_PRICE = "high"
@@ -90,98 +89,6 @@ def high_prices_variance(mu: float, sigma, beta: float):
     return _real(p_h1), _real(0.5 * t2)
 
 
-def _variance_cr_table(mu: float, sigma, beta: float, compat_printed_pl: bool = False):
-    """[(label, price, ratio, present)] for the variance ratio objective.
-
-    sigma > 0 is a float or an array and the columns have its shape.  A
-    candidate is present where it is admissible: p_l needs t1 > 0, the high
-    prices a finite beta and a positive clipped price.  Absent entries carry
-    an arbitrary admissible price, and their ratio is to be ignored.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    t1, t2 = variance_thresholds(mu, sigma * sigma, beta)
-    rows = [("p_l", np.minimum(low_price_variance(mu, sigma, compat_printed_pl), t1), t1 > 0)]
-    if math.isfinite(beta):
-        for label, p in zip(("p_h1", "p_h2"), high_prices_variance(mu, sigma, beta)):
-            p = np.minimum(np.maximum(p, t1), t2)
-            rows.append((label, p, p > 0))
-    prices = np.stack([np.where(present, p, t2) for _, p, present in rows])
-    p, tails = _variance_pass(mu, sigma, beta, prices)
-    values = np.minimum(*_branches(p, *tails)).reshape(prices.shape)
-    return [(label, p, v, present)
-            for (label, _, present), p, v in zip(rows, prices, values)]
-
-
-def _variance_pass(mu: float, sigma: np.ndarray, beta: float, prices: np.ndarray):
-    """(prices, tail pass) over a candidate table: prices has a row per
-    candidate and sigma's shape, one market per sigma; both flattened."""
-    p = prices.reshape(-1)
-    return p, variance_tails(mu, np.broadcast_to(sigma * sigma, prices.shape).reshape(-1),
-                             beta, p)
-
-
-def _candidates(table) -> List[Tuple[str, float, float]]:
-    """Present (label, price, value) rows of a scalar candidate table."""
-    return [(label, float(p), float(v)) for label, p, v, present in table if present]
-
-
-def _low_minus_high(table, low_label: str) -> np.ndarray:
-    """Best low-regime value minus best high-regime value (-inf if absent)."""
-    low = high = -np.inf
-    for label, _, v, present in table:
-        v = np.where(present, v, -np.inf)
-        if label == low_label:
-            low = np.maximum(low, v)
-        else:
-            high = np.maximum(high, v)
-    return low - high
-
-
-def optimal_price_variance(mu: float, sigma: float, beta: float,
-                           compat_printed_pl: bool = False,
-                           with_threshold: bool = True) -> PriceSolution:
-    """Price maximizing the worst-case ratio under variance knowledge."""
-    market = variance_market(mu, sigma, beta)
-    require_feasible(market)
-    if sigma == 0.0:
-        return PriceSolution(mu, 1.0, REGIME_LOW_PRICE, "p_l",
-                             (("p_l", mu, 1.0),), None)
-    cands = _candidates(_variance_cr_table(mu, sigma, beta, compat_printed_pl))
-    thr = None
-    if with_threshold:
-        thr = math.inf if not math.isfinite(beta) else sigma_star(mu, beta)
-    return _select(cands, threshold=thr)
-
-
-def _crossing_sigma(mu: float, beta: float, gap) -> float:
-    """Root of gap(sigma) = low value - high value on (0, sigma_max).
-
-    gap maps a sigma array to an array; the scan evaluates it once on the
-    whole grid and Brent's method refines the first downward crossing.
-    """
-    if not math.isfinite(beta):
-        return math.inf
-    sigma_max = math.sqrt(mu * (beta - mu))
-    grid = np.linspace(1e-3 * sigma_max, sigma_max * (1.0 - 1e-9), _THRESHOLD_SCAN)
-    vals = gap(grid)
-    hits = np.flatnonzero((vals[:-1] == 0.0) | ((vals[:-1] > 0) & (vals[1:] <= 0)))
-    if hits.size == 0:
-        raise RootFindingError(
-            f"no low/high value crossing on (0, {sigma_max}); "
-            f"scan range [{vals.min()}, {vals.max()}]")
-    return solve_bracketed(gap, grid[hits[0]], grid[hits[0] + 1], mu)
-
-
-def sigma_star(mu: float, beta: float) -> float:
-    """Dispersion threshold where the ratio objective switches regimes.
-
-    Below it the low price wins, above it a high price wins.  Goes to
-    infinity as beta does (the high regime never takes over).
-    """
-    return _crossing_sigma(
-        mu, beta, lambda sigma: _low_minus_high(_variance_cr_table(mu, sigma, beta), "p_l"))
-
-
 def low_price_revenue_variance(mu: float, sigma):
     """Unconstrained maximizer of the low-branch worst-case revenue."""
     sigma = np.asarray(sigma, dtype=float)
@@ -198,35 +105,89 @@ def high_price_revenue_variance(mu: float, sigma, beta: float):
     return _real(beta - np.sqrt(beta * np.maximum(beta - t2, 0.0)))
 
 
-def _variance_rev_table(mu: float, sigma, beta: float):
-    """[(label, price, revenue, present)] for the variance revenue objective,
-    laid out as :func:`_variance_cr_table`."""
+def _variance_table(mu: float, sigma, beta: float, objective: str,
+                    compat_printed_pl: bool = False):
+    """[(label, price, value, present)] for a variance objective, low first.
+
+    objective "cr" takes the ratio candidates (p_l, p_h1, p_h2) and values
+    them by the worst-case ratio; "rev" takes the revenue candidates (pi_l,
+    pi_h) and values them by the worst-case revenue.  sigma > 0 is a float
+    or an array and the columns have its shape.  A candidate is present
+    where it is admissible: the low price needs t1 > 0, the high prices a
+    finite beta and a positive clipped price.  An absent entry keeps its
+    clipped price, but its value (taken at t2) is to be ignored.
+    """
     sigma = np.asarray(sigma, dtype=float)
-    t1, t2 = variance_thresholds(mu, sigma * sigma, beta)
-    rows = [("pi_l", np.minimum(low_price_revenue_variance(mu, sigma), t1), t1 > 0)]
+    s2 = sigma * sigma
+    t1, t2 = variance_thresholds(mu, s2, beta)
+    cr = objective == "cr"
+    low = low_price_variance(mu, sigma, compat_printed_pl) if cr \
+        else low_price_revenue_variance(mu, sigma)
+    rows = [("p_l" if cr else "pi_l", np.minimum(low, t1), t1 > 0)]
     if math.isfinite(beta):
-        p = np.minimum(np.maximum(high_price_revenue_variance(mu, sigma, beta), t1), t2)
-        rows.append(("pi_h", p, p > 0))
+        high = zip(("p_h1", "p_h2"), high_prices_variance(mu, sigma, beta)) if cr \
+            else [("pi_h", high_price_revenue_variance(mu, sigma, beta))]
+        for label, p in high:
+            p = np.minimum(np.maximum(p, t1), t2)
+            rows.append((label, p, p > 0))
     prices = np.stack([np.where(present, p, t2) for _, p, present in rows])
-    p, tails = _variance_pass(mu, sigma, beta, prices)
-    values = (p * tails[0]).reshape(prices.shape)
-    return [(label, p, v, present)
-            for (label, _, present), p, v in zip(rows, prices, values)]
+    p = prices.reshape(-1)
+    tails = variance_tails(mu, np.broadcast_to(s2, prices.shape).reshape(-1), beta, p)
+    values = np.minimum(*_branches(p, *tails)) if cr else p * tails[0]
+    return [(label, price, v, present)
+            for (label, price, present), v in zip(rows, values.reshape(prices.shape))]
+
+
+def _variance_threshold(mu: float, beta: float, objective: str) -> float:
+    """First sigma in (0, sigma_max) where the best low candidate stops
+    beating the best high one; infinite when beta is."""
+    if not math.isfinite(beta):
+        return math.inf
+
+    def gap(sigma):
+        values = [np.where(present, v, -np.inf)
+                  for _, _, v, present in _variance_table(mu, sigma, beta, objective)]
+        return values[0] - np.max(values[1:], axis=0)
+
+    sigma_max = math.sqrt(mu * (beta - mu))
+    roots = _scan_roots(gap, 1e-3 * sigma_max, sigma_max * (1.0 - 1e-9), mu, _THRESHOLD_SCAN)
+    if not roots:
+        raise RootFindingError(f"no low/high value crossing on (0, {sigma_max})")
+    return roots[0]
+
+
+def _optimal_variance(mu: float, sigma: float, beta: float, objective: str,
+                      compat_printed_pl: bool, with_threshold: bool) -> PriceSolution:
+    """The best present candidate of the variance table, and the threshold."""
+    require_feasible(variance_market(mu, sigma, beta))
+    if sigma == 0.0:
+        label, value = ("p_l", 1.0) if objective == "cr" else ("pi_l", mu)
+        return PriceSolution(mu, value, REGIME_LOW_PRICE, label, ((label, mu, value),), None)
+    table = _variance_table(mu, sigma, beta, objective, compat_printed_pl)
+    cands = [(label, float(p), float(v)) for label, p, v, present in table if present]
+    return _select(cands, _variance_threshold(mu, beta, objective) if with_threshold else None)
+
+
+def optimal_price_variance(mu: float, sigma: float, beta: float,
+                           compat_printed_pl: bool = False,
+                           with_threshold: bool = True) -> PriceSolution:
+    """Price maximizing the worst-case ratio under variance knowledge."""
+    return _optimal_variance(mu, sigma, beta, "cr", compat_printed_pl, with_threshold)
 
 
 def optimal_price_revenue_variance(mu: float, sigma: float, beta: float,
                                    with_threshold: bool = True) -> PriceSolution:
     """Price maximizing the worst-case revenue under variance knowledge."""
-    market = variance_market(mu, sigma, beta)
-    require_feasible(market)
-    if sigma == 0.0:
-        return PriceSolution(mu, mu, REGIME_LOW_PRICE, "pi_l",
-                             (("pi_l", mu, mu),), None)
-    cands = _candidates(_variance_rev_table(mu, sigma, beta))
-    thr = None
-    if with_threshold:
-        thr = math.inf if not math.isfinite(beta) else delta_star(mu, beta)
-    return _select(cands, threshold=thr)
+    return _optimal_variance(mu, sigma, beta, "rev", False, with_threshold)
+
+
+def sigma_star(mu: float, beta: float) -> float:
+    """Dispersion threshold where the ratio objective switches regimes.
+
+    Below it the low price wins, above it a high price wins.  Goes to
+    infinity as beta does (the high regime never takes over).
+    """
+    return _variance_threshold(mu, beta, "cr")
 
 
 def delta_star(mu: float, beta: float) -> float:
@@ -235,8 +196,7 @@ def delta_star(mu: float, beta: float) -> float:
     Defined operationally as the sigma where the low and high revenue
     candidates' worst-case revenues cross.
     """
-    return _crossing_sigma(
-        mu, beta, lambda sigma: _low_minus_high(_variance_rev_table(mu, sigma, beta), "pi_l"))
+    return _variance_threshold(mu, beta, "rev")
 
 
 def _scan_roots(f, lo: float, hi: float, scale: float,
@@ -309,7 +269,9 @@ def optimal_price_power(mu: float, s: float, q: float, beta: float) -> PriceSolu
                 / (2.0 * beta - p) - s / mu
 
         bar_ph_roots = _scan_roots(bar_ph_resid, eps, t2, mu)
-        high_parts = [t1, hat_ph]
+        # At maximal dispersion (t1 = 0) the only member is {0, beta}, whose
+        # ratio p / beta peaks at t2 = beta.
+        high_parts = [t1, hat_ph] if t1 > 0 else [t2]
         if bar_ph_roots:
             raw.append(("bar_p_h", bar_ph_roots[-1]))  # right-most
             high_parts.append(bar_ph_roots[-1])
@@ -401,23 +363,18 @@ def compare_prices(mu: float, sigma: float, beta: float) -> OrderingReport:
     """
     if not math.isfinite(beta):
         raise RobustPriceError("price comparison needs a finite maximum valuation")
-    market = variance_market(mu, sigma, beta)
-    require_feasible(market)
-    t1, t2 = variance_thresholds(mu, sigma * sigma, beta)
+    require_feasible(variance_market(mu, sigma, beta))
     if sigma == 0.0:
         return OrderingReport(mu, mu, mu, mu, sigma, sigma_star(mu, beta),
                               delta_star(mu, beta), False, True, False, True)
-    pi_l = min(low_price_revenue_variance(mu, sigma), t1)
-    p_l = min(low_price_variance(mu, sigma), t1)
-    pi_h = min(max(high_price_revenue_variance(mu, sigma, beta), t1), t2)
-    p_h1, p_h2 = high_prices_variance(mu, sigma, beta)
-    cr_at = lambda p: worst_case_cr_variance(mu, sigma, beta, p).cr
-    p_h1c = min(max(p_h1, t1), t2)
-    p_h2c = min(max(p_h2, t1), t2)
-    p_h = p_h1c if cr_at(p_h1c) >= cr_at(p_h2c) else p_h2c
+    (_, pi_l, _, low_present), (_, pi_h, _, _) = _variance_table(mu, sigma, beta, "rev")
+    (_, p_l, _, _), (_, p_h1, v_h1, _), (_, p_h2, v_h2, _) = \
+        _variance_table(mu, sigma, beta, "cr")
+    pi_l, p_l, pi_h = float(pi_l), float(p_l), float(pi_h)
+    p_h = float(p_h1 if v_h1 >= v_h2 else p_h2)
     ss = sigma_star(mu, beta)
     ds = delta_star(mu, beta)
-    low_applies = sigma <= min(ss, ds) and t1 > 0
+    low_applies = sigma <= min(ss, ds) and bool(low_present)
     high_applies = sigma >= max(ss, ds)
     return OrderingReport(
         pi_l=pi_l, p_l=p_l, pi_h=pi_h, p_h=p_h, sigma=sigma,

@@ -28,6 +28,7 @@ TARGET_SUP_TAIL = "sup_tail"
 TARGET_INF_TAIL = "inf_tail"
 
 DEFAULT_GRID_N = 121
+MIN_GRID_N = 21
 CERT_GRID_N = 2001
 
 
@@ -37,8 +38,8 @@ def oracle_grid(market: MarketInfo, p: float, grid_n: int) -> Tuple[np.ndarray, 
     Returns (grid, eps) where eps is the left-limit offset used for the
     p-minus point, (beta/grid_n)/1000.
     """
-    if grid_n < 21:
-        raise RobustPriceError(f"grid_n must be at least 21, got {grid_n}")
+    if grid_n < MIN_GRID_N:
+        raise RobustPriceError(f"grid_n must be at least {MIN_GRID_N}, got {grid_n}")
     if not math.isfinite(market.beta):
         raise UnboundedSupportError("the enumeration oracle needs a finite beta")
     beta = market.beta

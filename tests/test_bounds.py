@@ -6,8 +6,7 @@ import pytest
 from robustprice.ambiguity import (MODE_UPPER, left_threshold, power_market,
                                    right_threshold, variance_market)
 from robustprice.bounds import (REGIME_HIGH, REGIME_LOW, REGIME_MID,
-                                best_case_revenue, cond_exp_max,
-                                mean_range_tail_bounds, tail_bounds,
+                                best_case_revenue, cond_exp_max, tail_bounds,
                                 tail_prob_max, tail_prob_min,
                                 tail_prob_min_dispersion_ub)
 from robustprice.errors import (ModeError, RobustPriceError,
@@ -178,19 +177,6 @@ class TestAttainmentAndSandwich:
             p = rng.uniform(0.05, 1.0) * m.beta
             lo, hi = tail_prob_min(m, p), tail_prob_max(m, p)
             assert lo - 1e-9 <= d.tail(p) <= hi + 1e-9
-
-
-class TestMeanRange:
-    def test_examples(self):
-        assert mean_range_tail_bounds(0.5, 1.0, 0.25) == pytest.approx((1.0 / 3.0, 1.0))
-        assert mean_range_tail_bounds(0.5, 1.0, 0.5) == pytest.approx((0.0, 1.0))
-        assert mean_range_tail_bounds(0.5, 1.0, 0.75) == pytest.approx((0.0, 2.0 / 3.0))
-
-    def test_rejects_bad_price(self):
-        with pytest.raises(RobustPriceError):
-            mean_range_tail_bounds(0.5, 1.0, 0.0)
-        with pytest.raises(RobustPriceError):
-            mean_range_tail_bounds(0.5, 1.0, 1.1)
 
 
 class TestDispersionUpperBound:

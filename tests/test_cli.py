@@ -104,6 +104,22 @@ class TestPrice:
         usage_error(capsys, ["cr", "--mu", "0.5", "--sig", "0.5",
                              "--beta", "1.2", "--p", "0.25"])
 
+    def test_maximal_dispersion(self, capsys):
+        # mu + sigma**2 / mu rounds above beta here; the only member is {0, 1}.
+        obj = run_json(capsys, ["price", "--mu", "0.1", "--sigma", "0.30000000000000004",
+                                "--beta", "1", "--objective", "both"])
+        assert (obj["cr"]["price"], obj["cr"]["value"]) == (1.0, 1.0)
+        assert (obj["rev"]["price"], obj["rev"]["value"]) == (1.0, 0.1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["price"], ["cr", "--p", "0.6"], ["bounds", "--p", "0.6"], ["dist", "--p", "0.6"],
+    ["sweep", "--vary", "beta", "--values", "1.2"]])
+def test_sigma_and_s_are_exclusive(capsys, argv):
+    err = usage_error(capsys, [argv[0], "--mu", "0.5", "--sigma", "0.3", "--s", "0.4",
+                               "--beta", "1", *argv[1:]])
+    assert "not allowed with argument" in err
+
 
 # One argv per numeric flag with a nan (or inf) value swapped in; each must
 # be a flag error naming the flag, not an infeasible market.
@@ -238,6 +254,21 @@ class TestSweep:
                                     "--values", "0.1,0.8"])
         assert code == cli.EXIT_INFEASIBLE
 
+    def test_varied_spread_replaces_the_other_flag(self, capsys):
+        # Varying sigma drops --s, and varying s drops --sigma.
+        tail = ["--beta", "1", "--values", "0.1,0.3"]
+        _, by_sigma, _ = run(capsys, ["sweep", "--mu", "0.5", "--sigma", "0",
+                                      "--vary", "sigma", *tail])
+        _, over_s, _ = run(capsys, ["sweep", "--mu", "0.5", "--s", "0.4",
+                                    "--vary", "sigma", *tail])
+        assert over_s == by_sigma and by_sigma.count("\n") == 3
+        tail = ["--beta", "1", "--phi", "power:q=1.5", "--values", "0.40,0.45"]
+        _, by_s, _ = run(capsys, ["sweep", "--mu", "0.5", "--s", "0.42",
+                                  "--vary", "s", *tail])
+        _, over_sigma, _ = run(capsys, ["sweep", "--mu", "0.5", "--sigma", "0.2",
+                                        "--vary", "s", *tail])
+        assert over_sigma == by_s and by_s.count("\n") == 3
+
     def test_missing_range_exit_code(self, capsys):
         code, _, _ = run(capsys, ["sweep", "--mu", "0.5", "--sigma", "0",
                                   "--beta", "1", "--vary", "sigma"])
@@ -281,6 +312,17 @@ class TestVerify:
                          "witness_agreement", "dual_certificates",
                          "four_point_control", "best_case_rev_monotone"]
         assert all(line.endswith(",pass") for line in lines[1:])
+
+    @pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--trials", "-3"),
+                                            ("--grid", "5"), ("--grid", "20"),
+                                            ("--grid", "2.5")])
+    def test_too_small_counts_are_flag_errors(self, capsys, flag, value):
+        err = usage_error(capsys, ["verify", flag, value])
+        assert f"argument {flag}" in err
+
+    def test_smallest_counts_accepted(self):
+        args = cli.build_parser().parse_args(["verify", "--trials", "1", "--grid", "21"])
+        assert (args.trials, args.grid) == (1, 21)
 
     def test_compat_flag_fails_table1(self, capsys):
         code, out, _ = run(capsys, ["verify", "--trials", "2", "--grid", "61",

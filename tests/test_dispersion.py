@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from robustprice.dispersion import (check_convexity, custom_measure,
-                                    power_moment, variance_measure)
+from robustprice.dispersion import custom_measure, power_moment, variance_measure
 from robustprice.errors import RobustPriceError
 
 
@@ -59,31 +58,6 @@ class TestDerivative:
                 assert m.derivative(x) == pytest.approx(fd, rel=1e-6)
 
 
-class TestSecantSlope:
-    def test_unit(self):
-        assert power_moment(2.0).secant_slope(0.0, 1.0) == pytest.approx(1.0)
-
-    def test_interior(self):
-        assert power_moment(2.0).secant_slope(0.5, 1.0) == pytest.approx(1.5)
-
-    def test_fractional(self):
-        assert power_moment(1.5).secant_slope(0.0, 0.81) == pytest.approx(0.9)
-
-    def test_degenerate_interval(self):
-        with pytest.raises(RobustPriceError):
-            power_moment(2.0).secant_slope(0.4, 0.4)
-
-    def test_convexity_chain(self):
-        rng = np.random.default_rng(1)
-        m = power_moment(1.7)
-        for _ in range(200):
-            a, mid, b = np.sort(rng.uniform(0.0, 3.0, size=3))
-            if b - a < 1e-6 or mid - a < 1e-9 or b - mid < 1e-9:
-                continue
-            assert (m.secant_slope(a, mid) < m.secant_slope(a, b)
-                    < m.secant_slope(mid, b))
-
-
 class TestFamilies:
     def test_variance_alias_identical(self):
         x = np.linspace(0.0, 2.0, 101)
@@ -95,18 +69,7 @@ class TestFamilies:
     def test_custom_roundtrip(self):
         m = custom_measure(lambda x: np.exp(x) - 1.0, lambda x: np.exp(x))
         assert m.value(0.0) == pytest.approx(0.0)
-        check_convexity(m, beta=2.0)
 
     def test_custom_needs_both_callables(self):
         with pytest.raises(RobustPriceError):
             custom_measure(None, None)
-
-    def test_convexity_check_rejects_concave(self):
-        m = custom_measure(lambda x: np.sqrt(np.asarray(x)),
-                           lambda x: 0.5 / np.sqrt(np.maximum(x, 1e-12)))
-        with pytest.raises(RobustPriceError):
-            check_convexity(m, beta=2.0)
-
-    def test_convexity_check_power(self):
-        for q in (1.2, 2.0, 4.0):
-            check_convexity(power_moment(q), beta=3.0)

@@ -7,9 +7,9 @@ from robustprice.ambiguity import (left_threshold, power_market,
                                    right_threshold, variance_market)
 from robustprice.bounds import tail_prob_min
 from robustprice.errors import RobustPriceError, UnboundedSupportError
-from robustprice.extremal import (DiscreteDistribution, mean_range_two_point,
-                                  point_mass, three_point, three_point_masses,
-                                  two_point, worst_case_distribution)
+from robustprice.extremal import (DiscreteDistribution, point_mass,
+                                  three_point, three_point_masses, two_point,
+                                  worst_case_distribution)
 
 
 def random_market(rng, power_prob=0.5):
@@ -184,14 +184,3 @@ class TestWorstCase:
         d = worst_case_distribution(variance_market(0.5, 0.0, 1.0), 0.3)
         np.testing.assert_allclose(d.supports, [0.5])
 
-
-class TestMeanRange:
-    def test_example(self):
-        d = mean_range_two_point(0.5, 1.0, 0.25, eps=1e-9)
-        assert d.supports[1] == pytest.approx(1.0)
-        np.testing.assert_allclose(d.masses, [2.0 / 3.0, 1.0 / 3.0], atol=1e-8)
-        assert d.mean() == pytest.approx(0.5, abs=1e-12)
-
-    def test_rejects_price_above_mean(self):
-        with pytest.raises(RobustPriceError):
-            mean_range_two_point(0.5, 1.0, 0.6)

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from robustprice.ambiguity import (MarketInfo, companion_point, left_threshold,
-                                   power_market, right_threshold,
-                                   variance_market)
+from robustprice.ambiguity import (MarketInfo, _solve_right_threshold,
+                                   check_feasible, companion_point,
+                                   left_threshold, power_market,
+                                   right_threshold, variance_market,
+                                   variance_thresholds)
 from robustprice.bounds import variance_tails
 from robustprice.dispersion import custom_measure
 from robustprice.errors import InfeasibleMarketError, RobustPriceError
@@ -340,6 +342,82 @@ class TestComparePrices:
             if rep.high_ordering_applies:
                 n_high += 1
                 assert rep.high_ordering_holds
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(mu=st.floats(0.3, 1.5), spread=st.floats(1.3, 3.5), u=st.floats(0.05, 0.95))
+    def test_reads_the_optimizers_candidates(self, mu, spread, u):
+        beta = mu * spread
+        sigma = u * math.sqrt(mu * (beta - mu))
+        rep = compare_prices(mu, sigma, beta)
+        cr = optimal_price_variance(mu, sigma, beta, with_threshold=False).candidates
+        rev = optimal_price_revenue_variance(mu, sigma, beta, with_threshold=False).candidates
+        assert (rep.p_l, rep.pi_l) == (cr[0][1], rev[0][1])
+        assert (cr[0][0], rev[0][0]) == ("p_l", "pi_l")
+        assert rev[1][0] == "pi_h" and rep.pi_h == rev[1][1]
+        (l1, p1, v1), (l2, p2, v2) = cr[1:]
+        assert (l1, l2) == ("p_h1", "p_h2")
+        assert rep.p_h == (p1 if v1 >= v2 else p2)
+        assert (rep.sigma_star, rep.delta_star) == (sigma_star(mu, beta), delta_star(mu, beta))
+
+
+class TestMaximalDispersion:
+    """At maximal dispersion the only member is {0, beta}, and the right
+    threshold can round above beta."""
+
+    def test_variance_example(self):
+        mu, sigma, beta = 0.1, 0.30000000000000004, 1.0
+        assert mu + sigma * sigma / mu > beta
+        m = variance_market(mu, sigma, beta)
+        assert check_feasible(m).feasible
+        assert right_threshold(m) == variance_thresholds(mu, sigma * sigma, beta)[1] == beta
+        sol = optimal_price_variance(mu, sigma, beta)
+        assert sol.price == beta and sol.value == pytest.approx(1.0, rel=1e-12)
+        rev = optimal_price_revenue_variance(mu, sigma, beta)
+        assert rev.price == beta and rev.value == pytest.approx(mu, rel=1e-12)
+        assert compare_prices(mu, sigma, beta).p_h == beta
+
+    def test_random_variance_markets(self):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            mu = rng.uniform(0.1, 2.0)
+            beta = mu * rng.uniform(1.05, 5.0)
+            sigma = math.sqrt(mu * (beta - mu))
+            sol = optimal_price_variance(mu, sigma, beta, with_threshold=False)
+            rev = optimal_price_revenue_variance(mu, sigma, beta, with_threshold=False)
+            # The high prices take a square root of a difference that cancels
+            # at t2 = beta, which costs half the digits.
+            assert sol.price == pytest.approx(beta, rel=1e-7)
+            assert sol.value == pytest.approx(1.0, abs=1e-7)
+            assert rev.price == pytest.approx(beta, rel=1e-7)
+            assert rev.value == pytest.approx(mu, rel=1e-7)
+            assert compare_prices(mu, sigma, beta).p_h <= beta
+
+    def test_random_power_markets(self):
+        rng = np.random.default_rng(2)
+        for _ in range(30):
+            mu = rng.uniform(0.1, 1.5)
+            beta = mu * rng.uniform(1.05, 5.0)
+            q = rng.uniform(1.1, 4.0)
+            m = power_market(mu, mu * beta ** (q - 1.0), q, beta)
+            assert right_threshold(m) <= beta
+            for sol in (optimal_price_power(mu, m.s, q, beta), optimal_price_general(m)):
+                assert sol.price == pytest.approx(beta, rel=1e-9)
+                assert sol.value == pytest.approx(1.0, abs=1e-9)
+            rev = optimal_price_general(m, objective="rev")
+            assert rev.price == pytest.approx(beta, rel=1e-9)
+            assert rev.value == pytest.approx(mu, rel=1e-9)
+
+    def test_feasibility_unchanged_near_the_cap(self):
+        mu, beta, q = 0.4, 1.3, 1.5
+        verdicts = set()
+        for k in range(-20, 21):
+            m = power_market(mu, mu * beta ** (q - 1.0) * (1.0 + k * 2e-13), q, beta)
+            feasible = _solve_right_threshold(m) <= beta + 1e-12 * beta
+            assert check_feasible(m).feasible == feasible
+            if feasible:
+                assert right_threshold(m) <= beta
+            verdicts.add(feasible)
+        assert verdicts == {True, False}
 
 
 # --------------------------------------------------------------------------

@@ -160,3 +160,10 @@ def test_cli_imports_no_scipy():
         env=env, capture_output=True, text=True, check=True).stdout
     assert "'robustprice'" in out
     assert "'scipy'" not in out
+
+
+def test_public_names_resolve_once():
+    names = robustprice.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(robustprice, name) is not None, name
