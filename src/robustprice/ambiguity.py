@@ -11,7 +11,8 @@ set is governed by two support thresholds:
 
 and by the companion-point map: for each price p != mu there is a unique
 second support point so that the two-point distribution {p, companion(p)}
-carries the required mean and dispersion.
+carries the required mean and dispersion.  The thresholds are its values
+at the ends of the support: right = companion(0), left = companion(beta).
 """
 
 from __future__ import annotations
@@ -159,7 +160,10 @@ class MarketInfo:
     @cached_property
     def left_threshold(self) -> float:
         """See :func:`left_threshold`."""
-        return _solve_left_threshold(self)
+        if self.is_degenerate or not math.isfinite(self.beta):
+            return self.mu
+        require_feasible(self)
+        return float(_companion(self, np.array([self.beta]))[0])
 
     @property
     def sigma(self) -> float:
@@ -192,61 +196,22 @@ class FeasibilityReport:
 
 
 def _solve_right_threshold(market: MarketInfo) -> float:
+    """The companion point of 0; the closed form for the power family."""
     m = market.measure
     if market.is_degenerate:
         return market.mu
     if m.is_power:
         return (market.s / market.mu) ** (1.0 / (m.q - 1.0))
-    phi0 = m.value(0.0)
-    target = (market.s - phi0) / market.mu
-
-    def f(t):
-        return (m.value(t) - phi0) / t - target
-
-    # Secant slope from 0 is increasing; at t = mu it is below target for
-    # nondegenerate markets, so the root lies above mu: double the bracket.
-    for k in range(200):
-        hi = market.mu + market.mu * 2.0 ** k
-        if f(hi) > 0:
-            return solve_bracketed(f, market.mu, hi, market.mu)
-    raise RootFindingError(f"no sign change found above {market.mu} after bracket expansion")
-
-
-def _solve_left_threshold(market: MarketInfo) -> float:
-    if market.is_degenerate:
-        return market.mu
-    if not math.isfinite(market.beta):
-        return market.mu
-    mu, beta, s, m = market.mu, market.beta, market.s, market.measure
-    if m.is_variance:
-        t = variance_thresholds(mu, s - mu * mu, beta)[0]
-        if t < -1e-12 * mu:
-            raise InfeasibleMarketError(
-                f"dispersion exceeds the maximum attainable on [0, {beta}] with mean {mu}")
-        return max(t, 0.0)
-
-    def f(t):
-        return (m.value(t) * (beta - mu) + m.value(beta) * (mu - t)) / (beta - t) - s
-
-    # f is decreasing in t: the {t, beta} two-point dispersion shrinks as
-    # its supports pull together.  f(mu) = phi(mu) - s < 0.
-    f0 = f(0.0)
-    if f0 < -1e-12 * abs(s):
-        raise InfeasibleMarketError(
-            f"dispersion exceeds the maximum attainable on [0, {beta}] with mean {mu}")
-    if f0 <= 0:
-        return 0.0
-    # Point by point: for powers, pow on floats and np.power can differ in the last bit.
-    return solve_bracketed(np.vectorize(f, otypes=[float]), 0.0, mu, mu)
+    return float(_solve_companion(market, np.zeros(1))[0])
 
 
 def right_threshold(market: MarketInfo) -> float:
     """Right support point of the extremal {0, t} two-point distribution.
 
-    Solves (s - phi(0)) / mu = (phi(t) - phi(0)) / t for t >= mu.  Closed
-    form (s/mu)**(1/(q-1)) for the power family; for variance this is
-    mu + sigma**2 / mu.  A value above beta by no more than the feasibility
-    tolerance is beta.  Computed once per market.
+    The companion point of 0, solving (s - phi(0)) / mu = (phi(t) - phi(0)) / t
+    for t >= mu.  Closed form (s/mu)**(1/(q-1)) for the power family; for
+    variance this is mu + sigma**2 / mu.  A value above beta by no more
+    than the feasibility tolerance is beta.  Computed once per market.
     """
     return market.right_threshold
 
@@ -254,23 +219,34 @@ def right_threshold(market: MarketInfo) -> float:
 def left_threshold(market: MarketInfo) -> float:
     """Left support point of the extremal {t, beta} two-point distribution.
 
-    Solves phi(t)(beta-mu)/(beta-t) + phi(beta)(mu-t)/(beta-t) = s on
-    [0, mu).  Returns mu for beta = inf (the limiting value) and for the
-    degenerate market.  Variance closed form: mu - sigma**2 / (beta - mu).
-    Computed once per market.
+    The companion point of beta: the root t in [0, mu) of
+    phi(t)(beta-mu)/(beta-t) + phi(beta)(mu-t)/(beta-t) = s, and 0 at
+    maximal dispersion.  Returns mu for beta = inf (the limiting value) and
+    for the degenerate market.  Raises InfeasibleMarketError where
+    :func:`check_feasible` rejects the market.  Variance closed form:
+    mu - sigma**2 / (beta - mu).  Computed once per market.
     """
     return market.left_threshold
+
+
+def variance_companion(mu: float, s2, p):
+    """Closed-form companion points of mean/variance knowledge, sigma**2 = s2.
+
+    Above the right threshold they are 0, their limit there.  s2 and p are
+    floats or arrays that broadcast.
+    """
+    return np.maximum(mu + s2 / (mu - p), 0.0)
 
 
 def variance_thresholds(mu: float, s2, beta: float):
     """(left, right) thresholds of mean/variance/maximum knowledge.
 
-    mu - s2 / (beta - mu) (mu when beta = inf) and mu + s2 / mu, with
-    s2 = sigma**2 a float or an array.  The right one is capped at beta,
-    which at maximal dispersion it can exceed by rounding; the left one is
-    unclipped, negative only for infeasible markets.
+    The companion points of beta (mu when beta = inf, 0 at maximal
+    dispersion) and of 0, with s2 = sigma**2 a float or an array.  The
+    right one is capped at beta, which at maximal dispersion it can exceed
+    by rounding.
     """
-    return mu - s2 / (beta - mu), np.minimum(mu + s2 / mu, beta)
+    return variance_companion(mu, s2, beta), np.minimum(variance_companion(mu, s2, 0.0), beta)
 
 
 def _feasibility_tol(market: MarketInfo) -> float:
@@ -359,7 +335,7 @@ def _companion(market: MarketInfo, p: np.ndarray) -> np.ndarray:
         # defining equation still has the limit solution mu.
         return np.full_like(p, mu)
     if market.measure.is_variance:
-        return np.maximum(mu + (s - mu * mu) / (mu - p), 0.0)
+        return variance_companion(mu, s - mu * mu, p)
     return _solve_companion(market, p)
 
 

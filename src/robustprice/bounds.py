@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import (MODE_EXACT, MODE_UPPER, MarketInfo, _companion,
-                        as_price_array, variance_thresholds)
+                        as_price_array, variance_companion,
+                        variance_thresholds)
 from .errors import (InternalConsistencyError, ModeError, RobustPriceError,
                      UnboundedSupportError)
 from .extremal import _member_masses
@@ -127,7 +128,7 @@ def _evaluate(p, mu, s, beta, t1, t2, phi, companion, point):
             keep = np.logical_not(single)
             for at, piece in ((at_t1 & keep, mid_piece), (at_t2 & keep, high_piece)):
                 if at.any():
-                    _blend(out, at, piece(at), p[at], scale)
+                    _blend(out, at, piece(at), p[at], scale, beta)
         if single is not False and np.any(single):   # a market gives a plain bool
             one = np.where(point, p <= mu, mu / beta)   # the member's tail
             for k, v in enumerate((one, one, np.where(point, mu, beta))):
@@ -148,18 +149,20 @@ def _put(out, i, values) -> None:
         row[i] = v
 
 
-def _blend(out, at, piece, p, scale) -> None:
+def _blend(out, at, piece, p, scale, beta) -> None:
     """Average, in place, the values at the band prices `at` with the
     adjacent piece there, after checking that the two tails agree.
 
-    The mass solve divides by a quantity of order p * beta, so its
-    rounding grows like scale / p near p = 0; the tolerance grows alike.
-    The conditional expectation is not compared: with beta = inf it tends
-    to inf at t1 = mu only in the limit.
+    The mass solve divides by a quantity of order p * (beta - p), so its
+    rounding grows like scale / p near 0 and scale / (beta - p) near beta;
+    the tolerance grows alike.  That also covers a right threshold close
+    to beta, where the mid inf tail falls from about mu / beta to 0 over
+    beta - t2.  The conditional expectation is not compared: with
+    beta = inf it tends to inf at t1 = mu only in the limit.
     """
     lo, hi, y = out[:, at]
     gap = np.maximum(np.abs(lo - piece[0]), np.abs(hi - piece[1]))
-    bad = gap > _BOUNDARY_AGREE * np.maximum(1.0, scale / p)
+    bad = gap > _BOUNDARY_AGREE * np.maximum(1.0, scale / np.minimum(p, beta - p))
     if bad.any():
         k = np.flatnonzero(bad)[0]
         raise InternalConsistencyError(
@@ -187,12 +190,13 @@ def variance_tails(mu: float, s2, beta: float, p: np.ndarray):
     """The pass for mean/variance/maximum knowledge with sigma**2 = s2 exact.
 
     s2 is a float or an array of p's length (1-d), so many markets are
-    evaluated in one call; the companion is mu + s2 / (mu - p).
+    evaluated in one call, with the closed-form companion
+    :func:`~robustprice.ambiguity.variance_companion`.
     """
     _check_price(beta, p)
     t1, t2 = variance_thresholds(mu, s2, beta)
     return _evaluate(p, mu, mu * mu + s2, beta, t1, t2, np.square,
-                     lambda i: np.maximum(mu + _at(s2, i) / (mu - p[i]), 0.0), s2 == 0.0)
+                     lambda i: variance_companion(mu, _at(s2, i), p[i]), s2 == 0.0)
 
 
 def _attained(market: MarketInfo, p: np.ndarray):

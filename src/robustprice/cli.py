@@ -258,18 +258,6 @@ def _fmt6(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _sweep_values(args) -> List[float]:
-    if args.values is not None:
-        return args.values
-    if args.start is None or args.stop is None:
-        raise RobustPriceError("sweep needs --values or both --from and --to")
-    if args.steps < 2:
-        raise RobustPriceError("--steps must be at least 2")
-    if not args.start < args.stop:
-        raise RobustPriceError("--from must be below --to")
-    return list(np.linspace(args.start, args.stop, args.steps))
-
-
 def _sweep_solution(args, v: float, objective: str) -> PriceSolution:
     """The price with the varied flag set to v; sigma and s replace each other."""
     point = argparse.Namespace(**vars(args))
@@ -285,7 +273,12 @@ def _sweep_solution(args, v: float, objective: str) -> PriceSolution:
 
 
 def cmd_sweep(args) -> int:
-    values = _sweep_values(args)
+    values = args.values
+    if values is None:
+        if args.start is None or args.stop is None or not args.start < args.stop:
+            sys.stderr.write("robustprice sweep: error: needs --values, or --from below --to\n")
+            return EXIT_USAGE
+        values = list(np.linspace(args.start, args.stop, args.steps))
     both = args.objective == "both"
     header = "param,price,regime,value" + (",price_rev,value_rev" if both else "")
     lines = [header]
@@ -347,7 +340,7 @@ def build_parser() -> _Parser:
     p.add_argument("--vary", choices=["sigma", "beta", "q", "s"], required=True)
     p.add_argument("--from", dest="start", type=_finite_arg, default=None)
     p.add_argument("--to", dest="stop", type=_finite_arg, default=None)
-    p.add_argument("--steps", type=int, default=11)
+    p.add_argument("--steps", type=_at_least(2), default=11)
     p.add_argument("--values", type=_values_arg, default=None,
                    help="explicit comma-separated values (overrides from/to)")
     p.add_argument("--objective", choices=["cr", "rev", "both"], default="cr")

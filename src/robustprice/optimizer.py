@@ -205,11 +205,12 @@ def _scan_roots(f, lo: float, hi: float, scale: float,
 
     f maps a price array to residuals.  The scan evaluates it once on the
     grid, and Brent's method refines each sign change (a grid point where
-    f is 0 is a root), with xtol relative to ``scale``.
+    f is 0 is a root), with xtol relative to ``scale``.  Neighbours' signs
+    are compared, not multiplied: an infinite residual times 0 is NaN.
     """
     grid = np.linspace(lo, hi, n)
-    vals = f(grid)
-    hits = np.flatnonzero((vals == 0.0) | (vals * np.append(vals[1:], 0.0) < 0))
+    sign = np.sign(f(grid))
+    hits = np.flatnonzero((sign == 0.0) | np.append(sign[:-1] == -sign[1:], False))
     return solve_bracketed(f, grid[hits], grid[np.minimum(hits + 1, n - 1)], scale).tolist()
 
 

@@ -9,15 +9,14 @@ information sets replace its pieces above the left threshold.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ambiguity import (MODE_UPPER, MarketInfo, as_price_array,
-                        require_feasible)
+                        require_feasible, variance_market)
 from .bounds import HIGH, LOW, REGIMES, _tails, variance_tails
-from .errors import InfeasibleMarketError, RobustPriceError
+from .errors import RobustPriceError
 
 BRANCH_TAIL = "tail_ratio"
 BRANCH_PRICE = "price_over_cond_exp"
@@ -81,16 +80,14 @@ def worst_case_cr_variance(mu: float, sigma, beta: float, p) -> RatioBreakdown:
     """Worst-case ratio for mean/variance/maximum knowledge.
 
     sigma and p may be arrays; they broadcast against each other, each
-    entry a market of its own.
+    entry a market of its own.  Feasibility rises with sigma, so the
+    market of the largest sigma is checked for all.
     """
     sigma = np.asarray(sigma, dtype=float)
     if (sigma < 0).any():
         raise RobustPriceError(f"sigma must be nonnegative, got {sigma}")
-    s2 = sigma * sigma
-    if math.isfinite(beta) and (s2 > mu * (beta - mu) * (1.0 + 1e-12)).any():
-        raise InfeasibleMarketError(
-            f"sigma^2={s2} exceeds the maximum mu(beta-mu)={mu * (beta - mu)}")
-    p, s2 = np.broadcast_arrays(np.asarray(p, dtype=float), s2)
+    require_feasible(variance_market(mu, float(sigma.max(initial=0.0)), beta))
+    p, s2 = np.broadcast_arrays(np.asarray(p, dtype=float), sigma * sigma)
     p, restore = as_price_array(p)
     return _breakdown(p, *variance_tails(mu, s2.reshape(-1), beta, p), restore)
 

@@ -104,6 +104,16 @@ class TestPrice:
         usage_error(capsys, ["cr", "--mu", "0.5", "--sig", "0.5",
                              "--beta", "1.2", "--p", "0.25"])
 
+    @pytest.mark.parametrize("sigma,code", [("0.5000000000003", cli.EXIT_OK),
+                                            ("0.500000000002", cli.EXIT_INFEASIBLE)])
+    @pytest.mark.parametrize("sub", [["price"], ["cr", "--p", "0.9"], ["bounds", "--p", "0.9"]])
+    def test_feasibility_near_the_cap(self, capsys, sub, sigma, code):
+        # One rule: price, cr and bounds accept and reject the same markets.
+        got, out, _ = run(capsys, [sub[0], "--mu", "0.5", "--sigma", sigma, "--beta", "1",
+                                   *sub[1:]])
+        assert got == code
+        assert (out != "") == (code == cli.EXIT_OK)
+
     def test_maximal_dispersion(self, capsys):
         # mu + sigma**2 / mu rounds above beta here; the only member is {0, 1}.
         obj = run_json(capsys, ["price", "--mu", "0.1", "--sigma", "0.30000000000000004",
@@ -272,7 +282,7 @@ class TestSweep:
     def test_missing_range_exit_code(self, capsys):
         code, _, _ = run(capsys, ["sweep", "--mu", "0.5", "--sigma", "0",
                                   "--beta", "1", "--vary", "sigma"])
-        assert code == cli.EXIT_INFEASIBLE
+        assert code == cli.EXIT_USAGE
 
     def test_unwritable_output_exit_code(self, capsys):
         code, stdout, _ = run(capsys, ["sweep", "--mu", "0.5", "--sigma", "0",

@@ -6,6 +6,7 @@ a threshold gets one answer and one regime label whatever the entry point.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ class TestThresholdBands:
         assert v.cr == pytest.approx(b.cr, abs=1e-12)
         assert (v.regime, v.branch) == (b.regime, b.branch)
 
+    @pytest.mark.parametrize("family", ["variance", "power", "custom"])
+    @pytest.mark.parametrize("gap", [1e-6, 1e-9, 1e-11])
+    def test_band_near_maximal_dispersion_answers(self, family, gap):
+        # t2 close to beta: the mid piece is steep at t2 and its mass solve
+        # loses digits there, yet the band answers.
+        m = _market(family, 0.4, 3.25, 1.0 - gap, 1.5, True)
+        t2 = right_threshold(m)
+        assert t2 < m.beta
+        for p in (t2, t2 * (1 - 0.5e-12), t2 * (1 + 0.5e-12)):
+            tb = tail_bounds(m, p)
+            assert 0.0 <= tb.inf_tail <= tb.sup_tail <= 1.0
+            assert worst_case_cr(m, p).regime == tb.regime
+
     def test_one_label_just_above_left_threshold(self, capsys):
         argv = ["--mu", "0.5", "--sigma", "0.3", "--beta", "1", "--p", "0.320000000000032"]
         cr = run_json(capsys, ["cr", *argv])
@@ -117,6 +131,14 @@ class TestPowerNearLinear:
                    if label in ("bar_p_l", "hat_p_l"))
         grid = np.linspace(1e-6 * m.mu, right_threshold(m), 2001)
         assert worst_case_cr(m, grid).cr.max() <= sol.value + 1e-6
+
+    def test_unbounded_scan_emits_no_warning(self):
+        # The low scans reach residuals of +inf; multiplied by a neighbour
+        # (or the scan's padding 0) in the sign test they gave NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = optimal_price_power(0.6, 0.6 ** 1.03 * 1.05, 1.03, math.inf)
+        assert 0.0 < sol.price < 0.6
 
 
 # --------------------------------------------------------------------------
@@ -169,3 +191,17 @@ def test_evaluator_properties_near_thresholds(m, anchor, offset):
         v = worst_case_cr_variance(m.mu, m.sigma, m.beta, p)
         assert v.cr == pytest.approx(b.cr, abs=1e-12)
         assert (v.regime, v.branch) == (b.regime, b.branch)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(m=_markets)
+def test_thresholds_are_the_two_point_members(m):
+    # t2 = companion(0) and t1 = companion(beta): the members {0, t2} and
+    # {t1, beta} with mean mu carry the dispersion s.
+    phi, mu, beta = m.measure.value, m.mu, m.beta
+    t1, t2 = left_threshold(m), right_threshold(m)
+    w = mu / t2
+    assert (1.0 - w) * phi(0.0) + w * phi(t2) == pytest.approx(m.s, rel=1e-12)
+    if math.isfinite(beta) and t1 > 0:
+        w = (mu - t1) / (beta - t1)
+        assert (1.0 - w) * phi(t1) + w * phi(beta) == pytest.approx(m.s, rel=1e-12)

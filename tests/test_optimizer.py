@@ -12,7 +12,7 @@ from robustprice.ambiguity import (MarketInfo, _solve_right_threshold,
                                    left_threshold, power_market,
                                    right_threshold, variance_market,
                                    variance_thresholds)
-from robustprice.bounds import variance_tails
+from robustprice.bounds import tail_bounds, variance_tails
 from robustprice.dispersion import custom_measure
 from robustprice.errors import InfeasibleMarketError, RobustPriceError
 from robustprice.optimizer import (_ROOT_SCAN, _THRESHOLD_SCAN, _scan_roots,
@@ -25,6 +25,8 @@ from robustprice.optimizer import (_ROOT_SCAN, _THRESHOLD_SCAN, _scan_roots,
                                    optimal_price_variance, sigma_star)
 from robustprice.ratio import (worst_case_cr, worst_case_cr_variance,
                                worst_case_revenue)
+
+from test_evaluator import _exp_measure
 
 # Reference sweep (mu = 0.5, beta = 1): sigma -> (price, value).
 TABLE1 = {
@@ -418,6 +420,47 @@ class TestMaximalDispersion:
                 assert right_threshold(m) <= beta
             verdicts.add(feasible)
         assert verdicts == {True, False}
+        # One feasibility rule: every entry point answers exactly where
+        # check_feasible accepts, and raises InfeasibleMarketError elsewhere.
+        for family in ("variance", "power1.5", "power3", "exp"):
+            verdicts = set()
+            for k in range(-20, 21, 2):
+                m, calls = _market_near_cap(family, mu, beta, 1.0 + k * 2e-13)
+                feasible = check_feasible(m).feasible
+                p = 0.9 * beta
+                calls += [lambda: left_threshold(m), lambda: worst_case_cr(m, p),
+                          lambda: tail_bounds(m, p)]
+                for call in calls:
+                    if feasible:
+                        call()
+                    else:
+                        with pytest.raises(InfeasibleMarketError):
+                            call()
+                verdicts.add(feasible)
+            assert verdicts == {True, False}, family
+
+    def test_compare_prices_reports_no_negative_price(self):
+        # The unclipped left threshold mu - sigma**2 / (beta - mu) rounds below 0 here.
+        r = compare_prices(0.1, 0.30000000000000004, 1.0)
+        assert min(r.pi_l, r.p_l, r.pi_h, r.p_h) >= 0.0
+
+
+def _market_near_cap(family, mu, beta, factor):
+    """A market whose dispersion is factor times its cap on [0, beta], and
+    the family's optimizer calls on it."""
+    if family == "variance":
+        sigma = math.sqrt(mu * (beta - mu) * factor)
+        return variance_market(mu, sigma, beta), [
+            lambda: optimal_price_variance(mu, sigma, beta, with_threshold=False),
+            lambda: optimal_price_revenue_variance(mu, sigma, beta, with_threshold=False),
+            lambda: worst_case_cr_variance(mu, sigma, beta, 0.9 * beta)]
+    if family.startswith("power"):
+        q = float(family[len("power"):])
+        s = mu * beta ** (q - 1.0) * factor
+        return power_market(mu, s, q, beta), [lambda: optimal_price_power(mu, s, q, beta)]
+    cap = (1.0 - mu / beta) + (mu / beta) * math.exp(beta / mu)
+    m = MarketInfo(mu=mu, s=cap * factor, beta=beta, measure=_exp_measure(mu))
+    return m, [lambda: optimal_price_general(m)]
 
 
 # --------------------------------------------------------------------------

@@ -14,9 +14,16 @@ from robustprice.ratio import (BRANCH_DEGENERATE, BRANCH_PRICE, BRANCH_TAIL,
                                worst_case_cr_mean_range, worst_case_cr_variance,
                                worst_case_revenue)
 
+from test_evaluator import _market
 from test_extremal import random_market
 
 M = variance_market(0.5, 0.5, 1.2)
+
+
+def _random_exp_market(rng):
+    """A finite-beta market of the custom measure exp(x / mu)."""
+    return _market("custom", rng.uniform(0.3, 1.5), rng.uniform(1.3, 3.5),
+                   rng.uniform(0.05, 0.95), None, True)
 
 
 class TestWorstCaseCR:
@@ -102,6 +109,21 @@ class TestVarianceClosedForm:
     def test_infeasible(self):
         with pytest.raises(InfeasibleMarketError):
             worst_case_cr_variance(0.5, 0.8, 1.0, 0.3)
+
+    @pytest.mark.parametrize("mu,sigma,beta,field", [
+        (0.5, math.nan, 1.0, "sigma"), (0.5, [0.1, math.nan], 1.0, "sigma"),
+        (0.5, 0.3, math.nan, "beta"), (-0.5, 0.3, 1.0, "mean"), (0.0, 0.3, 1.0, "mean")])
+    def test_rejects_bad_inputs(self, mu, sigma, beta, field):
+        with pytest.raises(RobustPriceError, match=field):
+            worst_case_cr_variance(mu, sigma, beta, 0.3)
+
+    def test_feasibility_decided_by_the_largest_sigma(self):
+        # sigma^2 at the cap plus 3e-13: check_feasible accepts the market.
+        sigma = math.sqrt(0.25 + 3e-13)
+        b = worst_case_cr_variance(0.5, [0.1, sigma], 1.0, 0.9)
+        assert b.cr[1] == worst_case_cr(variance_market(0.5, sigma, 1.0), 0.9).cr
+        with pytest.raises(InfeasibleMarketError):
+            worst_case_cr_variance(0.5, [0.1, 0.6], 1.0, 0.9)
 
     def test_maximal_dispersion_market(self):
         # sigma^2 = mu(beta - mu): singleton market {0, beta}.
@@ -238,6 +260,24 @@ class TestWitnessConsistency:
             rev = worst_case_revenue(m, p)
             d = worst_case_distribution(m, p, eps=1e-9 * m.beta)
             assert p * d.tail(p) == pytest.approx(rev, abs=1e-6 * m.mu)
+
+    # The worst-case market for the ratio is also the worst case for
+    # revenue: the same member attains both, also for a custom measure.
+    def test_worst_case_distribution_attains_cr_custom_measure(self):
+        rng = np.random.default_rng(38)
+        for _ in range(100):
+            m = _random_exp_market(rng)
+            p = rng.uniform(0.05, 0.98) * min(right_threshold(m), m.beta)
+            d = worst_case_distribution(m, p, eps=1e-9 * m.beta)
+            assert d.ratio(p) == pytest.approx(worst_case_cr(m, p).cr, abs=1e-6)
+
+    def test_worst_case_distribution_attains_revenue_custom_measure(self):
+        rng = np.random.default_rng(39)
+        for _ in range(100):
+            m = _random_exp_market(rng)
+            p = rng.uniform(0.05, 0.98) * min(right_threshold(m), m.beta)
+            d = worst_case_distribution(m, p, eps=1e-9 * m.beta)
+            assert p * d.tail(p) == pytest.approx(worst_case_revenue(m, p), abs=1e-6 * m.mu)
 
     def test_beta_collapse_to_unbounded(self):
         # Far maximum valuation: low-regime values approach the beta-free ones.
