@@ -242,9 +242,8 @@ def variance_thresholds(mu: float, s2, beta: float):
     """(left, right) thresholds of mean/variance/maximum knowledge.
 
     The companion points of beta (mu when beta = inf, 0 at maximal
-    dispersion) and of 0, with s2 = sigma**2 a float or an array.  The
-    right one is capped at beta, which at maximal dispersion it can exceed
-    by rounding.
+    dispersion) and of 0, with s2 = sigma**2 a float or an array; the
+    right one is capped at beta, which rounding can exceed.
     """
     return variance_companion(mu, s2, beta), np.minimum(variance_companion(mu, s2, 0.0), beta)
 

@@ -84,10 +84,10 @@ def _evaluate(p, mu, s, beta, t1, t2, phi, companion, point):
     band _BAND * beta (_BAND * mu when beta = inf) of a threshold is
     labelled with the regime below it, low at t1 and mid at t2; there both
     adjacent pieces are evaluated, must agree within _BOUNDARY_AGREE, and
-    are averaged.  The point mass (inf = sup = 1 up to mu, y = mu; low up
-    to mu, high above) and the maximal-dispersion market {0, beta}
-    (t2 = beta; inf = sup = mu/beta, y = beta, mid) have one member and no
-    bands.
+    are averaged (near maximal dispersion, see :func:`_blend`).  The point
+    mass (inf = sup = 1 up to mu, y = mu; low up to mu, high above) and
+    the maximal-dispersion market {0, beta} (t2 = beta; inf = sup =
+    mu/beta, y = beta, mid) have one member and no bands.
     """
     finite = math.isfinite(beta)
     scale = beta if finite else mu
@@ -126,9 +126,11 @@ def _evaluate(p, mu, s, beta, t1, t2, phi, companion, point):
         single = point | (t2 >= beta * (1.0 - _BAND))
         if (at_t1 | at_t2).any():
             keep = np.logical_not(single)
-            for at, piece in ((at_t1 & keep, mid_piece), (at_t2 & keep, high_piece)):
+            steep = beta - t2 < mu * _BAND / _BOUNDARY_AGREE   # see _blend
+            for at, piece, t, st in ((at_t1 & keep, mid_piece, t1, False),
+                                     (at_t2 & keep, high_piece, t2, steep)):
                 if at.any():
-                    _blend(out, at, piece(at), p[at], scale, beta)
+                    _blend(out, at, piece(at), p[at], scale, _at(st, at), p[at] > _at(t, at))
         if single is not False and np.any(single):   # a market gives a plain bool
             one = np.where(point, p <= mu, mu / beta)   # the member's tail
             for k, v in enumerate((one, one, np.where(point, mu, beta))):
@@ -149,26 +151,30 @@ def _put(out, i, values) -> None:
         row[i] = v
 
 
-def _blend(out, at, piece, p, scale, beta) -> None:
+def _blend(out, at, piece, p, scale, steep, above) -> None:
     """Average, in place, the values at the band prices `at` with the
-    adjacent piece there, after checking that the two tails agree.
+    piece above the threshold, after checking that the two tails agree.
 
-    The mass solve divides by a quantity of order p * (beta - p), so its
-    rounding grows like scale / p near 0 and scale / (beta - p) near beta;
-    the tolerance grows alike.  That also covers a right threshold close
-    to beta, where the mid inf tail falls from about mu / beta to 0 over
-    beta - t2.  The conditional expectation is not compared: with
-    beta = inf it tends to inf at t1 = mu only in the limit.
+    The mass solve divides by a quantity of order p * beta, so its
+    rounding grows like scale / p near p = 0; the tolerance grows alike.
+    The conditional expectation is not compared: with beta = inf it tends
+    to inf at t1 = mu only in the limit.  Near maximal dispersion the mid
+    inf tail, about (mu/beta)(t2 - p)/(beta - p), falls to 0 over beta - t2,
+    so the pieces really differ across the t2 band, by up to
+    mu * _BAND / (beta - t2).  Where that can pass the tolerance (`steep`),
+    a price whose pieces disagree takes the piece of its own side.
     """
     lo, hi, y = out[:, at]
     gap = np.maximum(np.abs(lo - piece[0]), np.abs(hi - piece[1]))
-    bad = gap > _BOUNDARY_AGREE * np.maximum(1.0, scale / np.minimum(p, beta - p))
-    if bad.any():
-        k = np.flatnonzero(bad)[0]
+    bad = gap > _BOUNDARY_AGREE * np.maximum(1.0, scale / p)
+    own = bad & steep
+    if (bad & ~own).any():
+        k = np.flatnonzero(bad & ~own)[0]
         raise InternalConsistencyError(
             f"pieces disagree at the threshold band for p={p[k]}: "
             f"{(lo[k], hi[k], y[k])} vs {[np.broadcast_to(v, p.shape)[k] for v in piece]}")
-    _put(out, at, [0.5 * (u + v) for u, v in zip((lo, hi, y), piece)])
+    _put(out, at, [np.where(own, np.where(above, v, u), 0.5 * (u + v))
+                   for u, v in zip((lo, hi, y), piece)])
 
 
 def _tails(market: MarketInfo, p: np.ndarray, mode: str = MODE_EXACT):
@@ -190,8 +196,7 @@ def variance_tails(mu: float, s2, beta: float, p: np.ndarray):
     """The pass for mean/variance/maximum knowledge with sigma**2 = s2 exact.
 
     s2 is a float or an array of p's length (1-d), so many markets are
-    evaluated in one call, with the closed-form companion
-    :func:`~robustprice.ambiguity.variance_companion`.
+    evaluated in one call; the companion is :func:`variance_companion`.
     """
     _check_price(beta, p)
     t1, t2 = variance_thresholds(mu, s2, beta)

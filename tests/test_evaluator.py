@@ -7,6 +7,7 @@ a threshold gets one answer and one regime label whatever the entry point.
 
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from hypothesis import strategies as st
 
 from robustprice.ambiguity import (MODE_UPPER, MarketInfo, left_threshold,
                                    power_market, right_threshold,
-                                   variance_market)
-from robustprice.bounds import (REGIME_MID, best_case_revenue, cond_exp_max,
-                                tail_bounds, tail_prob_max, tail_prob_min,
-                                tail_prob_min_dispersion_ub)
+                                   variance_companion, variance_market,
+                                   variance_thresholds)
+from robustprice.bounds import (REGIME_MID, _evaluate, best_case_revenue,
+                                cond_exp_max, tail_bounds, tail_prob_max,
+                                tail_prob_min, tail_prob_min_dispersion_ub)
 from robustprice.dispersion import custom_measure
-from robustprice.errors import ModeError, UnboundedSupportError
+from robustprice.errors import (InternalConsistencyError, ModeError,
+                                UnboundedSupportError)
 from robustprice.extremal import worst_case_distribution
 from robustprice.optimizer import optimal_price_power
 from robustprice.ratio import (worst_case_cr, worst_case_cr_variance,
@@ -70,17 +73,31 @@ class TestThresholdBands:
         assert (v.regime, v.branch) == (b.regime, b.branch)
 
     @pytest.mark.parametrize("family", ["variance", "power", "custom"])
-    @pytest.mark.parametrize("gap", [1e-6, 1e-9, 1e-11])
-    def test_band_near_maximal_dispersion_answers(self, family, gap):
-        # t2 close to beta: the mid piece is steep at t2 and its mass solve
-        # loses digits there, yet the band answers.
+    @pytest.mark.parametrize("gap", [1e-5, 1e-7, 1e-9, 1e-11])
+    def test_band_near_maximal_dispersion_is_exact(self, family, gap):
+        # t2 close to beta: the mid inf tail falls to 0 over beta - t2, so the
+        # pieces really differ across the band and each price takes its own
+        # side's piece.  The mass solve keeps about eps * beta / (beta - p);
+        # averaging the pieces would be off by about mu * 5e-13 / (beta - t2).
         m = _market(family, 0.4, 3.25, 1.0 - gap, 1.5, True)
         t2 = right_threshold(m)
         assert t2 < m.beta
         for p in (t2, t2 * (1 - 0.5e-12), t2 * (1 + 0.5e-12)):
             tb = tail_bounds(m, p)
-            assert 0.0 <= tb.inf_tail <= tb.sup_tail <= 1.0
-            assert worst_case_cr(m, p).regime == tb.regime
+            inf, sup = _exact_tails(family, m, 1.5, p)
+            tol = 1e-15 * m.beta / (m.beta - p)
+            assert tb.inf_tail == pytest.approx(inf, abs=tol)
+            assert tb.sup_tail == pytest.approx(sup, abs=tol)
+            assert worst_case_cr(m, p).regime == tb.regime == REGIME_MID
+
+    def test_band_disagreement_still_raises(self):
+        # Away from maximal dispersion a wrong piece is still caught.
+        mu, s2, beta = 0.5, 0.01, 1.0
+        t1, t2 = variance_thresholds(mu, s2, beta)
+        p = np.array([t2])
+        with pytest.raises(InternalConsistencyError):
+            _evaluate(p, mu, mu * mu + s2, beta, t1, t2, np.square,
+                      lambda i: variance_companion(mu, s2, p[i]) + 0.01, False)
 
     def test_one_label_just_above_left_threshold(self, capsys):
         argv = ["--mu", "0.5", "--sigma", "0.3", "--beta", "1", "--p", "0.320000000000032"]
@@ -161,6 +178,33 @@ def _market(family, mu, spread, u, q, bounded):
     lo = math.e
     hi = (1 - 1 / spread) + math.exp(spread) / spread if bounded else 4.0 * lo
     return MarketInfo(mu, lo + u * (hi - lo), beta, _exp_measure(mu))
+
+
+def _exact_tails(family, m, q, p):
+    """(inf, sup) tail of a _market at the float price p, in 50-digit
+    decimal arithmetic: the {0, p, beta} member's masses where its beta
+    mass is not negative (p up to t2), else the {a, p} member, with the
+    companion a < mu by bisection."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        mu, s, beta, x = Decimal(m.mu), Decimal(m.s), Decimal(m.beta), Decimal(p)
+        phi = {"variance": lambda v: v * v,
+               "power": lambda v: v ** Decimal(q) if v else v,
+               "custom": lambda v: (v / mu).exp()}[family]
+        phi0 = phi(Decimal(0))
+        den = x * (phi(beta) - phi0) - beta * (phi(x) - phi0)
+        wp = (mu * (phi(beta) - phi0) - beta * (s - phi0)) / den
+        wb = (x * (s - phi0) - mu * (phi(x) - phi0)) / den
+        if wb >= 0:
+            return float(wb), float(wp + wb)
+        lo, hi = Decimal(0), mu
+        for _ in range(170):
+            a = (lo + hi) / 2
+            if ((x - mu) * phi(a) + (mu - a) * phi(x)) / (x - a) > s:
+                lo = a
+            else:
+                hi = a
+        return 0.0, float((mu - lo) / (x - lo))
 
 
 _markets = st.builds(
