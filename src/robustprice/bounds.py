@@ -130,7 +130,7 @@ def _evaluate(p, mu, s, beta, t1, t2, phi, companion, point):
             for at, piece, t, st in ((at_t1 & keep, mid_piece, t1, False),
                                      (at_t2 & keep, high_piece, t2, steep)):
                 if at.any():
-                    _blend(out, at, piece(at), p[at], scale, _at(st, at), p[at] > _at(t, at))
+                    _blend(out, at, piece(at), p[at], scale, _at(st, at), _at(t, at))
         if single is not False and np.any(single):   # a market gives a plain bool
             one = np.where(point, p <= mu, mu / beta)   # the member's tail
             for k, v in enumerate((one, one, np.where(point, mu, beta))):
@@ -151,30 +151,33 @@ def _put(out, i, values) -> None:
         row[i] = v
 
 
-def _blend(out, at, piece, p, scale, steep, above) -> None:
+def _blend(out, at, piece, p, scale, steep, t) -> None:
     """Average, in place, the values at the band prices `at` with the
-    piece above the threshold, after checking that the two tails agree.
+    piece above the threshold t, after checking that the two tails agree.
 
-    The mass solve divides by a quantity of order p * beta, so its
-    rounding grows like scale / p near p = 0; the tolerance grows alike.
-    The conditional expectation is not compared: with beta = inf it tends
-    to inf at t1 = mu only in the limit.  Near maximal dispersion the mid
-    inf tail, about (mu/beta)(t2 - p)/(beta - p), falls to 0 over beta - t2,
-    so the pieces really differ across the t2 band, by up to
-    mu * _BAND / (beta - t2).  Where that can pass the tolerance (`steep`),
-    a price whose pieces disagree takes the piece of its own side.
+    The mass solve divides by about p * beta, so its rounding, and the
+    tolerance, grow like scale / p near p = 0.  The conditional expectation
+    is not compared: with beta = inf it tends to inf at t1 = mu only in the
+    limit.  Near maximal dispersion the mid inf tail, about
+    (mu/beta)(t2 - p)/(beta - p), falls to 0 over beta - t2, so the pieces
+    really differ, by up to mu * _BAND / (beta - t2); where that can pass
+    the tolerance (`steep`), a price whose pieces disagree takes its own
+    side's piece.
     """
     lo, hi, y = out[:, at]
     gap = np.maximum(np.abs(lo - piece[0]), np.abs(hi - piece[1]))
     bad = gap > _BOUNDARY_AGREE * np.maximum(1.0, scale / p)
-    own = bad & steep
-    if (bad & ~own).any():
-        k = np.flatnonzero(bad & ~own)[0]
-        raise InternalConsistencyError(
-            f"pieces disagree at the threshold band for p={p[k]}: "
-            f"{(lo[k], hi[k], y[k])} vs {[np.broadcast_to(v, p.shape)[k] for v in piece]}")
-    _put(out, at, [np.where(own, np.where(above, v, u), 0.5 * (u + v))
-                   for u, v in zip((lo, hi, y), piece)])
+    values = [0.5 * (u + v) for u, v in zip((lo, hi, y), piece)]
+    if bad.any():
+        own = bad & steep
+        if (bad & ~own).any():
+            k = np.flatnonzero(bad & ~own)[0]
+            raise InternalConsistencyError(
+                f"pieces disagree at the threshold band for p={p[k]}: "
+                f"{(lo[k], hi[k], y[k])} vs {[np.broadcast_to(v, p.shape)[k] for v in piece]}")
+        values = [np.where(own, np.where(p > t, v, u), w)
+                  for u, v, w in zip((lo, hi, y), piece, values)]
+    _put(out, at, values)
 
 
 def _tails(market: MarketInfo, p: np.ndarray, mode: str = MODE_EXACT):
