@@ -33,77 +33,16 @@ MODE_UPPER = "upper"
 # the boundary cases p ~ threshold.
 _DEGEN_RTOL = 1e-12
 
-# Root-finder tolerances: the absolute one is relative to the market scale
-# mu, so a market and its rescaled copy are solved to the same digits.
+# Root-finder tolerances of the companion solver here and of Brent's method
+# in the optimizer: the absolute one is relative to the market scale mu, so
+# a market and its rescaled copy are solved to the same digits.
 _BRENTQ_XTOL = 1e-14
 _BRENTQ_RTOL = 8.881784197001252e-16  # 4 * eps
-_BRENTQ_MAXITER = 100
 _COMPANION_MAXITER = 200
 # Doublings of the companion bracket above the mean: enough to reach the
 # largest float, since near the mean the companion grows like a power of
 # 1 / (mu - p) whose exponent is large for measures close to linear.
 _COMPANION_DOUBLINGS = 1100
-
-
-def solve_bracketed(f, lo, hi, scale: float):
-    """Roots of f on brackets [lo, hi] (sign changes) by Brent's method.
-
-    lo and hi are floats or arrays of bracket ends, solved one bracket at a
-    time; f maps a point array to residuals elementwise and is called on a
-    bracket's two ends, then on one point per step.  Tolerances:
-    xtol = 1e-14 * scale, rtol = 4 eps.
-    """
-    lo, restore = as_price_array(lo)
-    hi, xtol = np.asarray(hi, dtype=float).reshape(-1), _BRENTQ_XTOL * scale
-
-    def residuals(*x):
-        fx = np.asarray(f(np.array(x)), dtype=float).reshape(-1).tolist()
-        for xi, fi in zip(x, fx):
-            if math.isnan(fi):
-                raise RootFindingError(f"residual is NaN at x = {xi}")
-        return fx
-
-    return restore(np.array([_brent(residuals, a, b, xtol)
-                             for a, b in zip(lo.tolist(), hi.tolist())], dtype=float))
-
-
-def _brent(f, xpre: float, xcur: float, xtol: float) -> float:
-    """Brent's method on one bracket, on floats, as C brentq (Brent 1973);
-    f maps points to a list of residuals."""
-    fpre, fcur = f(xpre, xcur)
-    if fpre == 0 or fcur == 0:
-        return xpre if fpre == 0 else xcur
-    if (fpre < 0) == (fcur < 0):
-        raise RootFindingError(f"no sign change on [{xpre}, {xcur}]: f = {fpre}, {fcur}")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENTQ_MAXITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENTQ_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf  # bisect unless interpolation takes a good short step
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic; a zero denominator bisects
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur, = f(xcur)
-    raise RootFindingError(f"Brent's method did not converge in {_BRENTQ_MAXITER} steps")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from .ambiguity import (MODE_EXACT, MODE_UPPER, MarketInfo, _companion,
                         variance_thresholds)
 from .errors import (InternalConsistencyError, ModeError, RobustPriceError,
                      UnboundedSupportError)
-from .extremal import _member_masses
 
 REGIME_LOW = "low_two_point"
 REGIME_MID = "mid_three_point"
@@ -58,6 +57,20 @@ def _check_price(beta: float, p: np.ndarray) -> None:
     if bad.any():
         raise RobustPriceError(f"price must be positive, got {p[bad][0]}")
     raise RobustPriceError(f"price {p[p > beta][0]} exceeds maximum valuation {beta}")
+
+
+def _member_masses(mu: float, s, beta: float, phi, p):
+    """(w_p, w_beta) of the {0, p, beta} member with mean mu and dispersion s.
+
+    s may be an array of p's shape.  No checks: outside 0 < p < beta the
+    masses are meaningless or not finite.
+    """
+    phi0, phib = phi(0.0), phi(beta)
+    phip = phi(p)
+    denom = beta * (phi0 - phip) + p * (phib - phi0)
+    wp = (beta * (phi0 - s) + mu * (phib - phi0)) / denom
+    wb = (mu * (phi0 - phip) - p * (phi0 - s)) / denom
+    return wp, wb
 
 
 def _evaluate(p, mu, s, beta, t1, t2, phi, companion, point):

@@ -137,17 +137,21 @@ def _phi_arg(text: str) -> DispersionMeasure:
         f"unknown value {text!r}; use 'variance' or 'power:q=<q>'")
 
 
+def _check_spread(parser: argparse.ArgumentParser, args) -> None:
+    """Flag errors of the dispersion flags: a market needs --sigma or --s
+    (a sweep may vary either instead, replacing the other one), and --sigma
+    needs the variance measure, so a sweep over q takes --s."""
+    vary = getattr(args, "vary", None)
+    if args.sigma is None and args.s is None and vary not in ("sigma", "s"):
+        parser.error("one of --sigma or --s is required")
+    sigma = vary == "sigma" or (args.sigma is not None and vary != "s")
+    if sigma and (vary == "q" or not args.phi.is_variance):
+        parser.error("--sigma applies to the variance measure; use --s")
+
+
 def _market(args, mode: str = MODE_EXACT) -> MarketInfo:
-    measure = args.phi
-    if args.s is not None:
-        s = args.s
-    elif args.sigma is not None:
-        if not measure.is_variance:
-            raise RobustPriceError("--sigma applies to the variance measure; use --s")
-        s = args.mu ** 2 + args.sigma ** 2
-    else:
-        raise RobustPriceError("one of --sigma or --s is required")
-    return MarketInfo(mu=args.mu, s=s, beta=args.beta, measure=measure, mode=mode)
+    s = args.s if args.s is not None else args.mu ** 2 + args.sigma ** 2
+    return MarketInfo(mu=args.mu, s=s, beta=args.beta, measure=args.phi, mode=mode)
 
 
 def _emit(obj, out: Optional[str]) -> int:
@@ -362,6 +366,7 @@ def build_parser() -> _Parser:
 
     for p in sub.choices.values():
         p.add_argument("--out", default=None)
+        p.set_defaults(parser=p)
     return ap
 
 
@@ -369,6 +374,8 @@ def main(argv=None) -> int:
     _setup_logging()
     ap = build_parser()
     args = ap.parse_args(argv)
+    if hasattr(args, "phi"):
+        _check_spread(args.parser, args)
     try:
         return args.func(args)
     except RobustPriceError as exc:

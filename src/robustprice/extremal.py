@@ -16,6 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from .ambiguity import MarketInfo, companion_point, left_threshold, right_threshold
+from .bounds import _member_masses, _tails
 from .dispersion import DispersionMeasure
 from .errors import RobustPriceError, UnboundedSupportError
 
@@ -155,20 +156,6 @@ def three_point_masses(market: MarketInfo, p: float) -> Tuple[float, float, floa
     return 1.0 - wp - wb, wp, wb
 
 
-def _member_masses(mu: float, s, beta: float, phi, p):
-    """(w_p, w_beta) of the {0, p, beta} member with mean mu and dispersion s.
-
-    s may be an array of p's shape.  No checks: outside 0 < p < beta the
-    masses are meaningless or not finite.
-    """
-    phi0, phib = phi(0.0), phi(beta)
-    phip = phi(p)
-    denom = beta * (phi0 - phip) + p * (phib - phi0)
-    wp = (beta * (phi0 - s) + mu * (phib - phi0)) / denom
-    wb = (mu * (phi0 - phip) - p * (phi0 - s)) / denom
-    return wp, wb
-
-
 def worst_case_distribution(market: MarketInfo, p: float, eps: float = None) -> DiscreteDistribution:
     """Distribution attaining (in the eps -> 0 limit) the worst ratio at p.
 
@@ -179,8 +166,6 @@ def worst_case_distribution(market: MarketInfo, p: float, eps: float = None) -> 
     two-point member already gives ratio 0.  With beta = inf no member
     attains the bounds between the mean and the right threshold.
     """
-    from .bounds import _tails  # cycle guard
-
     if eps is None:
         eps = 1e-9 * (market.beta if math.isfinite(market.beta) else market.mu)
     if not 0 < eps < p:

@@ -15,9 +15,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .ambiguity import (MarketInfo, companion_point, left_threshold,
-                        power_market, require_feasible, right_threshold,
-                        solve_bracketed, variance_market, variance_thresholds)
+from .ambiguity import (_BRENTQ_RTOL, _BRENTQ_XTOL, MarketInfo, companion_point,
+                        left_threshold, power_market, require_feasible,
+                        right_threshold, variance_market, variance_thresholds)
 from .bounds import variance_tails
 from .errors import RobustPriceError, RootFindingError
 from .ratio import _branches, worst_case_cr, worst_case_revenue
@@ -28,6 +28,7 @@ REGIME_HIGH_PRICE = "high"
 # Scan resolutions: coarse for threshold bracketing, fine for root isolation.
 _THRESHOLD_SCAN = 200
 _ROOT_SCAN = 2001
+_BRENTQ_MAXITER = 100
 _EPS = float(np.finfo(float).eps)
 
 
@@ -150,10 +151,10 @@ def _variance_threshold(mu: float, beta: float, objective: str) -> float:
         return values[0] - np.max(values[1:], axis=0)
 
     sigma_max = math.sqrt(mu * (beta - mu))
-    roots = _scan_roots(gap, 1e-3 * sigma_max, sigma_max * (1.0 - 1e-9), mu, _THRESHOLD_SCAN)
-    if not roots:
+    root = _scan_root(gap, 1e-3 * sigma_max, sigma_max * (1.0 - 1e-9), mu, _THRESHOLD_SCAN)
+    if root is None:
         raise RootFindingError(f"no low/high value crossing on (0, {sigma_max})")
-    return roots[0]
+    return root
 
 
 def _optimal_variance(mu: float, sigma: float, beta: float, objective: str,
@@ -199,19 +200,74 @@ def delta_star(mu: float, beta: float) -> float:
     return _variance_threshold(mu, beta, "rev")
 
 
-def _scan_roots(f, lo: float, hi: float, scale: float,
-                n: int = _ROOT_SCAN) -> List[float]:
-    """All sign-change roots of f on [lo, hi] found on an n-point scan.
+def _scan_root(f, lo: float, hi: float, scale: float, n: int = _ROOT_SCAN,
+               last: bool = False) -> Optional[float]:
+    """The first (with ``last``, the last) sign-change root of f on [lo, hi]
+    found on an n-point scan; None if there is none or the interval is empty.
 
-    f maps a price array to residuals.  The scan evaluates it once on the
-    grid, and Brent's method refines each sign change (a grid point where
-    f is 0 is a root), with xtol relative to ``scale``.  Neighbours' signs
-    are compared, not multiplied: an infinite residual times 0 is NaN.
+    f maps a point array to residuals.  The scan evaluates it once on the
+    grid; a grid point where f is 0 is a root, and Brent's method refines
+    the chosen sign change from the scan's residuals at its ends, with xtol
+    relative to ``scale``.  Neighbours' signs are compared, not multiplied:
+    an infinite residual times 0 is NaN.
     """
+    if not hi > lo:
+        return None
     grid = np.linspace(lo, hi, n)
-    sign = np.sign(f(grid))
+    fx = f(grid)
+    sign = np.sign(fx)
     hits = np.flatnonzero((sign == 0.0) | np.append(sign[:-1] == -sign[1:], False))
-    return solve_bracketed(f, grid[hits], grid[np.minimum(hits + 1, n - 1)], scale).tolist()
+    if not hits.size:
+        return None
+    i = int(hits[-1 if last else 0])
+    j = min(i + 1, n - 1)
+
+    def residual(x: float) -> float:
+        fi, = f(np.array([x])).tolist()
+        if math.isnan(fi):
+            raise RootFindingError(f"residual is NaN at x = {x}")
+        return fi
+
+    return _brent(residual, *grid[[i, j]].tolist(), *fx[[i, j]].tolist(), _BRENTQ_XTOL * scale)
+
+
+def _brent(f, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float) -> float:
+    """Brent's method on the bracket [xpre, xcur] with residuals fpre, fcur,
+    on floats, as C brentq (Brent 1973); f is called once per step, never
+    at the bracket ends."""
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise RootFindingError(f"no sign change on [{xpre}, {xcur}]: f = {fpre}, {fcur}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENTQ_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENTQ_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless interpolation takes a good short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic; a zero denominator bisects
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RootFindingError(f"Brent's method did not converge in {_BRENTQ_MAXITER} steps")
 
 
 def optimal_price_power(mu: float, s: float, q: float, beta: float) -> PriceSolution:
@@ -247,16 +303,10 @@ def optimal_price_power(mu: float, s: float, q: float, beta: float) -> PriceSolu
     # t1 and the roots), and at t1 the companion point is beta; scanning on
     # towards mu reaches companions beyond any bracket when q is near 1.
     top = t1 if math.isfinite(beta) else mu * (1.0 - 1e-7)
-    bar_pl_roots = _scan_roots(bar_pl_resid, eps, top, mu) if top > eps else []
-    hat_pl_roots = _scan_roots(hat_pl_resid, eps, top, mu) if top > eps else []
-    raw = []
-    low_parts = [t1]
-    if bar_pl_roots:
-        raw.append(("bar_p_l", bar_pl_roots[0]))  # left-most
-        low_parts.append(bar_pl_roots[0])
-    if hat_pl_roots:
-        raw.append(("hat_p_l", hat_pl_roots[0]))
-        low_parts.append(hat_pl_roots[0])
+    raw = [(label, _scan_root(resid, eps, top, mu))
+           for label, resid in (("bar_p_l", bar_pl_resid), ("hat_p_l", hat_pl_resid))]
+    raw = [(label, root) for label, root in raw if root is not None]
+    low_parts = [t1] + [root for _, root in raw]
 
     cands = []
     if t1 > 0:
@@ -269,13 +319,13 @@ def optimal_price_power(mu: float, s: float, q: float, beta: float) -> PriceSolu
             return (beta ** q - np.power(p, q) + beta * np.power(p, q - 1.0)) \
                 / (2.0 * beta - p) - s / mu
 
-        bar_ph_roots = _scan_roots(bar_ph_resid, eps, t2, mu)
+        bar_ph = _scan_root(bar_ph_resid, eps, t2, mu, last=True)
         # At maximal dispersion (t1 = 0) the only member is {0, beta}, whose
         # ratio p / beta peaks at t2 = beta.
         high_parts = [t1, hat_ph] if t1 > 0 else [t2]
-        if bar_ph_roots:
-            raw.append(("bar_p_h", bar_ph_roots[-1]))  # right-most
-            high_parts.append(bar_ph_roots[-1])
+        if bar_ph is not None:
+            raw.append(("bar_p_h", bar_ph))
+            high_parts.append(bar_ph)
         p_high = min(max(high_parts), t2)
         if p_high > 0:
             cands.append(("p_h", p_high))

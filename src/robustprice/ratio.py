@@ -15,7 +15,7 @@ import numpy as np
 
 from .ambiguity import (MODE_UPPER, MarketInfo, as_price_array,
                         require_feasible, variance_market)
-from .bounds import HIGH, LOW, REGIMES, _tails, variance_tails
+from .bounds import HIGH, LOW, REGIMES, _check_price, _tails, variance_tails
 from .errors import RobustPriceError
 
 BRANCH_TAIL = "tail_ratio"
@@ -92,27 +92,27 @@ def worst_case_cr_variance(mu: float, sigma, beta: float, p) -> RatioBreakdown:
     return _breakdown(p, *variance_tails(mu, s2.reshape(-1), beta, p), restore)
 
 
-def worst_case_cr_mean_range(mu: float, beta: float, p: float) -> float:
-    """Worst-case ratio with mean and maximum knowledge only."""
-    if not 0 < p <= beta:
-        raise RobustPriceError(f"price {p} outside (0, {beta}]")
-    if p >= mu:
-        return 0.0
-    return min((mu - p) / (beta - p), p / beta)
+def worst_case_cr_mean_range(mu: float, beta: float, p):
+    """Worst-case ratio with mean and maximum knowledge only; p may be a
+    float or an array of prices."""
+    p, restore = as_price_array(p)
+    _check_price(beta, p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return restore(np.where(p < mu, np.minimum((mu - p) / (beta - p), p / beta), 0.0))
 
 
-def worst_case_cr_dispersion_ub(market: MarketInfo, p: float) -> float:
+def worst_case_cr_dispersion_ub(market: MarketInfo, p):
     """Worst-case ratio when the dispersion statistic is an upper bound.
 
     The exact-mode ratio up to the left threshold, the mean/maximum-only
-    ratio above it.
+    ratio above it.  p may be a float or an array of prices.
     """
     require_feasible(market)
-    arr, _ = as_price_array(p)
-    lo, hi, y, regime = _tails(market, arr, MODE_UPPER)
-    if regime[0] == LOW:
-        return float(np.minimum(*_branches(arr, lo, hi, y, regime))[0])
-    return worst_case_cr_mean_range(market.mu, market.beta, p)
+    p, restore = as_price_array(p)
+    lo, hi, y, regime = _tails(market, p, MODE_UPPER)
+    exact = np.minimum(*_branches(p, lo, hi, y, regime))
+    return restore(np.where(regime == LOW, exact,
+                            worst_case_cr_mean_range(market.mu, market.beta, p)))
 
 
 def worst_case_revenue(market: MarketInfo, p):

@@ -131,6 +131,17 @@ def test_sigma_and_s_are_exclusive(capsys, argv):
     assert "not allowed with argument" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["price"], ["cr", "--p", "0.6"], ["bounds", "--p", "0.6"], ["dist", "--p", "0.6"],
+    ["sweep", "--vary", "beta", "--values", "1.2"]])
+@pytest.mark.parametrize("spread,message", [
+    ([], "one of --sigma or --s is required"),
+    (["--sigma", "0.3", "--phi", "power:q=1.5"], "--sigma applies to the variance measure")])
+def test_dispersion_flag_errors(capsys, argv, spread, message):
+    err = usage_error(capsys, [argv[0], "--mu", "0.5", "--beta", "1", *spread, *argv[1:]])
+    assert message in err
+
+
 # One argv per numeric flag with a nan (or inf) value swapped in; each must
 # be a flag error naming the flag, not an infeasible market.
 _MARKET = ["--mu", "0.5", "--sigma", "0.3", "--beta", "1"]
@@ -178,6 +189,7 @@ class TestCr:
                                 "--beta", "1.2", "--p", "0.3", "--mode", "upper"])
         assert obj["cr"] == pytest.approx(0.2222, abs=5e-5)
         assert obj["mode"] == "upper"
+        jsonschema.validate(obj, schema("cr"))
 
 
 class TestBounds:

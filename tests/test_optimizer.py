@@ -15,7 +15,7 @@ from robustprice.ambiguity import (MarketInfo, _solve_right_threshold,
 from robustprice.bounds import tail_bounds, variance_tails
 from robustprice.dispersion import custom_measure
 from robustprice.errors import InfeasibleMarketError, RobustPriceError
-from robustprice.optimizer import (_ROOT_SCAN, _THRESHOLD_SCAN, _scan_roots,
+from robustprice.optimizer import (_ROOT_SCAN, _THRESHOLD_SCAN, _scan_root,
                                    compare_prices, delta_star,
                                    high_price_revenue_variance,
                                    high_prices_variance, low_price_variance,
@@ -522,7 +522,8 @@ class TestArrayScans:
             scalar = lambda x, f=f: float(f(np.array([x]))[0])  # noqa: E731
             ref = _scan_roots_loop(scalar, lo, hi, _ROOT_SCAN, 0.5)
             assert ref
-            assert _scan_roots(f, lo, hi, 0.5) == ref
+            assert _scan_root(f, lo, hi, 0.5) == ref[0]
+            assert _scan_root(f, lo, hi, 0.5, last=True) == ref[-1]
 
     @pytest.mark.parametrize("mu,beta", _MU_BETA)
     def test_sigma_star_matches_scalar_loop(self, mu, beta):

@@ -201,6 +201,14 @@ class TestDispersionUpperBound:
     def test_at_mean(self):
         assert worst_case_cr_dispersion_ub(self.MU, 0.5) == 0.0
 
+    def test_array_equals_scalar_calls(self):
+        # Prices on both sides of t1 = 1/7 and of the mean, in both orders.
+        t1 = left_threshold(self.MU)
+        prices = [0.1, t1, 0.3, 0.5, 0.8, 1.2, 0.05]
+        for ps in (prices, prices[::-1]):
+            got = worst_case_cr_dispersion_ub(self.MU, np.array(ps))
+            assert got.tolist() == [worst_case_cr_dispersion_ub(self.MU, p) for p in ps]
+
     def test_mode_guard(self):
         with pytest.raises(ModeError):
             worst_case_cr_dispersion_ub(M, 0.3)

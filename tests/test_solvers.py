@@ -1,5 +1,6 @@
-"""The package's own solvers: Brent's method on brackets, and the
-scan-and-rescan maximizer of optimal_price_general."""
+"""The package's own solvers: the scan-and-refine root search (Brent's
+method on the scan's bracket), and the scan-and-rescan maximizer of
+optimal_price_general."""
 
 import math
 import os
@@ -11,11 +12,12 @@ import pytest
 from scipy.optimize import brentq
 
 import robustprice
-from robustprice.ambiguity import (MarketInfo, left_threshold, right_threshold,
-                                   solve_bracketed)
+from robustprice import optimizer
+from robustprice.ambiguity import MarketInfo, left_threshold, right_threshold
 from robustprice.dispersion import custom_measure
 from robustprice.errors import RobustPriceError, RootFindingError
-from robustprice.optimizer import _ROOT_SCAN, optimal_price_general
+from robustprice.optimizer import (_ROOT_SCAN, _brent, _scan_root, optimal_price_general,
+                                   optimal_price_power, sigma_star)
 
 _XTOL, _RTOL = 1e-14, 4 * np.finfo(float).eps
 
@@ -24,10 +26,14 @@ def _wavy(x):
     return np.sin(3.0 * x) + 0.3 * x - 0.2
 
 
+def _scalar(f):
+    """f on one-element arrays, as a float-to-float function."""
+    return lambda x: float(f(np.array([x]))[0])
+
+
 def _reference(f, lo, hi, scale):
     """brentq root and its number of f calls, f evaluated on one-element arrays."""
-    root, info = brentq(lambda x: float(f(np.array([x]))[0]), lo, hi,
-                        xtol=_XTOL * scale, rtol=_RTOL, full_output=True)
+    root, info = brentq(_scalar(f), lo, hi, xtol=_XTOL * scale, rtol=_RTOL, full_output=True)
     return root, info.function_calls
 
 
@@ -41,68 +47,90 @@ def _recording(f):
     return g, calls
 
 
+def _solve(f, lo, hi, scale):
+    """_brent on [lo, hi], handed the end residuals as a scan would."""
+    g = _scalar(f)
+    return _brent(g, lo, hi, g(lo), g(hi), _XTOL * scale)
+
+
 # Brackets of _wavy: sign changes of several widths, one wide bracket with
 # three roots inside, and one very narrow.
-_LO = np.array([-0.5, 0.9, 1.8, -0.5, 0.0609137539])
-_HI = np.array([0.5, 1.6, 2.6, 2.6, 0.0609137559])
+_LO = [-0.5, 0.9, 1.8, -0.5, 0.0609137539]
+_HI = [0.5, 1.6, 2.6, 2.6, 0.0609137559]
 
 
 class TestSolveBracketed:
+    """_brent: Brent's method on one bracket whose end residuals are known."""
+
     def test_several_brackets_match_brentq(self):
         for scale in (1.0, 1e-3, 1e3):
-            got = solve_bracketed(_wavy, _LO, _HI, scale)
-            ref = [_reference(_wavy, a, b, scale)[0] for a, b in zip(_LO, _HI)]
-            assert got.tolist() == ref
+            for a, b in zip(_LO, _HI):
+                assert _solve(_wavy, a, b, scale) == _reference(_wavy, a, b, scale)[0]
 
     def test_cubic_and_exponential_match_brentq(self):
         for f, lo, hi in ((lambda x: (x - 0.1) * (x - 0.25) * (x - 0.4), [0.0, 0.2, 0.3],
                            [0.2, 0.3, 0.5]),
                           (lambda x: np.exp(x) - 5.0, [0.0, -3.0, 1.6], [3.0, 10.0, 1.7])):
-            got = solve_bracketed(f, np.array(lo), np.array(hi), 1.0)
-            assert got.tolist() == [_reference(f, a, b, 1.0)[0] for a, b in zip(lo, hi)]
-
-    def test_scalar_bracket_gives_float(self):
-        got = solve_bracketed(_wavy, 0.9, 1.6, 1.0)
-        assert isinstance(got, float)
-        assert got == _reference(_wavy, 0.9, 1.6, 1.0)[0]
+            for a, b in zip(lo, hi):
+                assert _solve(f, a, b, 1.0) == _reference(f, a, b, 1.0)[0]
 
     def test_exact_root_at_bracket_end(self):
         f = lambda x: x - 0.5  # noqa: E731
-        got = solve_bracketed(f, np.array([0.5, 0.0, 0.2]), np.array([1.0, 0.5, 0.9]), 1.0)
-        assert got.tolist() == [0.5, 0.5, _reference(f, 0.2, 0.9, 1.0)[0]]
-        assert got[2] == brentq(f, 0.2, 0.9, xtol=_XTOL, rtol=_RTOL)
-
-    def test_all_brackets_solved_before_the_first_step(self):
-        g, calls = _recording(lambda x: (x - 0.25) * (x - 0.75))
-        got = solve_bracketed(g, np.array([0.25, 0.5, 0.0]), np.array([0.5, 0.75, 0.25]), 1.0)
-        assert got.tolist() == [0.25, 0.75, 0.25]
-        # The bracket ends only, one call per bracket.
-        assert [c.tolist() for c in calls] == [[0.25, 0.5], [0.5, 0.75], [0.0, 0.25]]
-
-    def test_empty_brackets_call_nothing(self):
-        g, calls = _recording(_wavy)
-        assert solve_bracketed(g, np.array([]), np.array([]), 1.0).size == 0
-        assert calls == []
+        assert _solve(f, 0.5, 1.0, 1.0) == 0.5
+        assert _solve(f, 0.0, 0.5, 1.0) == 0.5
+        assert _solve(f, 0.2, 0.9, 1.0) == brentq(f, 0.2, 0.9, xtol=_XTOL, rtol=_RTOL)
 
     def test_no_sign_change_raises(self):
         with pytest.raises(RootFindingError, match="no sign change"):
-            solve_bracketed(_wavy, np.array([-0.5, 0.55]), np.array([0.5, 0.6]), 1.0)
-
-    def test_nan_residual_raises(self):
-        with pytest.raises(RootFindingError, match="NaN"):
-            solve_bracketed(lambda x: np.where(x > 0.3, np.nan, x - 0.2), 0.0, 1.0, 1.0)
+            _solve(_wavy, 0.55, 0.6, 1.0)
 
     def test_f_calls_follow_brentq(self):
+        # brentq evaluates the bracket ends; _brent is handed their residuals.
+        f = _scalar(_wavy)
+        for a, b in zip(_LO, _HI):
+            g, calls = _recording(f)
+            root = _brent(g, a, b, f(a), f(b), _XTOL)
+            assert (root, len(calls) + 2) == _reference(_wavy, a, b, 1.0)
+
+
+class TestScanRoot:
+    def test_nan_residual_raises(self):
+        # A two-point scan brackets the root; the first step lands in the NaN.
+        f = lambda x: np.where((x > 0.0) & (x < 1.0), np.nan, x - 0.5)  # noqa: E731
+        with pytest.raises(RootFindingError, match="NaN"):
+            _scan_root(f, 0.0, 1.0, 1.0, n=2)
+
+    def test_no_root_is_none(self):
+        assert _scan_root(lambda x: np.exp(x), -1.0, 1.0, 1.0) is None
+
+    def test_empty_interval_is_none_and_calls_nothing(self):
         g, calls = _recording(_wavy)
-        got = solve_bracketed(g, _LO, _HI, 1.0)
-        ref = [_reference(_wavy, a, b, 1.0) for a, b in zip(_LO, _HI)]
-        # Per bracket: its two ends in one call, then one point per brentq step.
-        sizes = []
-        for a, b, (_, n) in zip(_LO, _HI, ref):
-            assert calls[len(sizes)].tolist() == [a, b]
-            sizes += [2] + [1] * (n - 2)
-        assert [c.size for c in calls] == sizes
-        assert got.tolist() == [root for root, _ in ref]
+        assert _scan_root(g, 0.5, 0.5, 1.0) is None
+        assert _scan_root(g, 0.5, 0.4, 1.0) is None
+        assert calls == []
+
+    def test_refinement_never_revisits_the_scan(self, monkeypatch):
+        # Every call after the scan is one Brent step, at a point off its grid.
+        scans = []
+        scan_root = optimizer._scan_root
+
+        def recording_scan(f, *args, **kwargs):
+            g, calls = _recording(f)
+            root = scan_root(g, *args, **kwargs)
+            scans.append((calls, root))
+            return root
+
+        monkeypatch.setattr(optimizer, "_scan_root", recording_scan)
+        sigma_star(0.5, 1.0)
+        optimal_price_power(0.5, 0.45, 1.5, 1.0)  # no low root below t1
+        optimal_price_power(0.5, 0.4, 1.5, 1.0)   # all three roots
+        # The threshold, then bar_p_l, hat_p_l and bar_p_h of each market.
+        assert [root is not None for _, root in scans] == [True] + [False, False, True] \
+            + [True] * 3
+        for (grid, *steps), root in scans:
+            assert len(steps) > 0 or root is None
+            for x in steps:
+                assert x.size == 1 and not np.isin(x, grid).any()
 
 
 def _exp_market(k, u=0.5, mu0=0.5, beta0=1.2):
