@@ -374,7 +374,7 @@ def main(argv=None) -> int:
     _setup_logging()
     ap = build_parser()
     args = ap.parse_args(argv)
-    if hasattr(args, "phi"):
+    if hasattr(args, "phi"):  # a subcommand built by _add_market_args
         _check_spread(args.parser, args)
     try:
         return args.func(args)
