@@ -51,7 +51,7 @@ class TailBounds:
 
 
 def _check_price(beta: float, p: np.ndarray) -> None:
-    if ((p > 0) & (p <= beta)).all():
+    if np.count_nonzero((p > 0) & (p <= beta)) == p.size:
         return
     bad = ~(p > 0)
     if bad.any():
@@ -66,10 +66,10 @@ def _member_masses(mu: float, s, beta: float, phi, p):
     masses are meaningless or not finite.
     """
     phi0, phib = phi(0.0), phi(beta)
-    phip = phi(p)
-    denom = beta * (phi0 - phip) + p * (phib - phi0)
-    wp = (beta * (phi0 - s) + mu * (phib - phi0)) / denom
-    wb = (mu * (phi0 - phip) - p * (phi0 - s)) / denom
+    dp, ds, db = phi0 - phi(p), phi0 - s, phib - phi0
+    denom = beta * dp + p * db
+    wp = (beta * ds + mu * db) / denom
+    wb = (mu * dp - p * ds) / denom
     return wp, wb
 
 
@@ -125,26 +125,30 @@ def _evaluate(p, mu, s, beta, t1, t2, phi, companion, point):
         return 0.0, (a - mu) / (a - x), beta
 
     with np.errstate(all="ignore"):
-        above = [p > t for t in (t1 - band, t1 + band, t2 - band, t2 + band)]
+        above = (p > t1 - band, p > t1 + band, p > t2 - band, p > t2 + band)
+        n = list(map(np.count_nonzero, above))
+        single = point | (t2 >= beta * (1.0 - _BAND))   # a market gives a plain bool
+        any_single = single is True or single is not False and np.count_nonzero(single) > 0
+        keep = np.logical_not(single) if any_single else True
+        # Each piece runs once, where it labels and in the band below its threshold
+        # (lower edge above[edge]); high to low, so a band price keeps the piece below.
+        out, blends = np.empty((3, p.size)), []   # rows: inf tail, sup tail, sup cond. exp.
+        for piece, need, count, edge in ((high_piece, above[2], n[2], 2),
+                                         (mid_piece, above[0] ^ above[3], n[0] - n[3], 0),
+                                         (low_piece, ~above[1], p.size - n[1], None)):
+            if count:
+                i = slice(None) if count == p.size else need.nonzero()[0]
+                for row, v in zip(out, piece(i)):   # v: a scalar or an array over p[i]
+                    row[i] = v
+            if edge is not None and n[edge] != n[edge + 1]:
+                at = ((above[edge] ^ above[edge + 1]) & keep).nonzero()[0]
+                blends.append((at, out.take(at, axis=1), edge))
+        for at, other, edge in reversed(blends):   # t1 first
+            if at.size:
+                t, steep = (t2, beta - t2 < mu * _BAND / _BOUNDARY_AGREE) if edge else (t1, False)
+                _blend(out, at, other, p[at], scale, _at(steep, at), _at(t, at))
         regime = np.add(above[1], above[3], dtype=np.int8)
-        at_t1, at_t2 = above[0] ^ above[1], above[2] ^ above[3]
-        out = np.empty((3, p.size))   # rows: inf tail, sup tail, sup cond. exp.
-        pieces = (low_piece, mid_piece, high_piece)
-        for code, n in enumerate(np.bincount(regime, minlength=3)):
-            if n == p.size:
-                _put(out, slice(None), pieces[code](slice(None)))
-            elif n:
-                at = regime == code
-                _put(out, at, pieces[code](at))
-        single = point | (t2 >= beta * (1.0 - _BAND))
-        if (at_t1 | at_t2).any():
-            keep = np.logical_not(single)
-            steep = beta - t2 < mu * _BAND / _BOUNDARY_AGREE   # see _blend
-            for at, piece, t, st in ((at_t1 & keep, mid_piece, t1, False),
-                                     (at_t2 & keep, high_piece, t2, steep)):
-                if at.any():
-                    _blend(out, at, piece(at), p[at], scale, _at(st, at), _at(t, at))
-        if single is not False and np.any(single):   # a market gives a plain bool
+        if any_single:
             one = np.where(point, p <= mu, mu / beta)   # the member's tail
             for k, v in enumerate((one, one, np.where(point, mu, beta))):
                 out[k] = np.where(single, v, out[k])
@@ -158,15 +162,9 @@ def _at(v, i):
     return v[i] if np.ndim(v) else v
 
 
-def _put(out, i, values) -> None:
-    """Write one value (a scalar or an array over p[i]) per row of out."""
-    for row, v in zip(out, values):
-        row[i] = v
-
-
 def _blend(out, at, piece, p, scale, steep, t) -> None:
-    """Average, in place, the values at the band prices `at` with the
-    piece above the threshold t, after checking that the two tails agree.
+    """Average, in place, the values at the band prices `at` with `piece`, the
+    piece above the threshold t there, after checking that the two tails agree.
 
     The mass solve divides by about p * beta, so its rounding, and the
     tolerance, grow like scale / p near p = 0.  The conditional expectation
@@ -177,20 +175,20 @@ def _blend(out, at, piece, p, scale, steep, t) -> None:
     the tolerance (`steep`), a price whose pieces disagree takes its own
     side's piece.
     """
-    lo, hi, y = out[:, at]
-    gap = np.maximum(np.abs(lo - piece[0]), np.abs(hi - piece[1]))
+    cur = out.take(at, axis=1)
+    gap = np.maximum(*np.abs(cur[:2] - piece[:2]))
     bad = gap > _BOUNDARY_AGREE * np.maximum(1.0, scale / p)
-    values = [0.5 * (u + v) for u, v in zip((lo, hi, y), piece)]
-    if bad.any():
+    values = 0.5 * (cur + piece)
+    if np.count_nonzero(bad):
         own = bad & steep
         if (bad & ~own).any():
             k = np.flatnonzero(bad & ~own)[0]
             raise InternalConsistencyError(
                 f"pieces disagree at the threshold band for p={p[k]}: "
-                f"{(lo[k], hi[k], y[k])} vs {[np.broadcast_to(v, p.shape)[k] for v in piece]}")
-        values = [np.where(own, np.where(p > t, v, u), w)
-                  for u, v, w in zip((lo, hi, y), piece, values)]
-    _put(out, at, values)
+                f"{tuple(cur[:, k])} vs {tuple(piece[:, k])}")
+        values = np.where(own, np.where(p > t, piece, cur), values)
+    for row, v in zip(out, values):
+        row[at] = v
 
 
 def _tails(market: MarketInfo, p: np.ndarray, mode: str = MODE_EXACT):
@@ -214,8 +212,12 @@ def variance_tails(mu: float, s2, beta: float, p: np.ndarray):
     s2 is a float or an array of p's length (1-d), so many markets are
     evaluated in one call; the companion is :func:`variance_companion`.
     """
+    return _variance_pass(mu, s2, beta, p, *variance_thresholds(mu, s2, beta))
+
+
+def _variance_pass(mu: float, s2, beta: float, p: np.ndarray, t1, t2):
+    """:func:`variance_tails` at the thresholds t1 and t2 of s2."""
     _check_price(beta, p)
-    t1, t2 = variance_thresholds(mu, s2, beta)
     return _evaluate(p, mu, mu * mu + s2, beta, t1, t2, np.square,
                      lambda i: variance_companion(mu, _at(s2, i), p[i]), s2 == 0.0)
 

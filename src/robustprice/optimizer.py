@@ -18,7 +18,7 @@ import numpy as np
 from .ambiguity import (_BRENTQ_RTOL, _BRENTQ_XTOL, MarketInfo, companion_point,
                         left_threshold, power_market, require_feasible,
                         right_threshold, variance_market, variance_thresholds)
-from .bounds import variance_tails
+from .bounds import _variance_pass
 from .errors import RobustPriceError, RootFindingError
 from .ratio import _branches, worst_case_cr, worst_case_revenue
 
@@ -56,11 +56,7 @@ def _select(candidates: List[Tuple[str, float, float]], threshold=None) -> Price
     """
     if not candidates:
         raise RobustPriceError("no admissible price candidates")
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if cand[2] > best[2]:
-            best = cand
-    label, price, value = best
+    label, price, value = max(candidates, key=lambda c: c[2])
     regime = REGIME_LOW_PRICE if label in ("p_l", "pi_l") else REGIME_HIGH_PRICE
     return PriceSolution(price=price, value=value, regime=regime, label=label,
                          candidates=tuple(candidates), threshold=threshold)
@@ -76,79 +72,89 @@ def low_price_variance(mu: float, sigma, compat_printed_pl: bool = False):
     """
     sigma = np.asarray(sigma, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = mu / (2.0 * sigma)
-        r = np.sqrt(8.0 / 27.0 + (x if compat_printed_pl else x * x))
-        p = mu - sigma * (np.cbrt(x + r) + np.cbrt(x - r))
+        p = _low_price(mu, sigma, True, compat_printed_pl)
     return _real(np.where(sigma == 0.0, mu, p))
+
+
+def _low_price(mu: float, sigma, cr: bool, compat_printed_pl: bool = False):
+    """The unconstrained low candidate for sigma > 0 by Cardano's formula, with
+    y = mu / (2 sigma), r**2 = 8/27 + y**2 (ratio) or y = mu / sigma, r**2 = 1 + y**2."""
+    k, c = (2.0, 8.0 / 27.0) if cr else (1.0, 1.0)
+    y = mu / (k * sigma)
+    r = np.sqrt(c + (y if compat_printed_pl else y * y))
+    return mu - sigma * (np.cbrt(y + r) + np.cbrt(y - r))
 
 
 def high_prices_variance(mu: float, sigma, beta: float):
     """The two high-regime candidates (three-point region), unclipped."""
-    t2 = variance_thresholds(mu, np.square(sigma), beta)[1]
+    p_h1, p_h2 = _high_prices(variance_thresholds(mu, np.square(sigma), beta)[1], beta, True)
+    return _real(p_h1), _real(p_h2)
+
+
+def _high_prices(t2, beta: float, cr: bool):
+    """The unclipped high candidates from t2: (p_h1, p_h2) of the ratio, (pi_h,) of revenue."""
+    if not cr:
+        return beta - np.sqrt(beta * np.maximum(beta - t2, 0.0)),
     disc = (3.0 * beta - t2) ** 2 - 4.0 * beta * beta
-    p_h1 = 0.5 * (beta + t2 - np.sqrt(np.maximum(disc, 0.0)))
-    return _real(p_h1), _real(0.5 * t2)
+    return 0.5 * (beta + t2 - np.sqrt(np.maximum(disc, 0.0))), 0.5 * t2
 
 
 def low_price_revenue_variance(mu: float, sigma):
     """Unconstrained maximizer of the low-branch worst-case revenue."""
     sigma = np.asarray(sigma, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        y = mu / sigma
-        r = np.sqrt(1.0 + y * y)
-        p = mu - sigma * (np.cbrt(y + r) + np.cbrt(y - r))
+        p = _low_price(mu, sigma, False)
     return _real(np.where(sigma == 0.0, mu, p))
 
 
 def high_price_revenue_variance(mu: float, sigma, beta: float):
     """Unconstrained maximizer of the mid-branch worst-case revenue."""
-    t2 = variance_thresholds(mu, np.square(sigma), beta)[1]
-    return _real(beta - np.sqrt(beta * np.maximum(beta - t2, 0.0)))
+    return _real(_high_prices(variance_thresholds(mu, np.square(sigma), beta)[1], beta, False)[0])
 
 
 def _variance_table(mu: float, sigma, beta: float, objective: str,
                     compat_printed_pl: bool = False):
-    """[(label, price, value, present)] for a variance objective, low first.
+    """(labels, prices, values, present) for a variance objective, low first.
 
     objective "cr" takes the ratio candidates (p_l, p_h1, p_h2) and values
     them by the worst-case ratio; "rev" takes the revenue candidates (pi_l,
     pi_h) and values them by the worst-case revenue.  sigma > 0 is a float
-    or an array and the columns have its shape.  A candidate is present
-    where it is admissible: the low price needs t1 > 0, the high prices a
-    finite beta and a positive clipped price.  An absent entry keeps its
-    clipped price, but its value (taken at t2) is to be ignored.
+    or an array; prices, values and present have shape
+    (len(labels), *sigma.shape), one row per candidate.  A candidate is
+    present where it is admissible: the low price needs t1 > 0, the high
+    prices a finite beta and a positive clipped price.  An absent entry
+    keeps its clipped price, but its value (taken at t2) is to be ignored.
     """
     sigma = np.asarray(sigma, dtype=float)
+    cr = objective == "cr"
+    labels = ("p_l", "p_h1", "p_h2") if cr else ("pi_l", "pi_h")
     s2 = sigma * sigma
     t1, t2 = variance_thresholds(mu, s2, beta)
-    cr = objective == "cr"
-    low = low_price_variance(mu, sigma, compat_printed_pl) if cr \
-        else low_price_revenue_variance(mu, sigma)
-    rows = [("p_l" if cr else "pi_l", np.minimum(low, t1), t1 > 0)]
-    if math.isfinite(beta):
-        high = zip(("p_h1", "p_h2"), high_prices_variance(mu, sigma, beta)) if cr \
-            else [("pi_h", high_price_revenue_variance(mu, sigma, beta))]
-        for label, p in high:
-            p = np.minimum(np.maximum(p, t1), t2)
-            rows.append((label, p, p > 0))
-    prices = np.stack([np.where(present, p, t2) for _, p, present in rows])
-    p = prices.reshape(-1)
-    tails = variance_tails(mu, np.broadcast_to(s2, prices.shape).reshape(-1), beta, p)
+    high = np.minimum(np.maximum(_high_prices(t2, beta, cr), t1), t2) \
+        if math.isfinite(beta) else ()
+    prices = np.array((np.minimum(_low_price(mu, sigma, cr, compat_printed_pl), t1), *high))
+    labels, present = labels[:len(prices)], prices > 0
+    present[0] = t1 > 0
+    stack = np.zeros(prices.shape)   # the pass takes s2, t1 and t2 per price
+    p, s2, t1, t2 = (v.reshape(-1) for v in (np.where(present, prices, t2), s2 + stack,
+                                              t1 + stack, t2 + stack))
+    tails = _variance_pass(mu, s2, beta, p, t1, t2)   # a low price that overflowed raises
     values = np.minimum(*_branches(p, *tails)) if cr else p * tails[0]
-    return [(label, price, v, present)
-            for (label, price, present), v in zip(rows, values.reshape(prices.shape))]
+    return labels, prices, values.reshape(prices.shape), present
 
 
 def _variance_threshold(mu: float, beta: float, objective: str) -> float:
     """First sigma in (0, sigma_max) where the best low candidate stops
     beating the best high one; infinite when beta is."""
+    if not (math.isfinite(mu) and mu > 0 and beta > mu):   # a NaN beta fails too
+        variance_market(mu, 0.0, beta)   # raises with the market's message
     if not math.isfinite(beta):
         return math.inf
 
     def gap(sigma):
-        values = [np.where(present, v, -np.inf)
-                  for _, _, v, present in _variance_table(mu, sigma, beta, objective)]
-        return values[0] - np.max(values[1:], axis=0)
+        _, _, values, present = _variance_table(mu, sigma, beta, objective)
+        values = np.where(present, values, -np.inf)
+        return values[0] - np.maximum.reduce(values[1:])
 
     sigma_max = math.sqrt(mu * (beta - mu))
     root = _scan_root(gap, 1e-3 * sigma_max, sigma_max * (1.0 - 1e-9), mu, _THRESHOLD_SCAN)
@@ -164,8 +170,9 @@ def _optimal_variance(mu: float, sigma: float, beta: float, objective: str,
     if sigma == 0.0:
         label, value = ("p_l", 1.0) if objective == "cr" else ("pi_l", mu)
         return PriceSolution(mu, value, REGIME_LOW_PRICE, label, ((label, mu, value),), None)
-    table = _variance_table(mu, sigma, beta, objective, compat_printed_pl)
-    cands = [(label, float(p), float(v)) for label, p, v, present in table if present]
+    labels, *table = _variance_table(mu, sigma, beta, objective, compat_printed_pl)
+    cands = [(label, p, v) for label, p, v, keep in zip(labels, *(c.tolist() for c in table))
+             if keep]
     return _select(cands, _variance_threshold(mu, beta, objective) if with_threshold else None)
 
 
@@ -205,11 +212,11 @@ def _scan_root(f, lo: float, hi: float, scale: float, n: int = _ROOT_SCAN,
     """The first (with ``last``, the last) sign-change root of f on [lo, hi]
     found on an n-point scan; None if there is none or the interval is empty.
 
-    f maps a point array to residuals.  The scan evaluates it once on the
-    grid; a grid point where f is 0 is a root, and Brent's method refines
-    the chosen sign change from the scan's residuals at its ends, with xtol
-    relative to ``scale``.  Neighbours' signs are compared, not multiplied:
-    an infinite residual times 0 is NaN.
+    f maps a point array to residuals and a float to one.  The scan calls it
+    once on the grid; a grid point where f is 0 is a root, and Brent's method
+    refines the chosen sign change from the scan's residuals at its ends, one
+    float per step, with xtol relative to ``scale``.  Neighbours' signs are
+    compared, not multiplied: an infinite residual times 0 is NaN.
     """
     if not hi > lo:
         return None
@@ -223,7 +230,7 @@ def _scan_root(f, lo: float, hi: float, scale: float, n: int = _ROOT_SCAN,
     j = min(i + 1, n - 1)
 
     def residual(x: float) -> float:
-        fi, = f(np.array([x])).tolist()
+        fi = float(f(x))
         if math.isnan(fi):
             raise RootFindingError(f"residual is NaN at x = {x}")
         return fi
@@ -281,8 +288,7 @@ def optimal_price_power(mu: float, s: float, q: float, beta: float) -> PriceSolu
     market = power_market(mu, s, q, beta)
     require_feasible(market)
     if market.is_degenerate:
-        return PriceSolution(mu, 1.0, REGIME_LOW_PRICE, "p_l",
-                             (("p_l", mu, 1.0),), None)
+        return PriceSolution(mu, 1.0, REGIME_LOW_PRICE, "p_l", (("p_l", mu, 1.0),), None)
     t1 = left_threshold(market)
     t2 = right_threshold(market)
     eps = 1e-9 * mu
@@ -353,8 +359,7 @@ def optimal_price_general(market: MarketInfo, tol: float = 1e-8,
     mu = market.mu
     if market.is_degenerate:
         val = 1.0 if objective == "cr" else mu
-        return PriceSolution(mu, val, REGIME_LOW_PRICE, "p_l",
-                             (("p_l", mu, val),), None)
+        return PriceSolution(mu, val, REGIME_LOW_PRICE, "p_l", (("p_l", mu, val),), None)
 
     def f(p):
         if objective == "cr":
@@ -418,20 +423,14 @@ def compare_prices(mu: float, sigma: float, beta: float) -> OrderingReport:
     if sigma == 0.0:
         return OrderingReport(mu, mu, mu, mu, sigma, sigma_star(mu, beta),
                               delta_star(mu, beta), False, True, False, True)
-    (_, pi_l, _, low_present), (_, pi_h, _, _) = _variance_table(mu, sigma, beta, "rev")
-    (_, p_l, _, _), (_, p_h1, v_h1, _), (_, p_h2, v_h2, _) = \
-        _variance_table(mu, sigma, beta, "cr")
-    pi_l, p_l, pi_h = float(pi_l), float(p_l), float(pi_h)
-    p_h = float(p_h1 if v_h1 >= v_h2 else p_h2)
-    ss = sigma_star(mu, beta)
-    ds = delta_star(mu, beta)
-    low_applies = sigma <= min(ss, ds) and bool(low_present)
-    high_applies = sigma >= max(ss, ds)
+    _, (pi_l, pi_h), _, (low_present, _) = _variance_table(mu, sigma, beta, "rev")
+    _, prices, (_, v_h1, v_h2), _ = _variance_table(mu, sigma, beta, "cr")
+    pi_l, pi_h, (p_l, p_h1, p_h2) = float(pi_l), float(pi_h), prices.tolist()
+    p_h = p_h1 if v_h1 >= v_h2 else p_h2
+    ss, ds = sigma_star(mu, beta), delta_star(mu, beta)
     return OrderingReport(
-        pi_l=pi_l, p_l=p_l, pi_h=pi_h, p_h=p_h, sigma=sigma,
-        sigma_star=ss, delta_star=ds,
-        low_ordering_applies=low_applies,
+        pi_l=pi_l, p_l=p_l, pi_h=pi_h, p_h=p_h, sigma=sigma, sigma_star=ss, delta_star=ds,
+        low_ordering_applies=sigma <= min(ss, ds) and bool(low_present),
         low_ordering_holds=pi_l < p_l,
-        high_ordering_applies=high_applies,
-        high_ordering_holds=pi_h > p_h,
-    )
+        high_ordering_applies=sigma >= max(ss, ds),
+        high_ordering_holds=pi_h > p_h)

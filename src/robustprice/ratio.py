@@ -44,9 +44,8 @@ class RatioBreakdown:
 def _branches(p, lo, hi, y, regime):
     """(inf/sup, p/y) from the tail pass, both 0 above t2; the worst-case
     ratio is the smaller of the two."""
-    high = regime == HIGH
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(high, 0.0, lo / hi), np.where(high, 0.0, p / y)
+    below = regime != HIGH   # above t2 the sup tail can be 0 (the point mass)
+    return np.divide(lo, hi, out=np.zeros(p.shape), where=below), np.where(below, p / y, 0.0)
 
 
 def _breakdown(p, lo, hi, y, regime, restore) -> RatioBreakdown:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from robustprice import ambiguity, bounds, optimizer, ratio
 from robustprice.ambiguity import (MarketInfo, _solve_right_threshold,
                                    check_feasible, companion_point,
                                    left_threshold, power_market,
@@ -15,7 +16,7 @@ from robustprice.ambiguity import (MarketInfo, _solve_right_threshold,
 from robustprice.bounds import tail_bounds, variance_tails
 from robustprice.dispersion import custom_measure
 from robustprice.errors import InfeasibleMarketError, RobustPriceError
-from robustprice.optimizer import (_ROOT_SCAN, _THRESHOLD_SCAN, _scan_root,
+from robustprice.optimizer import (_ROOT_SCAN, _THRESHOLD_SCAN, _scan_root, _variance_table,
                                    compare_prices, delta_star,
                                    high_price_revenue_variance,
                                    high_prices_variance, low_price_variance,
@@ -139,8 +140,10 @@ class TestVarianceSweep:
             b = worst_case_cr_variance(mu, sigma, math.inf, p)
             assert b.tail_ratio == pytest.approx(b.price_over_y, abs=1e-10)
             grid = np.linspace(1e-6, mu * (1 - 1e-6), 20_000)
-            vals = [worst_case_cr_variance(mu, sigma, math.inf, g).cr for g in grid]
+            vals = worst_case_cr_variance(mu, sigma, math.inf, grid).cr
             assert max(vals) <= b.cr + 1e-8
+            assert [worst_case_cr_variance(mu, sigma, math.inf, g).cr
+                    for g in grid[::997].tolist()] == vals[::997].tolist()
 
     def test_scaling_property(self):
         for mu, sigma, beta in ((0.5, 0.2, 1.0), (2.0, 0.7, 5.0), (0.8, 0.35, 1.3)):
@@ -154,8 +157,10 @@ class TestVarianceSweep:
             sol = optimal_price_variance(mu, sigma, beta, with_threshold=False)
             t2 = mu + sigma * sigma / mu
             grid = np.linspace(1e-6, min(t2, beta), 10_000)
-            vals = [worst_case_cr_variance(mu, sigma, beta, p).cr for p in grid]
+            vals = worst_case_cr_variance(mu, sigma, beta, grid).cr
             assert max(vals) <= sol.value + 1e-6
+            assert [worst_case_cr_variance(mu, sigma, beta, p).cr
+                    for p in grid[::499].tolist()] == vals[::499].tolist()
 
 
 class TestSigmaStar:
@@ -186,6 +191,19 @@ class TestSigmaStar:
 
     def test_unbounded_beta(self):
         assert sigma_star(0.5, math.inf) == math.inf
+
+    @pytest.mark.parametrize("threshold", [sigma_star, delta_star])
+    @pytest.mark.parametrize("mu,beta,message", [
+        (0.5, 0.4, "maximum valuation must exceed the mean"),
+        (-1.0, 2.0, "mean must be positive"),
+        (0.5, math.nan, "beta must be a number or inf"),
+        (math.nan, 1.0, "mu must be finite"),
+    ])
+    def test_rejects_bad_market_with_market_messages(self, threshold, mu, beta, message):
+        # Unchecked, these raised a bare math domain error, returned inf or
+        # failed in the root search.
+        with pytest.raises(RobustPriceError, match=message):
+            threshold(mu, beta)
 
     def test_branch_value_monotonicity(self):
         # Low-branch value falls and high-branch value rises in sigma.
@@ -266,8 +284,9 @@ class TestPowerOptimizer:
             t2 = (s / mu) ** (1.0 / (q - 1.0))
             grid = np.linspace(1e-6, min(t2, beta), 10_000)
             m = power_market(mu=mu, s=s, q=q, beta=beta)
-            vals = [worst_case_cr(m, p).cr for p in grid]
+            vals = worst_case_cr(m, grid).cr
             assert max(vals) <= sol.value + 1e-6
+            assert [worst_case_cr(m, p).cr for p in grid[::499].tolist()] == vals[::499].tolist()
 
     def test_left_threshold_never_optimal(self):
         for (mu, s, q, beta) in ((0.5, 0.45, 1.5, 1.0), (0.5, 0.32, 2.2, 1.1)):
@@ -570,6 +589,72 @@ class TestArrayScans:
         assert list(b.cr) == [worst_case_cr(m, float(p)).cr for p in ps]
         assert list(worst_case_revenue(m, ps)) == [worst_case_revenue(m, float(p)) for p in ps]
         assert list(b.regime) == [worst_case_cr(m, float(p)).regime for p in ps]
+
+
+class TestVarianceTable:
+    """The candidate table is array-first in sigma: one code path for the
+    threshold scan and for each Brent step."""
+
+    @pytest.mark.parametrize("objective", ["cr", "rev"])
+    @pytest.mark.parametrize("beta", [1.0, math.inf])
+    def test_columns_do_not_depend_on_the_shape_of_sigma(self, objective, beta):
+        mu = 0.5
+        # From near 0 up to sigma_max, where t1 = 0 (finite beta).
+        top = math.sqrt(mu * (beta - mu)) if math.isfinite(beta) else 1.0
+        sigmas = np.linspace(1e-6 * top, top, 200)
+        labels, *full = _variance_table(mu, sigmas, beta, objective)
+        for k in (0, 1, 57, 123, 198, 199):
+            for sigma in (float(sigmas[k]), np.array(sigmas[k]), sigmas[k:k + 1]):
+                got, *cols = _variance_table(mu, sigma, beta, objective)
+                assert got == labels
+                for col, ref in zip(cols, full):
+                    assert col.shape == (len(labels),) + np.shape(sigma)
+                    assert col.reshape(-1).tobytes() == ref[:, k].tobytes()
+        if math.isfinite(beta):
+            # At sigma_max the low candidate is absent and keeps its clipped price.
+            prices, _, present = full
+            assert variance_thresholds(mu, top * top, beta)[0] == 0.0
+            assert not present[0, -1] and prices[0, -1] == 0.0 and present[1:, -1].all()
+
+
+class TestThresholdCost:
+    """Each gap evaluation of sigma_star/delta_star, the scan and every Brent
+    step, computes the thresholds once and runs one tail pass."""
+
+    @pytest.mark.parametrize("threshold", [sigma_star, delta_star])
+    def test_one_threshold_computation_and_one_pass_per_gap(self, monkeypatch, threshold):
+        originals = {"variance_thresholds": ambiguity.variance_thresholds,
+                     "_evaluate": bounds._evaluate}
+        counts = dict.fromkeys(originals, 0)
+
+        def counted(name, f):
+            def g(*args, **kwargs):
+                counts[name] += 1
+                return f(*args, **kwargs)
+            return g
+
+        # Every module's binding, however it imported the function.
+        for name, f in originals.items():
+            for module in (ambiguity, bounds, optimizer, ratio):
+                if getattr(module, name, None) is f:
+                    monkeypatch.setattr(module, name, counted(name, f))
+        gaps = []
+        scan_root = optimizer._scan_root
+
+        def recording_scan(f, *args, **kwargs):
+            def gap(x):
+                before = dict(counts)
+                y = f(x)
+                gaps.append((x, {k: counts[k] - before[k] for k in counts}))
+                return y
+            return scan_root(gap, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "_scan_root", recording_scan)
+        threshold(0.5, 1.0)
+        assert [d for _, d in gaps] == [{"variance_thresholds": 1, "_evaluate": 1}] * len(gaps)
+        (grid, _), *steps = gaps
+        assert isinstance(grid, np.ndarray) and grid.size == _THRESHOLD_SCAN
+        assert steps and all(type(x) is float for x, _ in steps)   # Brent passes floats
 
 
 # --------------------------------------------------------------------------
