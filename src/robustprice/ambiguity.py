@@ -85,8 +85,7 @@ class MarketInfo:
     @cached_property
     def is_degenerate(self) -> bool:
         """True when s = phi(mu): the only member is the point mass at mu."""
-        phi_mu = self.measure.value(self.mu)
-        return bool(abs(self.s - phi_mu) <= _DEGEN_RTOL * max(abs(phi_mu), abs(self.s)))
+        return bool(is_point_mass(self.s, self.measure.value(self.mu)))
 
     @cached_property
     def right_threshold(self) -> float:
@@ -166,6 +165,15 @@ def left_threshold(market: MarketInfo) -> float:
     mu - sigma**2 / (beta - mu).  Computed once per market.
     """
     return market.left_threshold
+
+
+def is_point_mass(s, phi_mu):
+    """True where s = phi(mu) to a relative _DEGEN_RTOL: the point-mass rule.
+
+    Such a market's only member is the point mass at mu; for variance that is
+    sigma up to about 1e-6 mu.  s and phi_mu are floats or arrays that broadcast.
+    """
+    return np.abs(s - phi_mu) <= _DEGEN_RTOL * np.maximum(np.abs(phi_mu), np.abs(s))
 
 
 def variance_companion(mu: float, s2, p):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import (MODE_EXACT, MODE_UPPER, MarketInfo, _companion,
-                        as_price_array, variance_companion,
+                        as_price_array, is_point_mass, variance_companion,
                         variance_thresholds)
 from .errors import (InternalConsistencyError, ModeError, RobustPriceError,
                      UnboundedSupportError)
@@ -218,8 +218,9 @@ def variance_tails(mu: float, s2, beta: float, p: np.ndarray):
 def _variance_pass(mu: float, s2, beta: float, p: np.ndarray, t1, t2):
     """:func:`variance_tails` at the thresholds t1 and t2 of s2."""
     _check_price(beta, p)
-    return _evaluate(p, mu, mu * mu + s2, beta, t1, t2, np.square,
-                     lambda i: variance_companion(mu, _at(s2, i), p[i]), s2 == 0.0)
+    s = mu * mu + s2
+    return _evaluate(p, mu, s, beta, t1, t2, np.square,
+                     lambda i: variance_companion(mu, _at(s2, i), p[i]), is_point_mass(s, mu * mu))
 
 
 def _attained(market: MarketInfo, p: np.ndarray):

@@ -42,11 +42,6 @@ class PriceSolution:
     threshold: Optional[float] = None
 
 
-def _real(x):
-    """A 0-d result as a float; arrays pass through."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
 def _select(candidates: List[Tuple[str, float, float]], threshold=None) -> PriceSolution:
     """Pick the highest-value candidate; earlier entries win ties.
 
@@ -62,33 +57,15 @@ def _select(candidates: List[Tuple[str, float, float]], threshold=None) -> Price
                          candidates=tuple(candidates), threshold=threshold)
 
 
-def low_price_variance(mu: float, sigma, compat_printed_pl: bool = False):
-    """Unconstrained maximizer of the low-branch ratio (variance measure).
-
-    The adopted radical is sqrt(8/27 + (mu/(2 sigma))**2); the printed
-    variant without the square is available behind the compatibility flag
-    and is known not to reproduce the reference values.  sigma may be an
-    array.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = _low_price(mu, sigma, True, compat_printed_pl)
-    return _real(np.where(sigma == 0.0, mu, p))
-
-
 def _low_price(mu: float, sigma, cr: bool, compat_printed_pl: bool = False):
     """The unconstrained low candidate for sigma > 0 by Cardano's formula, with
-    y = mu / (2 sigma), r**2 = 8/27 + y**2 (ratio) or y = mu / sigma, r**2 = 1 + y**2."""
+    y = mu / (2 sigma), r**2 = 8/27 + y**2 (ratio) or y = mu / sigma, r**2 = 1 + y**2.
+    compat_printed_pl takes the printed ratio radical r**2 = 8/27 + y, which
+    does not reproduce the reference values."""
     k, c = (2.0, 8.0 / 27.0) if cr else (1.0, 1.0)
     y = mu / (k * sigma)
     r = np.sqrt(c + (y if compat_printed_pl else y * y))
     return mu - sigma * (np.cbrt(y + r) + np.cbrt(y - r))
-
-
-def high_prices_variance(mu: float, sigma, beta: float):
-    """The two high-regime candidates (three-point region), unclipped."""
-    p_h1, p_h2 = _high_prices(variance_thresholds(mu, np.square(sigma), beta)[1], beta, True)
-    return _real(p_h1), _real(p_h2)
 
 
 def _high_prices(t2, beta: float, cr: bool):
@@ -97,19 +74,6 @@ def _high_prices(t2, beta: float, cr: bool):
         return beta - np.sqrt(beta * np.maximum(beta - t2, 0.0)),
     disc = (3.0 * beta - t2) ** 2 - 4.0 * beta * beta
     return 0.5 * (beta + t2 - np.sqrt(np.maximum(disc, 0.0))), 0.5 * t2
-
-
-def low_price_revenue_variance(mu: float, sigma):
-    """Unconstrained maximizer of the low-branch worst-case revenue."""
-    sigma = np.asarray(sigma, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = _low_price(mu, sigma, False)
-    return _real(np.where(sigma == 0.0, mu, p))
-
-
-def high_price_revenue_variance(mu: float, sigma, beta: float):
-    """Unconstrained maximizer of the mid-branch worst-case revenue."""
-    return _real(_high_prices(variance_thresholds(mu, np.square(sigma), beta)[1], beta, False)[0])
 
 
 def _variance_table(mu: float, sigma, beta: float, objective: str,
@@ -166,8 +130,9 @@ def _variance_threshold(mu: float, beta: float, objective: str) -> float:
 def _optimal_variance(mu: float, sigma: float, beta: float, objective: str,
                       compat_printed_pl: bool, with_threshold: bool) -> PriceSolution:
     """The best present candidate of the variance table, and the threshold."""
-    require_feasible(variance_market(mu, sigma, beta))
-    if sigma == 0.0:
+    market = variance_market(mu, sigma, beta)
+    require_feasible(market)
+    if market.is_degenerate:
         label, value = ("p_l", 1.0) if objective == "cr" else ("pi_l", mu)
         return PriceSolution(mu, value, REGIME_LOW_PRICE, label, ((label, mu, value),), None)
     labels, *table = _variance_table(mu, sigma, beta, objective, compat_printed_pl)
@@ -419,8 +384,9 @@ def compare_prices(mu: float, sigma: float, beta: float) -> OrderingReport:
     """
     if not math.isfinite(beta):
         raise RobustPriceError("price comparison needs a finite maximum valuation")
-    require_feasible(variance_market(mu, sigma, beta))
-    if sigma == 0.0:
+    market = variance_market(mu, sigma, beta)
+    require_feasible(market)
+    if market.is_degenerate:
         return OrderingReport(mu, mu, mu, mu, sigma, sigma_star(mu, beta),
                               delta_star(mu, beta), False, True, False, True)
     _, (pi_l, pi_h), _, (low_present, _) = _variance_table(mu, sigma, beta, "rev")

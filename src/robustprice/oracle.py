@@ -19,10 +19,11 @@ import numpy as np
 from ._kernels import DISP_TOL, MASS_TOL, enumerate_min
 from .ambiguity import (MarketInfo, companion_point, left_threshold,
                         right_threshold, variance_market)
-from .bounds import tail_prob_max, tail_prob_min
+from .bounds import (REGIME_HIGH, REGIME_LOW, REGIME_MID, tail_prob_max,
+                     tail_prob_min)
 from .errors import (InfeasibleMarketError, RobustPriceError,
                      UnboundedSupportError)
-from .extremal import DiscreteDistribution, _finalize, three_point
+from .extremal import DiscreteDistribution, _finalize, three_point_masses
 
 TARGET_SUP_TAIL = "sup_tail"
 TARGET_INF_TAIL = "inf_tail"
@@ -117,63 +118,37 @@ class CertificateReport:
 
 
 def _certificate(market: MarketInfo, p: float, target: str) -> Tuple[DualCertificate, str, Tuple[float, ...]]:
-    """Closed-form multipliers for the active regime, plus the support
-    points where complementary slackness must hold."""
-    m = market.measure
-    mu = market.mu
-    t1 = left_threshold(market)
-    t2 = right_threshold(market)
-    phi0 = m.value(0.0)
-    if target == TARGET_SUP_TAIL:
-        if p <= t1:
-            # Bound 1: the constant certificate, tight on {p, companion}.
-            a = companion_point(market, p)
-            return (DualCertificate(1.0, 0.0, 0.0, "dominates_indicator", target),
-                    "low_two_point", (p, min(a, market.beta)))
-        if p < t2:
-            # Touches the indicator at {0, p, beta}; concave.
-            beta = market.beta
-            phip, phib = m.value(p), m.value(beta)
-            denom = phip - phi0 - p * (phib - phip) / (beta - p)
-            l2 = 1.0 / denom
-            l1 = -l2 * (phib - phip) / (beta - p)
-            l0 = -l2 * phi0
-            return (DualCertificate(l0, l1, l2, "dominates_indicator", target),
-                    "mid_three_point", (0.0, p, beta))
-        # Convex, tangent at the companion a < mu, touching 1 at p.
+    """Multipliers fixed by complementary slackness on the member attaining
+    the bound, plus that member's support points.
+
+    F equals the tail indicator at each support point: 1{x >= p} for the
+    sup tail, its left limit 1{x > p} for the inf tail.  On a two-point
+    member F also touches the indicator at the point other than p (at t2
+    for {0, t2}), so F' = 0 there.  The three conditions are one 3x3 solve.
+    """
+    if target not in (TARGET_SUP_TAIL, TARGET_INF_TAIL):
+        raise RobustPriceError(f"unknown certificate target {target!r}")
+    sup = target == TARGET_SUP_TAIL
+    t1, t2 = left_threshold(market), right_threshold(market)
+    if p <= t1:
         a = companion_point(market, p)
-        phia, phip = m.value(a), m.value(p)
-        da = m.derivative(a)
-        l2 = 1.0 / (phip - phia - da * (p - a))
-        l1 = -l2 * da
-        l0 = -l1 * a - l2 * phia
-        return (DualCertificate(l0, l1, l2, "dominates_indicator", target),
-                "above_right_threshold", (a, p))
-    if target == TARGET_INF_TAIL:
-        if p <= t1:
-            # Concave, tangent at the companion a > mu, zero at p.
-            a = companion_point(market, p)
-            phia, phip = m.value(a), m.value(p)
-            da = m.derivative(a)
-            l2 = 1.0 / (phia - phip - da * (a - p))
-            l1 = -l2 * da
-            l0 = 1.0 - l1 * a - l2 * phia
-            return (DualCertificate(l0, l1, l2, "dominated_by_indicator", target),
-                    "low_two_point", (p, a))
-        if p <= t2:
-            # Convex, zero at {0, p}, one at beta.
-            beta = market.beta
-            phip, phib = m.value(p), m.value(beta)
-            denom = phib - phi0 - beta * (phip - phi0) / p
-            l2 = 1.0 / denom
-            l1 = -l2 * (phip - phi0) / p
-            l0 = -l2 * phi0
-            return (DualCertificate(l0, l1, l2, "dominated_by_indicator", target),
-                    "mid_three_point", (0.0, p, beta))
-        # Bound 0: the zero certificate, tight on {0, t2}.
-        return (DualCertificate(0.0, 0.0, 0.0, "dominated_by_indicator", target),
-                "above_right_threshold", (0.0, t2))
-    raise RobustPriceError(f"unknown certificate target {target!r}")
+        regime, supports, flat = REGIME_LOW, (p, min(a, market.beta) if sup else a), a
+    elif p < t2 or not sup and p == t2:
+        regime, supports, flat = REGIME_MID, (0.0, p, market.beta), None
+    elif sup:
+        a = companion_point(market, p)
+        regime, supports, flat = REGIME_HIGH, (a, p), a
+    else:
+        regime, supports, flat = REGIME_HIGH, (0.0, t2), t2
+    m = market.measure
+    rows = [[1.0, x, m.value(x)] for x in supports]   # F(x) = row . (l0, l1, l2)
+    rhs = [float(x >= p if sup else x > p) for x in supports]
+    if flat is not None:   # F'(flat) = 0
+        rows.append([0.0, 1.0, m.derivative(flat)])
+        rhs.append(0.0)
+    l0, l1, l2 = np.linalg.solve(rows, rhs).tolist()
+    sense = "dominates_indicator" if sup else "dominated_by_indicator"
+    return DualCertificate(l0, l1, l2, sense, target), regime, supports
 
 
 def verify_dual_certificate(market: MarketInfo, p: float, target: str,
@@ -198,7 +173,8 @@ def verify_dual_certificate(market: MarketInfo, p: float, target: str,
     x = np.linspace(0.0, market.beta, grid_n)
     F = cert.lambda0 + cert.lambda1 * x + cert.lambda2 * np.asarray(m.value(x))
     ind = (x >= p).astype(float)
-    if cert.sense == "dominates_indicator":
+    sup = cert.sense == "dominates_indicator"
+    if sup:
         gap = ind - F
         primal = tail_prob_max(market, p)
     else:
@@ -207,15 +183,10 @@ def verify_dual_certificate(market: MarketInfo, p: float, target: str,
     worst = int(np.argmax(gap))
     max_violation = float(max(gap[worst], 0.0))
     dual = cert.lambda0 + cert.lambda1 * market.mu + cert.lambda2 * market.s
-    slack = 0.0
-    for xs in supports:
-        Fx = cert.lambda0 + cert.lambda1 * xs + cert.lambda2 * float(m.value(xs))
-        want = 1.0 if xs >= p else 0.0
-        # At the inf-tail mid regime the mass sits at p-minus, where the
-        # indicator's left limit is 0.
-        if cert.sense == "dominated_by_indicator" and xs == p:
-            want = 0.0
-        slack = max(slack, abs(Fx - want))
+    # A mass at p itself counts for the sup tail; for the inf tail it sits at
+    # p-minus, where the indicator's left limit is 0.
+    slack = max(abs(cert.lambda0 + cert.lambda1 * xs + cert.lambda2 * float(m.value(xs))
+                    - (xs >= p if sup else xs > p)) for xs in supports)
     passed = (max_violation <= tol and abs(dual - primal) <= tol and slack <= 1e-8)
     return CertificateReport(passed, target, regime, cert, float(dual),
                              float(primal), max_violation, float(x[worst]))
@@ -244,19 +215,8 @@ def random_four_point(market: MarketInfo, rng: np.random.Generator) -> DiscreteD
     t1 = left_threshold(market)
     t2 = right_threshold(market)
     lo = max(t1, 1e-9 * market.beta)
-    p1, p2 = rng.uniform(lo, t2 * (1.0 - 1e-9), size=2)
-    d1, d2 = three_point(market, float(p1)), three_point(market, float(p2))
+    p = rng.uniform(lo, t2 * (1.0 - 1e-9), size=2)
     lam = float(rng.uniform(0.1, 0.9))
-    sup = np.concatenate([d1.supports, d2.supports])
-    mas = np.concatenate([lam * d1.masses, (1.0 - lam) * d2.masses])
-    order = np.argsort(sup)
-    sup, mas = sup[order], mas[order]
-    # Merge duplicated support points (0 and beta are shared).
-    out_s, out_m = [sup[0]], [mas[0]]
-    for x, w in zip(sup[1:], mas[1:]):
-        if x - out_s[-1] <= 1e-15 * max(1.0, market.beta):
-            out_m[-1] += w
-        else:
-            out_s.append(x)
-            out_m.append(w)
-    return _finalize(out_s, out_m)
+    w0, wp, wb = three_point_masses(market, p)   # one member per column
+    mix = np.array([lam, 1.0 - lam])
+    return _finalize([0.0, *p, market.beta], [mix @ w0, *(mix * wp), mix @ wb])

@@ -249,3 +249,32 @@ def test_thresholds_are_the_two_point_members(m):
     if math.isfinite(beta) and t1 > 0:
         w = (mu - t1) / (beta - t1)
         assert (1.0 - w) * phi(t1) + w * phi(beta) == pytest.approx(m.s, rel=1e-12)
+
+
+_bounded_markets = st.builds(
+    _market, st.sampled_from(["variance", "power", "custom"]), st.floats(0.3, 1.5),
+    st.floats(1.3, 3.5), st.floats(0.1, 0.9), st.floats(1.1, 8.0, exclude_min=True),
+    st.just(True))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(m=_bounded_markets, anchor=st.sampled_from(["t1", "t2", "beta", "between"]),
+       frac=st.floats(1e-3, 1.0))
+def test_worst_case_member_attains_ratio_and_revenue(m, anchor, frac):
+    # The worst-case market for the ratio is also the worst case for revenue:
+    # one member attains both bounds.  It is built eps below p, so at p it
+    # misses a bound f by f's change over [p - eps, p] plus the factor
+    # p / (p - eps) on f(p - eps); the tolerance is twice that first-order
+    # shift, which rounding cannot fill.
+    p = {"t1": left_threshold(m), "t2": right_threshold(m), "beta": m.beta,
+         "between": frac * m.beta}[anchor]
+    eps = 1e-9 * m.beta
+    assume(p > 1e3 * eps)
+    d = worst_case_distribution(m, p)
+    assert d.mean() == pytest.approx(m.mu, rel=1e-9)
+    assert d.dispersion(m.measure) == pytest.approx(m.s, rel=1e-8)
+    for got, bound, scale in ((d.ratio(p), lambda x: worst_case_cr(m, x).cr, 1.0),
+                              (d.revenue(p), lambda x: worst_case_revenue(m, x), p)):
+        at, before = bound(p), bound(p - eps)
+        tol = 2.0 * (abs(at - before) + abs(before) * eps / (p - eps)) + 1e-12 * scale
+        assert abs(got - at) <= tol, (got, at, before)

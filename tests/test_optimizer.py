@@ -18,9 +18,6 @@ from robustprice.dispersion import custom_measure
 from robustprice.errors import InfeasibleMarketError, RobustPriceError
 from robustprice.optimizer import (_ROOT_SCAN, _THRESHOLD_SCAN, _scan_root, _variance_table,
                                    compare_prices, delta_star,
-                                   high_price_revenue_variance,
-                                   high_prices_variance, low_price_variance,
-                                   low_price_revenue_variance,
                                    optimal_price_general, optimal_price_power,
                                    optimal_price_revenue_variance,
                                    optimal_price_variance, sigma_star)
@@ -136,7 +133,8 @@ class TestVarianceSweep:
         # curve, so its maximum sits at their crossing; the adopted closed
         # form must hit that crossing and dominate a fine grid.
         for mu, sigma in ((0.5, 0.2), (1.0, 0.4), (0.7, 0.15)):
-            p = low_price_variance(mu, sigma)
+            # With beta = inf the low price is the only candidate, unclipped.
+            p = optimal_price_variance(mu, sigma, math.inf, with_threshold=False).price
             b = worst_case_cr_variance(mu, sigma, math.inf, p)
             assert b.tail_ratio == pytest.approx(b.price_over_y, abs=1e-10)
             grid = np.linspace(1e-6, mu * (1 - 1e-6), 20_000)
@@ -246,8 +244,11 @@ class TestRevenuePrices:
         y = 0.5 / 0.1
         r = math.sqrt(1 + y * y)
         p = 0.5 - 0.1 * (np.cbrt(y + r) + np.cbrt(y - r))
-        assert low_price_revenue_variance(0.5, 0.1) == pytest.approx(p, abs=1e-12)
-        assert high_price_revenue_variance(0.5, 0.45, 1.0) == pytest.approx(
+        low = optimal_price_revenue_variance(0.5, 0.1, math.inf, with_threshold=False)
+        assert low.price == pytest.approx(p, abs=1e-12)
+        # pi_h = 0.69 lies inside [t1, t2] = [0.095, 0.905], so it is not clipped.
+        sol = optimal_price_revenue_variance(0.5, 0.45, 1.0, with_threshold=False)
+        assert {label: p for label, p, _ in sol.candidates}["pi_h"] == pytest.approx(
             1.0 - math.sqrt(1.0 * (1.0 - 0.5 - 0.2025 / 0.5)), abs=1e-12)
 
     def test_delta_star(self):
@@ -379,6 +380,34 @@ class TestComparePrices:
         assert (l1, l2) == ("p_h1", "p_h2")
         assert rep.p_h == (p1 if v1 >= v2 else p2)
         assert (rep.sigma_star, rep.delta_star) == (sigma_star(mu, beta), delta_star(mu, beta))
+
+
+class TestPointMassRule:
+    """Dispersion within the market's point-mass rule (sigma up to about 1e-6 mu)
+    gets the point-mass answer, as the market's own evaluator gives it."""
+
+    @pytest.mark.parametrize("sigma", [1e-155, 1e-50, 1e-20, 1e-7, 4.9e-7])
+    def test_answers_follow_the_market(self, sigma):
+        mu, beta = 0.5, 1.0
+        m = variance_market(mu, sigma, beta)
+        assert m.is_degenerate
+        sol = optimal_price_variance(mu, sigma, beta)
+        assert (sol.price, sol.value) == (mu, 1.0) == (mu, worst_case_cr(m, mu).cr)
+        sol = optimal_price_revenue_variance(mu, sigma, beta)
+        assert (sol.price, sol.value) == (mu, mu) == (mu, worst_case_revenue(m, mu))
+        rep = compare_prices(mu, sigma, beta)
+        assert rep.pi_l == rep.p_l == rep.pi_h == rep.p_h == mu
+        p = np.array([0.25, 0.49999999999996314, mu, 0.75, beta])
+        np.testing.assert_array_equal(worst_case_cr_variance(mu, sigma, beta, p).cr,
+                                      worst_case_cr(m, p).cr)
+
+    def test_rule_ends_at_the_market_threshold(self):
+        # Just above the rule the market is a genuine one and the table answers.
+        m = variance_market(0.5, 5e-7, 1.0)
+        assert not m.is_degenerate
+        sol = optimal_price_variance(0.5, 5e-7, 1.0)
+        assert sol.label == "p_l" and sol.price < 0.5 and sol.value < 1.0
+        assert sol.value == worst_case_cr_variance(0.5, 5e-7, 1.0, sol.price).cr
 
 
 class TestMaximalDispersion:

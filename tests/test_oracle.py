@@ -6,8 +6,10 @@ import pytest
 from robustprice._kernels import (DISP_TOL, KERNEL_BACKEND, MASS_TOL, _KERNEL,
                                   _enumerate_impl, _enumerate_numpy,
                                   enumerate_min)
-from robustprice.ambiguity import (left_threshold, power_market,
+from robustprice.ambiguity import (MarketInfo, left_threshold, power_market,
                                    right_threshold, variance_market)
+from robustprice.bounds import (REGIME_HIGH, REGIME_LOW, REGIME_MID,
+                                tail_prob_max, tail_prob_min)
 from robustprice.errors import RobustPriceError, UnboundedSupportError
 from robustprice.oracle import (TARGET_INF_TAIL, TARGET_SUP_TAIL,
                                 oracle_grid, oracle_worst_case,
@@ -15,6 +17,8 @@ from robustprice.oracle import (TARGET_INF_TAIL, TARGET_SUP_TAIL,
                                 oracle_worst_case_rev, random_feasible_instance,
                                 random_four_point, verify_dual_certificate)
 from robustprice.ratio import worst_case_cr, worst_case_revenue
+
+from test_evaluator import _exp_measure
 
 M = variance_market(0.5, 0.5, 1.2)
 
@@ -172,27 +176,46 @@ class TestDualCertificates:
                                       TARGET_SUP_TAIL)
         assert rep.passed and rep.note == "degenerate-skip"
 
+    @staticmethod
+    def _check_market(m, extra=()):
+        # Prices in each regime and exactly at t1 and t2.  At t1 both tails
+        # take the low member {t1, beta}; at t2 the sup tail takes {0, t2}
+        # from above and the inf tail the mid member {0, t2, beta}.
+        t1, t2 = left_threshold(m), right_threshold(m)
+        at = {t1: (REGIME_LOW, REGIME_LOW), t2: (REGIME_HIGH, REGIME_MID)}
+        for p in (0.5 * t1, t1, 0.5 * (t1 + t2), t2, min(1.05 * t2, m.beta), *extra):
+            if p <= 0:
+                continue
+            for k, (target, bound) in enumerate(((TARGET_SUP_TAIL, tail_prob_max),
+                                                 (TARGET_INF_TAIL, tail_prob_min))):
+                rep = verify_dual_certificate(m, p, target)
+                assert rep.passed, (m, p, target, rep)
+                assert rep.dual_objective == pytest.approx(bound(m, p), abs=1e-9)
+                if p in at:
+                    assert rep.regime == at[p][k], (m, p, target)
+
     def test_power_market_certificates(self):
         m = power_market(mu=0.5, s=0.45, q=1.5, beta=1.0)
         for p in (0.1, 0.5, 0.9):
             for target in (TARGET_SUP_TAIL, TARGET_INF_TAIL):
                 rep = verify_dual_certificate(m, p, target)
                 assert rep.passed, (p, target, rep)
+        self._check_market(m)
 
     def test_random_instances(self):
-        from robustprice.ambiguity import left_threshold
         rng = np.random.default_rng(56)
         for _ in range(20):
-            market = random_feasible_instance(rng, with_price=False)
-            t1 = left_threshold(market)
-            t2 = right_threshold(market)
-            probes = [0.5 * t1, 0.5 * (t1 + t2), min(1.05 * t2, market.beta)]
-            for p in probes:
-                if p <= 0:
-                    continue
-                for target in (TARGET_SUP_TAIL, TARGET_INF_TAIL):
-                    rep = verify_dual_certificate(market, p, target)
-                    assert rep.passed, (market, p, target, rep)
+            self._check_market(random_feasible_instance(rng, with_price=False))
+
+    @pytest.mark.parametrize("mu, spread, u", [(0.5, 2.4, 0.3), (1.0, 3.0, 0.7),
+                                               (0.8, 1.5, 0.5), (1.3, 1.3, 0.9)])
+    def test_custom_measure_certificates(self, mu, spread, u):
+        # exp(x/mu): no closed-form companion, so the companion solver gives
+        # every two-point member.
+        beta = mu * spread
+        lo, hi = math.e, (1.0 - 1.0 / spread) + math.exp(spread) / spread
+        self._check_market(MarketInfo(mu, lo + u * (hi - lo), beta, _exp_measure(mu)),
+                           extra=(beta,))
 
 
 class TestKernelBackends:
