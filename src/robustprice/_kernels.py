@@ -8,7 +8,8 @@ Two interchangeable implementations are provided: a loop kernel, compiled
 with numba when numba is installed (the optional ``fast`` extra), and a
 vectorized numpy kernel used otherwise.  The numpy kernel builds no triple
 index: it enumerates the triples in one block per first support point,
-each block a slice of a single pair index.  Both kernels enumerate candidates
+each block drawn from a single pair index and kept to the triples whose
+triangle can hold (mu, s).  Both kernels visit the feasible candidates
 in the same lexicographic order and break ties by first occurrence, so
 results are bit-comparable.
 """
@@ -174,28 +175,61 @@ def _pairs_numpy(g, phi, mu, s, p, disp_tol, mass_tol, J, K):
 
 
 def _triples_numpy(g, phi, mu, s, p, mass_tol, J, K):
-    """Triples (i, j, k), one vectorized block per first index i.
+    """Triples (i, j, k) whose triangle can hold (mu, s), one vectorized
+    block per first index i.
 
     (J, K) lists the pairs j < k row by row, so the pairs with i < j form
-    the tail of that list starting at row i + 1: every block is a slice
-    and no triple index is built.
+    the tail of that list starting at row i + 1 and no triple index is
+    built.  With P_x = (x, phi(x)) and h_ab the height at mu of the line
+    through P_a and P_b, convexity of phi puts (mu, s) in triangle
+    i < j < k iff h_ik >= s, h_ij <= s and h_jk <= s.  For x_i <= mu,
+    h_ik and h_ij rise with the moving index, so k >= kmin(i) and
+    j <= j1(i): the block is the pair rows i + 1 .. j1(i), kept where
+    k >= kmin(i) and h_jk <= s.  No triangle with x_i > mu holds mu.
+
+    Every test carries a slack, so the blocks hold every triple the
+    arithmetic below accepts and the minima, witnesses and counts are
+    those of the full enumeration.  A barycentric mass is the height
+    violation of its opposite edge over the vertical extent of its
+    vertex, and every extent is at most D = (max phi - min phi)
+    + max |chord slope| * span.  A height slack of 1e-7 D (and 1e-7 span
+    on x_i) therefore drops only triples with an exact mass below -1e-7,
+    a thousand times MASS_TOL, which leaves that factor for the rounding
+    of the heights and the masses.  kmin and j1 count the heights past
+    their bounds instead of searching for the crossing, so rounding near
+    the crossing can only widen the block.
     """
     n = g.size
     row_start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
-    gJ, gK, fJ, fK = g[J], g[K], phi[J], phi[K]
+    pairs = np.stack([g[J], g[K], phi[J], phi[K]])
+    gJ, gK, fJ, fK = pairs
+    span = g[-1] - g[0]
+    height = fJ + (fK - fJ) / (gK - gJ) * (mu - gJ)
+    slack = 1e-7 * (np.ptp(phi) + np.max(np.abs(np.diff(phi) / np.diff(g))) * span)
+    under = height <= s + slack
     best_cr, best_rev = np.inf, np.inf
     cr_wit = rev_wit = (None, None)
     n_feas = 0
     for i in range(n - 2):
-        b = row_start[i + 1]
         xi, fi = g[i], phi[i]
-        xj, xk, fj, fk = gJ[b:], gK[b:], fJ[b:], fK[b:]
+        if xi > mu + 1e-7 * span:
+            break
+        b, e, kmin = row_start[i + 1], row_start[-1], i + 2
+        if xi <= mu:
+            row = slice(row_start[i], b)    # the pairs (i, k), k > i
+            kmin = i + 1 + np.count_nonzero(height[row] < s - slack)
+            e = row_start[min(i + np.count_nonzero(under[row]), n - 2) + 1]
+        sel = np.flatnonzero(under[b:e] & (K[b:e] >= kmin)) + b
+        if sel.size == 0:
+            continue
+        xj, xk, fj, fk = pairs.take(sel, axis=1)
         dxj, dxk = xj - xi, xk - xi
         dfj, dfk = fj - fi, fk - fi
-        det = dxj * dfk - dxk * dfj
-        scale = np.abs(dxj * dfk) + np.abs(dxk * dfj)
-        ok = np.abs(det) > DET_TOL * scale
-        det = np.where(ok, det, 1.0)
+        jk, kj = dxj * dfk, dxk * dfj
+        det = jk - kj
+        ok = np.abs(det) > DET_TOL * (np.abs(jk) + np.abs(kj))
+        if not ok.all():
+            det = np.where(ok, det, 1.0)
         bm, bs = mu - xi, s - fi
         wj = (bm * dfk - dxk * bs) / det
         wk = (dxj * bs - bm * dfj) / det
@@ -205,17 +239,17 @@ def _triples_numpy(g, phi, mu, s, p, mass_tol, J, K):
         if nf == 0:
             continue
         n_feas += nf
-        xj, xk = xj[feas], xk[feas]
-        wi = np.clip(wi[feas], 0.0, None)
-        wj = np.clip(wj[feas], 0.0, None)
-        wk = np.clip(wk[feas], 0.0, None)
+        if nf < sel.size:
+            xj, xk, wi, wj, wk = xj[feas], xk[feas], wi[feas], wj[feas], wk[feas]
+        wi, wj, wk = np.maximum(wi, 0.0), np.maximum(wj, 0.0), np.maximum(wk, 0.0)
         t_p = ((wi if xi >= p else 0.0) + np.where(xj >= p, wj, 0.0)
                + np.where(xk >= p, wk, 0.0))
         rev = p * t_p
         opt = np.maximum(rev, xi * (wi + wj + wk) if xi > 0 else 0.0)
         opt = np.maximum(opt, xj * (wj + wk))
         opt = np.maximum(opt, xk * wk)
-        cr = np.where(opt > 0, rev / np.where(opt > 0, opt, 1.0), 1.0)
+        pos = opt > 0
+        cr = rev / opt if pos.all() else np.where(pos, rev / np.where(pos, opt, 1.0), 1.0)
         # argmin takes the first minimum and only a strictly smaller block
         # minimum replaces the best, so ties keep lexicographic order.
         a = int(np.argmin(cr))

@@ -17,8 +17,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ._kernels import DISP_TOL, MASS_TOL, enumerate_min
-from .ambiguity import (MarketInfo, companion_point, left_threshold,
-                        right_threshold, variance_market)
+from .ambiguity import (MarketInfo, _companion, companion_point,
+                        left_threshold, right_threshold, variance_market)
 from .bounds import (REGIME_HIGH, REGIME_LOW, REGIME_MID, tail_prob_max,
                      tail_prob_min)
 from .errors import (InfeasibleMarketError, RobustPriceError,
@@ -36,8 +36,11 @@ CERT_GRID_N = 2001
 def oracle_grid(market: MarketInfo, p: float, grid_n: int) -> Tuple[np.ndarray, float]:
     """Uniform grid on [0, beta] augmented with the structural points.
 
-    Returns (grid, eps) where eps is the left-limit offset used for the
-    p-minus point, (beta/grid_n)/1000.
+    The structural points are 0, beta, both thresholds, p, the p-minus
+    point p - eps, and the companions of p and p - eps where they lie in
+    [0, beta] (p <= t1 or p >= t2): the worst members below t1 and above
+    t2 are two-point members on a price and its companion.  Returns
+    (grid, eps) where eps is the left-limit offset, (beta/grid_n)/1000.
     """
     if grid_n < MIN_GRID_N:
         raise RobustPriceError(f"grid_n must be at least {MIN_GRID_N}, got {grid_n}")
@@ -45,8 +48,13 @@ def oracle_grid(market: MarketInfo, p: float, grid_n: int) -> Tuple[np.ndarray, 
         raise UnboundedSupportError("the enumeration oracle needs a finite beta")
     beta = market.beta
     eps = (beta / grid_n) / 1000.0
-    extras = [0.0, min(p, beta), max(p - eps, 0.0),
-              left_threshold(market), right_threshold(market), beta]
+    t1, t2 = left_threshold(market), right_threshold(market)
+    prices = np.array([min(p, beta), max(p - eps, 0.0)])
+    # t1 can round to mu when beta >> mu, where the companion is singular.
+    paired = prices[(prices < market.mu) & (prices <= t1) | (prices >= t2)]
+    companions = _companion(market, paired)
+    extras = [0.0, *prices, t1, t2, beta,
+              *companions[(companions >= 0.0) & (companions <= beta)]]
     g = np.unique(np.concatenate([np.linspace(0.0, beta, grid_n), extras]))
     return g, eps
 
@@ -210,12 +218,18 @@ def random_four_point(market: MarketInfo, rng: np.random.Generator) -> DiscreteD
     """Random feasible four-point member: a mixture of two three-point ones.
 
     Mixing preserves both moment constraints, giving a control family
-    outside the enumerated two-/three-point class.
+    outside the enumerated two-/three-point class.  Raises
+    UnboundedSupportError for beta = inf and RobustPriceError where the
+    members' price range [t1, t2) is empty (the point mass).
     """
-    t1 = left_threshold(market)
-    t2 = right_threshold(market)
-    lo = max(t1, 1e-9 * market.beta)
-    p = rng.uniform(lo, t2 * (1.0 - 1e-9), size=2)
+    if not math.isfinite(market.beta):
+        raise UnboundedSupportError("four-point members need a finite beta")
+    lo = max(left_threshold(market), 1e-9 * market.beta)
+    hi = right_threshold(market) * (1.0 - 1e-9)
+    if lo > hi:
+        raise RobustPriceError("no four-point member: the market is "
+                               "(nearly) a point mass")
+    p = rng.uniform(lo, hi, size=2)
     lam = float(rng.uniform(0.1, 0.9))
     w0, wp, wb = three_point_masses(market, p)   # one member per column
     mix = np.array([lam, 1.0 - lam])

@@ -335,6 +335,15 @@ class TestVerify:
                          "four_point_control", "best_case_rev_monotone"]
         assert all(line.endswith(",pass") for line in lines[1:])
 
+    def test_low_regime_instances_pass_at_grid_41(self, capsys):
+        # One instance sits in the low regime where the worst member is
+        # {p-, a(p)}; without the companion a(p) in the oracle grid the
+        # sandwich gap read 3.086e-02 > 0.02 and the command exited 4.
+        code, out, _ = run(capsys, ["verify", "--trials", "3", "--grid", "41",
+                                    "--seed", "1445277925"])
+        assert code == cli.EXIT_OK
+        assert all(line.endswith(",pass") for line in out.strip().split("\n")[1:])
+
     @pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--trials", "-3"),
                                             ("--grid", "5"), ("--grid", "20"),
                                             ("--grid", "2.5")])

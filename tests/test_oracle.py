@@ -6,8 +6,9 @@ import pytest
 from robustprice._kernels import (DISP_TOL, KERNEL_BACKEND, MASS_TOL, _KERNEL,
                                   _enumerate_impl, _enumerate_numpy,
                                   enumerate_min)
-from robustprice.ambiguity import (MarketInfo, left_threshold, power_market,
-                                   right_threshold, variance_market)
+from robustprice.ambiguity import (MarketInfo, companion_point, left_threshold,
+                                   power_market, right_threshold,
+                                   variance_market)
 from robustprice.bounds import (REGIME_HIGH, REGIME_LOW, REGIME_MID,
                                 tail_prob_max, tail_prob_min)
 from robustprice.errors import RobustPriceError, UnboundedSupportError
@@ -30,6 +31,15 @@ class TestGrid:
             assert np.min(np.abs(g - x)) < 1e-12
         assert np.all(np.diff(g) > 0)
         assert g[0] == 0.0 and g[-1] == 1.2
+        # Below t1 (0.143) and from t2 (1.0) on, the companions of p and of
+        # the p-minus point lie in [0, beta] and are grid points too.
+        for p in (0.1, 1.05, 1.2):
+            g, eps = oracle_grid(M, p, 121)
+            companions = companion_point(M, np.array([p, p - eps]))
+            assert np.all((companions >= 0.0) & (companions <= 1.2))
+            for x in (p, p - eps, *companions, left_threshold(M)):
+                assert np.min(np.abs(g - x)) == 0.0
+            assert np.all(np.diff(g) > 0)
 
     def test_rejects_small_grid(self):
         with pytest.raises(RobustPriceError):
@@ -65,6 +75,21 @@ class TestOracleCR:
             oracle, _ = oracle_worst_case_cr(market, p, grid_n=121)
             assert oracle >= closed - 1e-9
             assert oracle <= closed + 0.03
+
+    @pytest.mark.parametrize("mu,sigma,beta,p", [
+        # Low-regime instances where the price-over-y branch governs: the
+        # worst member is {p-, a(p)}, and a grid without a(p) overshot the
+        # closed form by 0.0219 and 0.0232 at grid 61.
+        (0.9539792177496049, 0.18376568768106197, 2.721807545376645,
+         0.6845465247661818),
+        (1.0978005533801813, 0.18108514772162496, 3.0189875170858675,
+         0.7734461212990421),
+    ], ids=["mu0.95", "mu1.10"])
+    def test_companion_closes_the_low_regime_gap(self, mu, sigma, beta, p):
+        market = variance_market(mu, sigma, beta)
+        closed = worst_case_cr(market, p).cr
+        oracle, _ = oracle_worst_case_cr(market, p, grid_n=61)
+        assert closed - 1e-9 <= oracle <= closed + 1e-3
 
     def test_gap_shrinks_with_grid(self):
         rng = np.random.default_rng(52)
@@ -131,6 +156,17 @@ class TestFourPointControl:
                 d = random_four_point(market, rng)
                 assert cr_min <= d.ratio(p) + 1e-9
                 assert rev_min <= p * d.tail(p) + 1e-9
+
+    def test_point_mass_market_raises_package_error(self):
+        for sigma in (0.0, 1e-6):
+            with pytest.raises(RobustPriceError):
+                random_four_point(variance_market(0.5, sigma, 1.0),
+                                  np.random.default_rng(1))
+
+    def test_unbounded_market_raises(self):
+        with pytest.raises(UnboundedSupportError):
+            random_four_point(variance_market(0.5, 0.3, math.inf),
+                              np.random.default_rng(1))
 
     def test_four_point_is_feasible(self):
         rng = np.random.default_rng(55)
@@ -238,27 +274,47 @@ class TestKernelBackends:
                 np.testing.assert_allclose(np.asarray(a[i]),
                                            np.asarray(b[i]), equal_nan=True)
 
-    def test_numpy_matches_python_loop(self):
-        # The uncompiled loop kernel is the reference on every platform.  The
-        # numpy kernel does the same arithmetic in the same enumeration order,
-        # so minima, witnesses and counts must agree exactly, ties included.
+    @staticmethod
+    def _loop_cases():
         rng = np.random.default_rng(58)
         for grid_n in (21, 31, 41):
             for _ in range(2):
-                market, p = random_feasible_instance(rng)
-                t2 = right_threshold(market)
-                # Above t2 the revenue minimum 0 is attained many times over.
-                prices = (p, left_threshold(market), t2, min(1.05 * t2, market.beta))
-                for price in prices:
-                    g, _ = oracle_grid(market, price, grid_n)
-                    phi = np.asarray(market.measure.value(g), dtype=float)
-                    args = (g, phi, market.mu, market.s, price, DISP_TOL, MASS_TOL)
-                    a = _enumerate_impl(*args)
-                    b = _enumerate_numpy(*args)
-                    assert a[0] == b[0] and a[1] == b[1] and a[6] == b[6]
-                    for i in range(2, 6):
-                        assert np.array_equal(np.asarray(a[i]), np.asarray(b[i]),
-                                              equal_nan=True), (grid_n, price, i)
+                yield (grid_n,) + random_feasible_instance(rng)
+        # Other measures, and dispersion near the point mass and within 1e-9
+        # of its cap (t2 = beta (1 - 1e-9)), where witnesses sit on the
+        # feasibility boundary.
+        mu, beta, cap = 0.4, 1.3, 1.3 * (1.0 - 1e-9)
+        for market in (power_market(mu, mu * 0.9 ** 0.5, 1.5, beta),
+                       power_market(mu, mu * 0.9 ** 2.0, 3.0, beta),
+                       MarketInfo(mu, 0.5 * (math.e + (1 - mu / beta) + mu / beta
+                                             * math.exp(beta / mu)),
+                                  beta, _exp_measure(mu)),
+                       variance_market(mu, 1e-4, beta),
+                       variance_market(mu, math.sqrt(mu * (cap - mu)), beta),
+                       power_market(mu, mu * cap ** 0.5, 1.5, beta)):
+            yield 31, market, 0.5 * (left_threshold(market) + mu)
+
+    def test_numpy_matches_python_loop(self):
+        # The uncompiled loop kernel is the reference on every platform.  The
+        # numpy kernel does the same arithmetic in the same enumeration order
+        # and skips only triples it cannot accept, so minima, witnesses and
+        # counts must agree exactly, ties included.
+        for grid_n, market, p in self._loop_cases():
+            t2 = right_threshold(market)
+            # Above t2 the revenue minimum 0 is attained many times over; at
+            # mu the price has no companion.
+            prices = (p, left_threshold(market), market.mu, t2,
+                      min(1.05 * t2, market.beta))
+            for price in prices:
+                g, _ = oracle_grid(market, price, grid_n)
+                phi = np.asarray(market.measure.value(g), dtype=float)
+                args = (g, phi, market.mu, market.s, price, DISP_TOL, MASS_TOL)
+                a = _enumerate_impl(*args)
+                b = _enumerate_numpy(*args)
+                assert a[0] == b[0] and a[1] == b[1] and a[6] == b[6]
+                for i in range(2, 6):
+                    assert np.array_equal(np.asarray(a[i]), np.asarray(b[i]),
+                                          equal_nan=True), (grid_n, price, i)
 
     def test_numpy_matches_python_loop_on_ties(self):
         # At p = 0 every candidate has revenue and ratio 0, and a plain grid
