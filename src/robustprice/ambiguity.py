@@ -52,9 +52,9 @@ class MarketInfo:
     ``mode`` selects whether s is an exact dispersion value ("exact", the
     standing assumption) or an upper bound ("upper").
 
-    The support thresholds and the degeneracy flag are computed on first
-    use and kept on the instance; a failed computation is not kept, so an
-    infeasible market raises on every access.
+    The support thresholds, the degeneracy flag and the dispersion excess
+    are computed on first use and kept on the instance; a failed
+    computation is not kept, so an infeasible market raises on every access.
     """
 
     mu: float
@@ -83,6 +83,12 @@ class MarketInfo:
                 f"dispersion s={self.s} below the point-mass minimum phi(mu)={phi_mu}")
 
     @cached_property
+    def excess(self) -> float:
+        """Dispersion excess s - phi(mu), read-only; :func:`variance_market`
+        sets it to sigma**2, which s - mu**2 keeps only to eps mu**2 / sigma**2."""
+        return float(self.s - self.measure.value(self.mu))
+
+    @cached_property
     def is_degenerate(self) -> bool:
         """True when s = phi(mu): the only member is the point mass at mu."""
         return bool(is_point_mass(self.s, self.measure.value(self.mu)))
@@ -98,7 +104,7 @@ class MarketInfo:
     @cached_property
     def left_threshold(self) -> float:
         """See :func:`left_threshold`."""
-        if self.is_degenerate or not math.isfinite(self.beta):
+        if not math.isfinite(self.beta):
             return self.mu
         require_feasible(self)
         return float(_companion(self, np.array([self.beta]))[0])
@@ -108,17 +114,20 @@ class MarketInfo:
         """Standard deviation, defined for the variance measure only."""
         if not self.measure.is_variance:
             raise RobustPriceError("sigma only defined for the variance measure")
-        return math.sqrt(max(self.s - self.mu ** 2, 0.0))
+        return math.sqrt(max(self.excess, 0.0))
 
 
 def variance_market(mu: float, sigma: float, beta: float, mode: str = MODE_EXACT) -> MarketInfo:
-    """Convenience constructor for mean/standard-deviation/maximum knowledge."""
+    """Convenience constructor for mean/standard-deviation/maximum knowledge;
+    the market keeps sigma**2 exactly as its :attr:`MarketInfo.excess`."""
     if not math.isfinite(sigma):
         raise RobustPriceError(f"sigma must be finite, got {sigma}")
     if sigma < 0:
         raise RobustPriceError(f"sigma must be nonnegative, got {sigma}")
-    return MarketInfo(mu=mu, s=mu * mu + sigma * sigma, beta=beta,
-                      measure=variance_measure(), mode=mode)
+    market = MarketInfo(mu=mu, s=mu * mu + sigma * sigma, beta=beta,
+                        measure=variance_measure(), mode=mode)
+    market.__dict__["excess"] = sigma * sigma   # seeds the cached property
+    return market
 
 
 def power_market(mu: float, s: float, q: float, beta: float, mode: str = MODE_EXACT) -> MarketInfo:
@@ -134,13 +143,12 @@ class FeasibilityReport:
 
 
 def _solve_right_threshold(market: MarketInfo) -> float:
-    """The companion point of 0; the closed form for the power family."""
+    """The companion point of 0; the closed form for a power market other
+    than the point mass and variance."""
     m = market.measure
-    if market.is_degenerate:
-        return market.mu
-    if m.is_power:
+    if m.is_power and not (m.is_variance or market.is_degenerate):
         return (market.s / market.mu) ** (1.0 / (m.q - 1.0))
-    return float(_solve_companion(market, np.zeros(1))[0])
+    return float(_companion(market, np.zeros(1))[0])
 
 
 def right_threshold(market: MarketInfo) -> float:
@@ -148,7 +156,8 @@ def right_threshold(market: MarketInfo) -> float:
 
     The companion point of 0, solving (s - phi(0)) / mu = (phi(t) - phi(0)) / t
     for t >= mu.  Closed form (s/mu)**(1/(q-1)) for the power family; for
-    variance this is mu + sigma**2 / mu.  A value above beta by no more
+    variance mu + sigma**2 / mu, from the market's sigma**2.  Returns mu for
+    the degenerate market.  A value above beta by no more
     than the feasibility tolerance is beta.  Computed once per market.
     """
     return market.right_threshold
@@ -275,13 +284,12 @@ def _companion(market: MarketInfo, p: np.ndarray) -> np.ndarray:
     (mu, right_threshold)) gets 0, the companion's limit at the right
     threshold.
     """
-    mu, s = market.mu, market.s
     if market.is_degenerate:
         # Point mass at mu: no genuine two-point companion exists, but the
         # defining equation still has the limit solution mu.
-        return np.full_like(p, mu)
+        return np.full_like(p, market.mu)
     if market.measure.is_variance:
-        return variance_companion(mu, s - mu * mu, p)
+        return variance_companion(market.mu, market.excess, p)
     return _solve_companion(market, p)
 
 

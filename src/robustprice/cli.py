@@ -9,6 +9,7 @@ output path, 4 failed verification.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -18,7 +19,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .ambiguity import MODE_EXACT, MODE_UPPER, MarketInfo
+from .ambiguity import MODE_EXACT, MODE_UPPER, MarketInfo, variance_market
 from .bounds import tail_bounds
 from .dispersion import DispersionMeasure, power_moment, variance_measure
 from .errors import RobustPriceError
@@ -27,8 +28,7 @@ from .optimizer import (PriceSolution, compare_prices, optimal_price_general,
                         optimal_price_power, optimal_price_revenue_variance,
                         optimal_price_variance)
 from .oracle import MIN_GRID_N
-from .ratio import (worst_case_cr, worst_case_cr_dispersion_ub,
-                    worst_case_cr_variance)
+from .ratio import worst_case_cr, worst_case_cr_dispersion_ub
 from .verify import run_checks
 
 EXIT_OK = 0
@@ -150,8 +150,9 @@ def _check_spread(parser: argparse.ArgumentParser, args) -> None:
 
 
 def _market(args, mode: str = MODE_EXACT) -> MarketInfo:
-    s = args.s if args.s is not None else args.mu ** 2 + args.sigma ** 2
-    return MarketInfo(mu=args.mu, s=s, beta=args.beta, measure=args.phi, mode=mode)
+    if args.s is None:   # --sigma, which _check_spread allows for variance only
+        return variance_market(args.mu, args.sigma, args.beta, mode)
+    return MarketInfo(mu=args.mu, s=args.s, beta=args.beta, measure=args.phi, mode=mode)
 
 
 def _emit(obj, out: Optional[str]) -> int:
@@ -171,15 +172,16 @@ def _emit(obj, out: Optional[str]) -> int:
     return EXIT_OK
 
 
-def _sol_json(sol: PriceSolution) -> dict:
-    return {
-        "price": _num(sol.price),
-        "value": _num(sol.value),
-        "regime": sol.regime,
-        "label": sol.label,
-        "candidates": [[l, _num(p), _num(v)] for l, p, v in sol.candidates],
-        "threshold": _num(sol.threshold),
-    }
+def _json(v):
+    """A result dataclass as a JSON object, its fields in declaration order:
+    strings and bools as they are, numbers by :func:`_num`, tuples as lists."""
+    if dataclasses.is_dataclass(v):
+        return {f.name: _json(getattr(v, f.name)) for f in dataclasses.fields(v)}
+    if isinstance(v, (str, bool)):
+        return v
+    if isinstance(v, tuple):
+        return [_json(x) for x in v]
+    return _num(v)
 
 
 def _solve_price(args, objective: str, with_threshold: bool = True) -> PriceSolution:
@@ -197,10 +199,10 @@ def _solve_price(args, objective: str, with_threshold: bool = True) -> PriceSolu
 
 def cmd_price(args) -> int:
     if args.objective == "both":
-        obj = {"cr": _sol_json(_solve_price(args, "cr")),
-               "rev": _sol_json(_solve_price(args, "rev"))}
+        obj = {"cr": _json(_solve_price(args, "cr")),
+               "rev": _json(_solve_price(args, "rev"))}
     else:
-        obj = _sol_json(_solve_price(args, args.objective))
+        obj = _json(_solve_price(args, args.objective))
     return _emit(obj, args.out)
 
 
@@ -210,24 +212,11 @@ def cmd_cr(args) -> int:
         cr = worst_case_cr_dispersion_ub(market, args.p)
         return _emit({"p": _num(args.p), "cr": _num(cr), "mode": MODE_UPPER},
                      args.out)
-    if market.measure.is_variance and args.sigma is not None:
-        b = worst_case_cr_variance(args.mu, args.sigma, args.beta, args.p)
-    else:
-        b = worst_case_cr(market, args.p)
-    return _emit({
-        "p": _num(b.p), "cr": _num(b.cr), "branch": b.branch,
-        "tail_ratio": _num(b.tail_ratio), "price_over_y": _num(b.price_over_y),
-        "regime": b.regime,
-    }, args.out)
+    return _emit(_json(worst_case_cr(market, args.p)), args.out)
 
 
 def cmd_bounds(args) -> int:
-    tb = tail_bounds(_market(args), args.p)
-    return _emit({
-        "p": _num(tb.p), "inf_tail": _num(tb.inf_tail),
-        "sup_tail": _num(tb.sup_tail), "sup_cond_exp": _num(tb.sup_cond_exp),
-        "best_case_rev": _num(tb.best_case_rev), "regime": tb.regime,
-    }, args.out)
+    return _emit(_json(tail_bounds(_market(args), args.p)), args.out)
 
 
 def cmd_dist(args) -> int:
@@ -243,17 +232,7 @@ def cmd_dist(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    r = compare_prices(args.mu, args.sigma, args.beta)
-    return _emit({
-        "pi_l": _num(r.pi_l), "p_l": _num(r.p_l),
-        "pi_h": _num(r.pi_h), "p_h": _num(r.p_h),
-        "sigma": _num(r.sigma), "sigma_star": _num(r.sigma_star),
-        "delta_star": _num(r.delta_star),
-        "low_ordering_applies": r.low_ordering_applies,
-        "low_ordering_holds": r.low_ordering_holds,
-        "high_ordering_applies": r.high_ordering_applies,
-        "high_ordering_holds": r.high_ordering_holds,
-    }, args.out)
+    return _emit(_json(compare_prices(args.mu, args.sigma, args.beta)), args.out)
 
 
 def _fmt6(x: float) -> str:

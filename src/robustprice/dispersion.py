@@ -51,36 +51,32 @@ class DispersionMeasure:
         return self.family == "power" and self.q == 2.0
 
     def value(self, x):
-        """Evaluate the measure at x >= 0 (scalar or array)."""
-        if np.ndim(x):
-            x = np.asarray(x, dtype=float)
-            if (x < 0).any():
-                raise RobustPriceError(f"dispersion measure domain is x >= 0, got {x}")
-            return np.power(x, self.q) if self.family == "power" else self.value_fn(x)
-        if x < 0:
-            raise RobustPriceError(f"dispersion measure domain is x >= 0, got {x}")
-        return float(x) ** self.q if self.family == "power" else self.value_fn(x)
+        """Evaluate the measure at x >= 0 (scalar or array); a scalar goes
+        through the same ufunc as an array's entries, so a point gets the
+        same value alone or inside an array."""
+        x = _domain(x)
+        return np.power(x, self.q) if self.family == "power" else self.value_fn(x)
 
     def derivative(self, x):
-        """Slope of the measure at x.
+        """Slope of the measure at x >= 0 (scalar or array, as :meth:`value`).
 
         For 1 < q < 2 the power derivative is singular-free but the
         derivative formula at x = 0 involves a negative exponent; the
         right-limit value 0 is returned there so dual certificates stay
         evaluable on the whole support.
         """
-        if np.ndim(x):
-            x = np.asarray(x, dtype=float)
-            if (x < 0).any():
-                raise RobustPriceError(f"dispersion derivative domain is x >= 0, got {x}")
-            # 0 ** (q - 1) = 0 for q > 1: the right-limit value at x = 0.
-            return self.q * np.power(x, self.q - 1.0) if self.family == "power" \
-                else self.deriv_fn(x)
-        if x < 0:
-            raise RobustPriceError(f"dispersion derivative domain is x >= 0, got {x}")
-        if self.family == "power":
-            return 0.0 if x == 0 else self.q * float(x) ** (self.q - 1.0)
-        return self.deriv_fn(x)
+        x = _domain(x)
+        # 0 ** (q - 1) = 0 for q > 1: the right-limit value at x = 0.
+        return self.q * np.power(x, self.q - 1.0) if self.family == "power" \
+            else self.deriv_fn(x)
+
+
+def _domain(x) -> np.ndarray:
+    """x as a float array (0-d for a scalar); raises outside x >= 0."""
+    x = np.asarray(x, dtype=float)
+    if (x < 0).any():
+        raise RobustPriceError(f"dispersion measure domain is x >= 0, got {x}")
+    return x
 
 
 def power_moment(q: float) -> DispersionMeasure:

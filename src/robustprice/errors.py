@@ -22,7 +22,8 @@ class RootFindingError(RobustPriceError):
 
 
 class InternalConsistencyError(RobustPriceError):
-    """Two formulas that must agree at a regime boundary disagreed.
+    """Two formulas that must agree at a regime boundary disagreed, or a
+    price candidate's value is NaN.
 
     Continuity of the piecewise bounds is a theorem, so this always
     signals a bug rather than bad input.

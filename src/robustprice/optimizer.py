@@ -19,7 +19,7 @@ from .ambiguity import (_BRENTQ_RTOL, _BRENTQ_XTOL, MarketInfo, companion_point,
                         left_threshold, power_market, require_feasible,
                         right_threshold, variance_market, variance_thresholds)
 from .bounds import _variance_pass
-from .errors import RobustPriceError, RootFindingError
+from .errors import InternalConsistencyError, RobustPriceError, RootFindingError
 from .ratio import _branches, worst_case_cr, worst_case_revenue
 
 REGIME_LOW_PRICE = "low"
@@ -47,10 +47,14 @@ def _select(candidates: List[Tuple[str, float, float]], threshold=None) -> Price
 
     Candidate lists are ordered low regime first, so the documented
     tie-break (prefer the low price at exact threshold equality) falls out
-    of strict-inequality comparison.
+    of strict-inequality comparison.  A NaN value, which would otherwise
+    win or lose by its position, raises.
     """
     if not candidates:
         raise RobustPriceError("no admissible price candidates")
+    for label, price, value in candidates:
+        if math.isnan(value):
+            raise InternalConsistencyError(f"candidate {label} at price {price} has value NaN")
     label, price, value = max(candidates, key=lambda c: c[2])
     regime = REGIME_LOW_PRICE if label in ("p_l", "pi_l") else REGIME_HIGH_PRICE
     return PriceSolution(price=price, value=value, regime=regime, label=label,

@@ -175,6 +175,18 @@ def test_inf_beta_still_accepted(capsys):
     assert out["p"] == 0.3
 
 
+@pytest.mark.parametrize("argv", [
+    ["price"], ["cr", "--p", "0.3"], ["cr", "--p", "0.3", "--mode", "upper"],
+    ["bounds", "--p", "0.3"], ["dist", "--p", "0.3"], ["compare"],
+    ["sweep", "--vary", "beta", "--values", "1.2"]])
+def test_negative_sigma_is_rejected(capsys, argv):
+    # Every subcommand builds its --sigma market by variance_market.
+    code, out, err = run(capsys, [argv[0], "--mu", "0.5", "--sigma", "-0.3", "--beta", "1",
+                                  *argv[1:]])
+    assert (code, out) == (cli.EXIT_INFEASIBLE, "")
+    assert json.loads(err)["detail"] == "sigma must be nonnegative, got -0.3"
+
+
 class TestCr:
     def test_breakdown(self, capsys):
         obj = run_json(capsys, ["cr", "--mu", "0.5", "--sigma", "0.5",

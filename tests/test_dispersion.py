@@ -70,6 +70,19 @@ class TestFamilies:
         m = custom_measure(lambda x: np.exp(x) - 1.0, lambda x: np.exp(x))
         assert m.value(0.0) == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("measure", [
+        *(power_moment(q) for q in (1.05, 1.5, 2.0, 2.5, 3.0, 5.7, 8.0)),
+        custom_measure(lambda x: np.exp(x / 0.7), lambda x: np.exp(x / 0.7) / 0.7)],
+        ids=lambda m: f"q={m.q}" if m.is_power else "exp")
+    def test_point_alone_equals_point_in_array(self, measure):
+        # One evaluation path: a scalar is evaluated as the array's entries are.
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0.0, 3.0, 2000) * 10.0 ** rng.uniform(-6.0, 6.0, 2000)
+        if not measure.is_power:
+            x = x[x < 400.0]   # exp(x / 0.7) stays finite
+        for f in (measure.value, measure.derivative):
+            assert [f(v) for v in x.tolist()] == [f(np.array([v]))[0] for v in x.tolist()]
+
     def test_custom_needs_both_callables(self):
         with pytest.raises(RobustPriceError):
             custom_measure(None, None)

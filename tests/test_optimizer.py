@@ -15,7 +15,8 @@ from robustprice.ambiguity import (MarketInfo, _solve_right_threshold,
                                    variance_thresholds)
 from robustprice.bounds import tail_bounds, variance_tails
 from robustprice.dispersion import custom_measure
-from robustprice.errors import InfeasibleMarketError, RobustPriceError
+from robustprice.errors import (InfeasibleMarketError, InternalConsistencyError,
+                                RobustPriceError)
 from robustprice.optimizer import (_ROOT_SCAN, _THRESHOLD_SCAN, _scan_root, _variance_table,
                                    compare_prices, delta_star,
                                    optimal_price_general, optimal_price_power,
@@ -408,6 +409,8 @@ class TestPointMassRule:
         sol = optimal_price_variance(0.5, 5e-7, 1.0)
         assert sol.label == "p_l" and sol.price < 0.5 and sol.value < 1.0
         assert sol.value == worst_case_cr_variance(0.5, 5e-7, 1.0, sol.price).cr
+        # The market keeps sigma**2 = 2.5e-13 exactly, so it reads the table's value.
+        assert worst_case_cr(m, sol.price).cr == sol.value == 0.9998999966668553
 
 
 class TestMaximalDispersion:
@@ -697,6 +700,13 @@ class TestScaleInvariance:
         assert small.price / 5e-7 == pytest.approx(0.59338, abs=5e-6)
         assert small.price / 5e-7 == pytest.approx(unit.price / 0.5, rel=1e-9)
         assert small.value == pytest.approx(unit.value, rel=1e-9)
+
+    def test_nan_candidate_raises(self):
+        # At 1e103 the {0, p, beta} mass solve overflows and every candidate
+        # value is NaN; unit scale gives p_h1 at 0.6406.
+        with pytest.raises(InternalConsistencyError, match="candidate p_l .* NaN"):
+            optimal_price_variance(0.5e103, 0.45e103, 1e103, with_threshold=False)
+        assert optimal_price_variance(0.5, 0.45, 1.0, with_threshold=False).label == "p_h1"
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(mu=st.floats(0.3, 1.5), spread=st.floats(1.3, 3.5), u=st.floats(0.1, 0.9),

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from robustprice.ambiguity import (MODE_UPPER, left_threshold, power_market,
-                                   right_threshold, variance_market)
-from robustprice.bounds import REGIME_HIGH, REGIME_LOW, REGIME_MID
+from robustprice.ambiguity import (MODE_UPPER, companion_point, left_threshold,
+                                   power_market, right_threshold, variance_companion,
+                                   variance_market, variance_thresholds)
+from robustprice.bounds import (REGIME_HIGH, REGIME_LOW, REGIME_MID, tail_bounds,
+                                variance_tails)
 from robustprice.errors import (InfeasibleMarketError, ModeError,
                                 RobustPriceError)
 from robustprice.extremal import worst_case_distribution
@@ -18,6 +20,20 @@ from test_evaluator import _market
 from test_extremal import random_market
 
 M = variance_market(0.5, 0.5, 1.2)
+
+
+def _random_variance_inputs(rng):
+    """(mu, sigma, beta) at scales 1e-6 to 1e6, a fifth with beta = inf; sigma
+    anywhere, near the point-mass rule, near the cap or at it."""
+    k = 10.0 ** rng.uniform(-6.0, 6.0)
+    mu = rng.uniform(0.3, 1.5)
+    beta = math.inf if rng.random() < 0.2 else mu * rng.uniform(1.05, 4.0)
+    finite = math.isfinite(beta)
+    smax = math.sqrt(mu * (beta - mu)) if finite else 3.0 * mu
+    kind = int(rng.integers(4 if finite else 2))
+    sigma = (rng.uniform(0.0, 1.0) * smax, mu * 1e-6 * 10.0 ** rng.uniform(-1.0, 1.0),
+             smax * (1.0 - 10.0 ** rng.uniform(-16.0, -3.0)), smax)[kind]
+    return mu * k, sigma * k, beta * k
 
 
 def _random_exp_market(rng):
@@ -87,6 +103,31 @@ class TestVarianceClosedForm:
             b = worst_case_cr_variance(m.mu, m.sigma, m.beta, p)
             assert b.cr == pytest.approx(a.cr, abs=1e-10)
             assert b.regime == a.regime
+
+    def test_market_path_gives_the_same_bits(self):
+        # A variance market keeps sigma**2, so the market path (companion,
+        # thresholds, tail pass) repeats the sigma path operation for operation.
+        rng = np.random.default_rng(34)
+        for _ in range(400):
+            mu, sigma, beta = _random_variance_inputs(rng)
+            m, s2 = variance_market(mu, sigma, beta), sigma * sigma
+            t1, t2 = variance_thresholds(mu, s2, beta)
+            top = beta if math.isfinite(beta) else 2.0 * t2
+            p = np.concatenate([rng.uniform(0.0, 1.0, 12) * top, [t1, t2, mu, top]])
+            p = p[(p > 0) & (p <= top)]
+            a, b = worst_case_cr(m, p), worst_case_cr_variance(mu, sigma, beta, p)
+            for field in ("p", "cr", "branch", "tail_ratio", "price_over_y", "regime"):
+                np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+            if math.isfinite(beta):
+                tb = tail_bounds(m, p)
+                for got, want in zip((tb.inf_tail, tb.sup_tail, tb.sup_cond_exp),
+                                     variance_tails(mu, s2, beta, p)):
+                    np.testing.assert_array_equal(got, want)
+            if m.is_degenerate:   # thresholds and companions are mu there
+                continue
+            assert (m.left_threshold, m.right_threshold) == (t1, t2)
+            q = p[((p <= t1) | (p >= t2)) & (np.abs(p - mu) > 1e-11 * mu)]
+            np.testing.assert_array_equal(companion_point(m, q), variance_companion(mu, s2, q))
 
     def test_low_regime_formula(self):
         # min{(mu-p)^2/((mu-p)^2+sigma^2), p(mu-p)/(mu(mu-p)+sigma^2)}
