@@ -32,6 +32,8 @@ MODE_UPPER = "upper"
 # Relative tolerance used to detect the degenerate point-mass market and
 # the boundary cases p ~ threshold.
 _DEGEN_RTOL = 1e-12
+_BAND = 1e-12   # half-width of the tail pass's threshold bands, relative to beta (mu if inf)
+_PRICE_MAX = float(np.finfo(float).max)   # price bounds are capped here, so inf fails them
 
 # Root-finder tolerances of the companion solver here and of Brent's method
 # in the optimizer: the absolute one is relative to the market scale mu, so
@@ -108,6 +110,16 @@ class MarketInfo:
             return self.mu
         require_feasible(self)
         return float(_companion(self, np.array([self.beta]))[0])
+
+    @cached_property
+    def phi_ends(self) -> tuple:
+        """(phi(0), phi(beta)) as floats, for every {0, p, beta} mass solve."""
+        phi, beta = self.measure.value, self.beta
+        return float(phi(0.0)), float(phi(beta)) if math.isfinite(beta) else math.inf
+
+    @cached_property
+    def _edges(self) -> np.ndarray:   # the tail pass's _price_edges of the thresholds
+        return _price_edges(self.mu, self.beta, self.left_threshold, self.right_threshold)
 
     @property
     def sigma(self) -> float:
@@ -204,6 +216,15 @@ def variance_thresholds(mu: float, s2, beta: float):
     return variance_companion(mu, s2, beta), np.minimum(variance_companion(mu, s2, 0.0), beta)
 
 
+def _price_edges(mu: float, beta: float, t1, t2) -> np.ndarray:
+    """The edges the tail pass compares prices with: 0, t1 -+ band, t2 -+ band
+    and beta; (6, 1) for float thresholds, (6, n) for arrays of n."""
+    band = _BAND * (beta if math.isfinite(beta) else mu)
+    zero = 0.0 * t1   # the thresholds' shape
+    return np.array((zero, t1 - band, t1 + band, t2 - band, t2 + band,
+                     zero + min(beta, _PRICE_MAX))).reshape(6, -1)
+
+
 def _feasibility_tol(market: MarketInfo) -> float:
     """How far the right threshold may lie outside [mu, beta] in a feasible market."""
     return 1e-12 * (market.beta if math.isfinite(market.beta) else market.mu)
@@ -230,17 +251,12 @@ def require_feasible(market: MarketInfo) -> None:
 def as_price_array(p):
     """(prices as a 1-d float array, function giving a result p's shape).
 
-    The restoring function turns a size-1 result back into a Python scalar
-    when p was a scalar, so scalar callers keep getting floats and strings.
+    The restoring function turns a result array of p's size back into a Python
+    scalar when p was a scalar, so scalar callers keep getting floats and strings.
     """
     arr = np.asarray(p, dtype=float)
     shape = arr.shape
-
-    def restore(v):
-        v = np.asarray(v)
-        return v.reshape(shape) if shape else v.reshape(()).item()
-
-    return arr.reshape(-1), restore
+    return arr.reshape(-1), lambda v: v.reshape(shape) if shape else v.item()
 
 
 def _no_companion(p) -> RobustPriceError:

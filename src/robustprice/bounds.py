@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import (MODE_EXACT, MODE_UPPER, MarketInfo, _companion,
-                        as_price_array, is_point_mass, variance_companion,
-                        variance_thresholds)
+from .ambiguity import (_BAND, _PRICE_MAX, MODE_EXACT, MODE_UPPER, MarketInfo,
+                        _companion, _price_edges, as_price_array, is_point_mass,
+                        variance_companion, variance_thresholds)
 from .errors import (InternalConsistencyError, ModeError, RobustPriceError,
                      UnboundedSupportError)
 
@@ -31,10 +31,8 @@ REGIME_HIGH = "above_right_threshold"
 LOW, MID, HIGH = 0, 1, 2
 REGIMES = np.array([REGIME_LOW, REGIME_MID, REGIME_HIGH], dtype=object)
 
-# Half-width of the boundary band, relative to beta (to mu when beta is
-# infinite): inside it both adjacent pieces are evaluated and must agree,
-# since continuity at the thresholds is a theorem.
-_BAND = 1e-12
+# Inside a threshold's band (ambiguity._BAND) both adjacent pieces are
+# evaluated and must agree, since continuity at the thresholds is a theorem.
 _BOUNDARY_AGREE = 1e-9
 
 
@@ -50,37 +48,39 @@ class TailBounds:
     regime: str
 
 
-def _check_price(beta: float, p: np.ndarray) -> None:
-    if np.count_nonzero((p > 0) & (p <= beta)) == p.size:
-        return
-    bad = ~(p > 0)
-    if bad.any():
-        raise RobustPriceError(f"price must be positive, got {p[bad][0]}")
-    raise RobustPriceError(f"price {p[p > beta][0]} exceeds maximum valuation {beta}")
+def _check_price(p: np.ndarray, hi: float) -> None:
+    """Raise unless every price lies in (0, hi]; NaN and inf never do."""
+    ok = (p > 0) & (p <= min(hi, _PRICE_MAX))
+    if np.count_nonzero(ok) < p.size:
+        x = p[~ok][0]
+        raise RobustPriceError(f"price {x} exceeds maximum valuation {hi}" if 0 < x < math.inf
+                               else f"price must be positive and finite, got {x}")
 
 
-def _member_masses(mu: float, s, beta: float, phi, p):
+def _member_masses(mu: float, s, beta: float, p, phi_p, phi0: float, phib: float):
     """(w_p, w_beta) of the {0, p, beta} member with mean mu and dispersion s.
 
-    s may be an array of p's shape.  No checks: outside 0 < p < beta the
-    masses are meaningless or not finite.
+    phi_p, phi0, phib: the measure at p, 0 and beta; s may be an array of p's
+    shape.  No checks: outside 0 < p < beta the masses are meaningless.
     """
-    phi0, phib = phi(0.0), phi(beta)
-    dp, ds, db = phi0 - phi(p), phi0 - s, phib - phi0
+    dp, ds, db = phi0 - phi_p, phi0 - s, phib - phi0
     denom = beta * dp + p * db
     wp = (beta * ds + mu * db) / denom
     wb = (mu * dp - p * ds) / denom
     return wp, wb
 
 
-def _evaluate(p, mu, s, beta, t1, t2, phi, companion, point):
+@np.errstate(all="ignore")
+def _evaluate(p, edges, mu, s, beta, t1, t2, phi, ends, companion, point):
     """(inf tail, sup tail, sup conditional expectation, regime code) per price.
 
-    The one regime evaluator.  p is a 1-d price array in (0, beta]; s, t1,
-    t2 and point (True where the market is the point mass at mu) are
-    scalars or arrays of p's length.  The measure enters only through phi
-    and companion(index), the companion points of p[index].  The pieces
-    and the members attaining them:
+    The one regime evaluator and price check: p is a 1-d price array, and a
+    price outside (0, beta], NaN and inf included, raises.  edges are the
+    thresholds' _price_edges; s, t1, t2 and point (True where the market is
+    the point mass at mu) are scalars or arrays of p's length.  The measure
+    enters only through phi, evaluated once per mid-regime price, its ends
+    (phi(0), phi(beta)), and companion(p[index], index), the companion
+    points of p[index].  The pieces and the members attaining them:
 
     * low, p <= t1: {p, a} with a = companion(p) > mu; inf (mu-p)/(a-p),
       sup 1, y = a;
@@ -104,62 +104,62 @@ def _evaluate(p, mu, s, beta, t1, t2, phi, companion, point):
     """
     finite = math.isfinite(beta)
     scale = beta if finite else mu
-    band = _BAND * scale
 
-    def low_piece(i):
-        x, a = p[i], companion(i)
+    def low_piece(x, i):
+        a = companion(x, i)
         if not finite:
             a = np.where(x >= mu, math.inf, a)   # the piece's limit at mu
         return (mu - x) / (a - x), 1.0, a
 
-    def mid_piece(i):
-        x = p[i]
+    def mid_piece(x, i):
         if not finite:
             return 0.0, np.minimum(mu / x, 1.0), math.inf
-        wp, wb = _member_masses(mu, _at(s, i), beta, phi, x)
+        wp, wb = _member_masses(mu, _at(s, i), beta, x, phi(x), *ends)
         sup = np.minimum(np.maximum(wp + wb, 0.0), 1.0)   # rounding can leave [0, 1]
         return np.minimum(np.maximum(wb, 0.0), sup), sup, beta
 
-    def high_piece(i):
-        x, a = p[i], companion(i)
+    def high_piece(x, i):
+        a = companion(x, i)
         return 0.0, (a - mu) / (a - x), beta
 
-    with np.errstate(all="ignore"):
-        above = (p > t1 - band, p > t1 + band, p > t2 - band, p > t2 + band)
-        n = list(map(np.count_nonzero, above))
-        single = point | (t2 >= beta * (1.0 - _BAND))   # a market gives a plain bool
-        any_single = single is True or single is not False and np.count_nonzero(single) > 0
-        keep = np.logical_not(single) if any_single else True
-        # Each piece runs once, where it labels and in the band below its threshold
-        # (lower edge above[edge]); high to low, so a band price keeps the piece below.
-        out, blends = np.empty((3, p.size)), []   # rows: inf tail, sup tail, sup cond. exp.
-        for piece, need, count, edge in ((high_piece, above[2], n[2], 2),
-                                         (mid_piece, above[0] ^ above[3], n[0] - n[3], 0),
-                                         (low_piece, ~above[1], p.size - n[1], None)):
-            if count:
-                i = slice(None) if count == p.size else need.nonzero()[0]
-                for row, v in zip(out, piece(i)):   # v: a scalar or an array over p[i]
-                    row[i] = v
-            if edge is not None and n[edge] != n[edge + 1]:
-                at = ((above[edge] ^ above[edge + 1]) & keep).nonzero()[0]
-                blends.append((at, out.take(at, axis=1), edge))
-        for at, other, edge in reversed(blends):   # t1 first
-            if at.size:
-                t, steep = (t2, beta - t2 < mu * _BAND / _BOUNDARY_AGREE) if edge else (t1, False)
-                _blend(out, at, other, p[at], scale, _at(steep, at), _at(t, at))
-        regime = np.add(above[1], above[3], dtype=np.int8)
-        if any_single:
-            one = np.where(point, p <= mu, mu / beta)   # the member's tail
-            for k, v in enumerate((one, one, np.where(point, mu, beta))):
-                out[k] = np.where(single, v, out[k])
-            regime = np.where(point, np.where(p <= mu, LOW, HIGH),
-                              np.where(single, MID, regime))
-    return out[0], out[1], out[2], regime
+    # One comparison checks and labels the prices: above[k] is 1 where p > edge
+    # k, the edges 0, t1 -+ band, t2 -+ band and beta.  The two bands may overlap.
+    above = (p > edges).view(np.int8)
+    n = np.add.reduce(above, 1).tolist()
+    if n[0] != p.size or n[5]:
+        _check_price(p, beta)
+    single = point | (t2 >= beta * (1.0 - _BAND))   # a market gives a plain bool
+    any_single = single is True or single is not False and np.count_nonzero(single) > 0
+    keep = np.logical_not(single) if any_single else True
+    # Each piece runs once, on the prices between edges lo and hi: where it labels and the band
+    # below its threshold; high to low, so a band price ends with the piece below it.
+    out, blends = np.empty((3, p.size)), []
+    inf_tail, sup_tail, cond_exp = out[0], out[1], out[2]   # views, written in place
+    for piece, lo, hi in ((high_piece, 3, 5), (mid_piece, 1, 4), (low_piece, 0, 2)):
+        count = n[lo] - n[hi]
+        if count:
+            i = slice(None) if count == p.size else (above[lo] != above[hi]).nonzero()[0]
+            inf_tail[i], sup_tail[i], cond_exp[i] = piece(p[i], i)   # scalars or arrays over p[i]
+        if lo and n[lo] != n[lo + 1]:
+            at = ((above[lo] != above[lo + 1]) & keep).nonzero()[0]
+            blends.append((at, out.take(at, axis=1), lo))
+    for at, other, lo in reversed(blends):   # t1 first
+        if at.size:
+            t, steep = (t2, beta - t2 < mu * _BAND / _BOUNDARY_AGREE) if lo == 3 else (t1, False)
+            _blend(out, at, other, p[at], scale, _at(steep, at), _at(t, at))
+    regime = above[2] + above[4]
+    if any_single:
+        one = np.where(point, p <= mu, mu / beta)   # the member's tail
+        for k, v in enumerate((one, one, np.where(point, mu, beta))):
+            out[k] = np.where(single, v, out[k])
+        regime = np.where(point, np.where(p <= mu, LOW, HIGH),
+                          np.where(single, MID, regime))
+    return inf_tail, sup_tail, cond_exp, regime
 
 
 def _at(v, i):
     """v[i] for an array of the prices' length; a scalar as it is."""
-    return v[i] if np.ndim(v) else v
+    return v[i] if isinstance(v, np.ndarray) else v
 
 
 def _blend(out, at, piece, p, scale, steep, t) -> None:
@@ -191,19 +191,24 @@ def _blend(out, at, piece, p, scale, steep, t) -> None:
         row[at] = v
 
 
-def _tails(market: MarketInfo, p: np.ndarray, mode: str = MODE_EXACT):
+def _tails(market: MarketInfo, p: np.ndarray, mode: str = MODE_EXACT, attained=False):
     """The one pass over a 1-d price array: :func:`_evaluate` on the market.
 
     ``mode`` is the mode the caller's answer is for; a market in the other
-    mode raises :class:`ModeError` here, the one place it is checked.
+    mode raises :class:`ModeError` here, the one place it is checked.  With
+    ``attained`` each bound must be attained by a member of the market, which
+    with beta = inf fails in the mid regime between the mean and t2.
     """
     if market.mode != mode:
         raise ModeError(f"this bound requires mode={mode!r}, the market has mode="
                         f"{market.mode!r}")
-    _check_price(market.beta, p)
-    return _evaluate(p, market.mu, market.s, market.beta, market.left_threshold,
-                     market.right_threshold, market.measure.value,
-                     lambda i: _companion(market, p[i]), market.is_degenerate)
+    out = _evaluate(p, market._edges, market.mu, market.s, market.beta, market.left_threshold,
+                    market.right_threshold, market.measure._value, market.phi_ends,
+                    lambda x, i: _companion(market, x), market.is_degenerate)
+    if attained and not math.isfinite(market.beta) and (
+            (out[3] == MID) & (p < market.right_threshold)).any():
+        raise UnboundedSupportError("three-point regime needs a finite maximum valuation")
+    return out
 
 
 def variance_tails(mu: float, s2, beta: float, p: np.ndarray):
@@ -212,40 +217,27 @@ def variance_tails(mu: float, s2, beta: float, p: np.ndarray):
     s2 is a float or an array of p's length (1-d), so many markets are
     evaluated in one call; the companion is :func:`variance_companion`.
     """
-    return _variance_pass(mu, s2, beta, p, *variance_thresholds(mu, s2, beta))
+    return _variance_pass(mu, s2, beta, p, *variance_thresholds(mu, s2, beta),
+                          is_point_mass(mu * mu + s2, mu * mu))
 
 
-def _variance_pass(mu: float, s2, beta: float, p: np.ndarray, t1, t2):
-    """:func:`variance_tails` at the thresholds t1 and t2 of s2."""
-    _check_price(beta, p)
-    s = mu * mu + s2
-    return _evaluate(p, mu, s, beta, t1, t2, np.square,
-                     lambda i: variance_companion(mu, _at(s2, i), p[i]), is_point_mass(s, mu * mu))
-
-
-def _attained(market: MarketInfo, p: np.ndarray):
-    """The pass where each bound is attained by a member of the market.
-
-    With beta = inf the mid regime between the mean and the right
-    threshold has no attaining member.
-    """
-    out = _tails(market, p)
-    if not math.isfinite(market.beta) and (
-            (out[3] == MID) & (p < market.right_threshold)).any():
-        raise UnboundedSupportError("three-point regime needs a finite maximum valuation")
-    return out
+def _variance_pass(mu: float, s2, beta: float, p: np.ndarray, t1, t2, point):
+    """:func:`variance_tails` at the thresholds t1, t2 and point-mass flag of s2."""
+    return _evaluate(p, _price_edges(mu, beta, t1, t2), mu, mu * mu + s2, beta, t1, t2,
+                     np.square, (0.0, beta * beta),
+                     lambda x, i: variance_companion(mu, _at(s2, i), x), point)
 
 
 def tail_prob_max(market: MarketInfo, p):
     """Best-case conversion rate sup P(X >= p) over the market (p: float or array)."""
     p, restore = as_price_array(p)
-    return restore(_attained(market, p)[1])
+    return restore(_tails(market, p, attained=True)[1])
 
 
 def tail_prob_min(market: MarketInfo, p):
     """Worst-case conversion rate inf P(X >= p) over the market (p: float or array)."""
     p, restore = as_price_array(p)
-    return restore(_attained(market, p)[0])
+    return restore(_tails(market, p, attained=True)[0])
 
 
 def cond_exp_max(market: MarketInfo, p):
@@ -258,17 +250,16 @@ def best_case_revenue(market: MarketInfo, p):
     """p * sup P(X >= p); non-decreasing up to the right threshold."""
     t2 = market.right_threshold
     p, restore = as_price_array(p)
-    bad = p > t2 * (1.0 + _BAND)
-    if bad.any():
-        raise RobustPriceError(
-            f"best-case revenue defined on (0, {t2}], got p={p[bad][0]}")
-    return restore(p * _attained(market, np.minimum(p, t2))[1])
+    bad = p > t2 * (1.0 + _BAND)   # inf too; the pass checks the rest
+    if np.count_nonzero(bad):
+        raise RobustPriceError(f"best-case revenue defined on (0, {t2}], got p={p[bad][0]}")
+    return restore(p * _tails(market, np.minimum(p, t2), attained=True)[1])
 
 
 def tail_bounds(market: MarketInfo, p) -> TailBounds:
     """All three key quantities plus the best-case revenue (p: float or array)."""
     p, restore = as_price_array(p)
-    lo, hi, y, regime = _attained(market, p)
+    lo, hi, y, regime = _tails(market, p, attained=True)
     return TailBounds(p=restore(p), inf_tail=restore(lo), sup_tail=restore(hi),
                       sup_cond_exp=restore(y), best_case_rev=restore(p * hi),
                       regime=restore(REGIMES[regime]))

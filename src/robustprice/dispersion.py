@@ -54,7 +54,9 @@ class DispersionMeasure:
         """Evaluate the measure at x >= 0 (scalar or array); a scalar goes
         through the same ufunc as an array's entries, so a point gets the
         same value alone or inside an array."""
-        x = _domain(x)
+        return self._value(_domain(x))
+
+    def _value(self, x):   # value without the domain check, for x known to be >= 0
         return np.power(x, self.q) if self.family == "power" else self.value_fn(x)
 
     def derivative(self, x):

@@ -152,7 +152,8 @@ def three_point_masses(market: MarketInfo, p: float) -> Tuple[float, float, floa
     bad = ~((np.asarray(p) > 0) & (np.asarray(p) < market.beta))
     if np.any(bad):
         raise RobustPriceError(f"degenerate three-point system at p={p}: needs 0 < p < beta")
-    wp, wb = _member_masses(market.mu, market.s, market.beta, market.measure.value, p)
+    wp, wb = _member_masses(market.mu, market.s, market.beta, p, market.measure.value(p),
+                            *market.phi_ends)
     return 1.0 - wp - wb, wp, wb
 
 
@@ -170,7 +171,7 @@ def worst_case_distribution(market: MarketInfo, p: float, eps: float = None) -> 
         eps = 1e-9 * (market.beta if math.isfinite(market.beta) else market.mu)
     if not 0 < eps < p:
         raise RobustPriceError(f"need 0 < eps < p, got eps={eps}, p={p}")
-    if p > market.beta:
+    if not p <= market.beta or math.isinf(p):
         raise RobustPriceError(f"price {p} outside (0, {market.beta}]")
     pm = p - eps
     lo, hi, y, _ = _tails(market, np.array([pm]))

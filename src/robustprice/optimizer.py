@@ -106,7 +106,7 @@ def _variance_table(mu: float, sigma, beta: float, objective: str,
     stack = np.zeros(prices.shape)   # the pass takes s2, t1 and t2 per price
     p, s2, t1, t2 = (v.reshape(-1) for v in (np.where(present, prices, t2), s2 + stack,
                                               t1 + stack, t2 + stack))
-    tails = _variance_pass(mu, s2, beta, p, t1, t2)   # a low price that overflowed raises
+    tails = _variance_pass(mu, s2, beta, p, t1, t2, False)   # a low price that overflowed raises
     values = np.minimum(*_branches(p, *tails)) if cr else p * tails[0]
     return labels, prices, values.reshape(prices.shape), present
 

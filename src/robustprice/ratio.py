@@ -95,7 +95,7 @@ def worst_case_cr_mean_range(mu: float, beta: float, p):
     """Worst-case ratio with mean and maximum knowledge only; p may be a
     float or an array of prices."""
     p, restore = as_price_array(p)
-    _check_price(beta, p)
+    _check_price(p, beta)
     with np.errstate(divide="ignore", invalid="ignore"):
         return restore(np.where(p < mu, np.minimum((mu - p) / (beta - p), p / beta), 0.0))
 

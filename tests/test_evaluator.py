@@ -14,19 +14,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from robustprice.ambiguity import (MODE_UPPER, MarketInfo, left_threshold,
+from robustprice.ambiguity import (MODE_UPPER, MarketInfo, _price_edges, left_threshold,
                                    power_market, right_threshold,
                                    variance_companion, variance_market,
                                    variance_thresholds)
-from robustprice.bounds import (REGIME_MID, _evaluate, best_case_revenue,
+from robustprice.bounds import (_BAND, REGIME_MID, _evaluate, best_case_revenue,
                                 cond_exp_max, tail_bounds, tail_prob_max,
                                 tail_prob_min, tail_prob_min_dispersion_ub)
 from robustprice.dispersion import custom_measure
-from robustprice.errors import (InternalConsistencyError, ModeError,
+from robustprice.errors import (InternalConsistencyError, ModeError, RobustPriceError,
                                 UnboundedSupportError)
 from robustprice.extremal import worst_case_distribution
 from robustprice.optimizer import optimal_price_power
-from robustprice.ratio import (worst_case_cr, worst_case_cr_variance,
+from robustprice.ratio import (worst_case_cr, worst_case_cr_dispersion_ub,
+                               worst_case_cr_variance,
                                worst_case_revenue)
 
 from test_cli import run_json, usage_error
@@ -96,8 +97,9 @@ class TestThresholdBands:
         t1, t2 = variance_thresholds(mu, s2, beta)
         p = np.array([t2])
         with pytest.raises(InternalConsistencyError):
-            _evaluate(p, mu, mu * mu + s2, beta, t1, t2, np.square,
-                      lambda i: variance_companion(mu, s2, p[i]) + 0.01, False)
+            _evaluate(p, _price_edges(mu, beta, t1, t2), mu, mu * mu + s2, beta, t1, t2,
+                      np.square, (0.0, beta * beta),
+                      lambda x, i: variance_companion(mu, s2, x) + 0.01, False)
 
     def test_one_label_just_above_left_threshold(self, capsys):
         argv = ["--mu", "0.5", "--sigma", "0.3", "--beta", "1", "--p", "0.320000000000032"]
@@ -128,6 +130,46 @@ class TestModes:
         err = usage_error(capsys, [sub, "--mu", "0.5", "--sigma", "0.3", "--beta", "1",
                                    *extra, "--mode", "upper"])
         assert "--mode" in err
+
+
+class TestPriceCheck:
+    """Every entry point rejects a price that is not a positive finite number,
+    also where the maximum valuation is infinite."""
+
+    EXACT = variance_market(0.5, 0.3, math.inf)
+    UPPER = variance_market(0.5, 0.3, math.inf, mode=MODE_UPPER)
+
+    @pytest.mark.parametrize("price", [math.inf, math.nan])
+    @pytest.mark.parametrize("f,upper", [
+        (tail_bounds, False), (tail_prob_min, False), (tail_prob_max, False),
+        (cond_exp_max, False), (best_case_revenue, False), (worst_case_revenue, False),
+        (worst_case_cr, False), (worst_case_distribution, False),
+        (tail_prob_min_dispersion_ub, True), (worst_case_cr_dispersion_ub, True)])
+    def test_non_finite_price_raises(self, f, upper, price):
+        m = self.UPPER if upper else self.EXACT
+        with pytest.raises(RobustPriceError, match="price|p="):
+            f(m, price)
+        if f is not worst_case_distribution:   # it takes one price
+            with pytest.raises(RobustPriceError, match="price|p="):
+                f(m, np.array([0.2, price]))
+
+
+def test_measure_evaluated_once_per_price():
+    # The pass evaluates the measure at the price alone: phi(0) and phi(beta)
+    # are kept on the market with its thresholds.
+    calls = []
+
+    def value(x):
+        calls.append(np.size(x))
+        return np.exp(np.asarray(x, dtype=float) / 0.5)
+
+    m = MarketInfo(0.5, 3.0, 1.0, custom_measure(value, lambda x: value(x) / 0.5))
+    p = 0.5 * (left_threshold(m) + right_threshold(m))
+    tail_bounds(m, p)   # warms the market up
+    for f in (tail_bounds, best_case_revenue):
+        calls.clear()
+        assert f(m, p) is not None
+        assert calls == [1]
 
 
 class TestPowerNearLinear:
@@ -278,3 +320,54 @@ def test_worst_case_member_attains_ratio_and_revenue(m, anchor, frac):
         at, before = bound(p), bound(p - eps)
         tol = 2.0 * (abs(at - before) + abs(before) * eps / (p - eps)) + 1e-12 * scale
         assert abs(got - at) <= tol, (got, at, before)
+
+
+# --------------------------------------------------------------------------
+# One price alone and inside an array.
+
+def _scalar_or_error(f, m, p):
+    try:
+        return f(m, p)
+    except RobustPriceError as e:
+        return type(e)
+
+
+class TestScalarEqualsArray:
+    """A price gets the same bits alone as inside an array, in every regime,
+    within half a band of each threshold, at the mean and at beta."""
+
+    MARKETS = {
+        "power_q1.5": power_market(0.5, 0.45, 1.5, 1.0),
+        "custom_exp": MarketInfo(0.5, 3.0, 1.0, _exp_measure(0.5)),
+        "beta_inf": variance_market(0.5, 0.3, math.inf),
+        "point_mass": variance_market(0.5, 0.0, 1.0),
+        "maximal_dispersion": variance_market(0.5, 0.5, 1.0),
+    }
+
+    @staticmethod
+    def _prices(m):
+        t1, t2 = left_threshold(m), right_threshold(m)
+        half = 0.5 * _BAND * (m.beta if math.isfinite(m.beta) else m.mu)
+        ps = [0.3 * t1, t1 - half, t1, t1 + half, 0.5 * (t1 + t2), m.mu, t2 - half, t2,
+              t2 + half, 0.5 * (t2 + min(m.beta, 2.0 * t2)), m.beta]
+        return [p for p in ps if 0 < p < math.inf]
+
+    @pytest.mark.parametrize("name", list(MARKETS))
+    @pytest.mark.parametrize("f", [tail_bounds, worst_case_cr, worst_case_revenue,
+                                   cond_exp_max, best_case_revenue])
+    def test_array_entries_equal_scalar_calls(self, name, f):
+        m = self.MARKETS[name]
+        prices = self._prices(m)
+        ok = [p for p in prices if not isinstance(_scalar_or_error(f, m, p), type)]
+        assert len(ok) >= 4
+        for ps in (ok, ok[::-1]):
+            scalars = [f(m, p) for p in ps]
+            got = f(m, np.array(ps))
+            if isinstance(got, np.ndarray):
+                assert got.tolist() == scalars
+            else:   # a dataclass of arrays
+                for field in vars(got):
+                    assert getattr(got, field).tolist() == [getattr(v, field) for v in scalars]
+        for p in set(prices) - set(ok):   # a price that raises alone raises in an array
+            with pytest.raises(_scalar_or_error(f, m, p)):
+                f(m, np.array([ok[0], p]))
