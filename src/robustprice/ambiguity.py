@@ -275,16 +275,17 @@ def companion_point(market: MarketInfo, p):
 
     p may be a float or an array; every price is solved by the same
     elementwise iteration, so a price gives the same companion alone or
-    inside an array.  Raises if any price is at the mean, negative, or
-    strictly between the mean and the right threshold.
+    inside an array.  Raises if any price is NaN, infinite, negative, at the
+    mean, or strictly between the mean and the right threshold.
     """
     mu = market.mu
     p, restore = as_price_array(p)
+    bad = ~(p >= 0) | (p == math.inf)   # NaN fails p >= 0
+    if bad.any():
+        raise RobustPriceError(f"price must be nonnegative and finite, got {p[bad][0]}")
     if not market.is_degenerate:
         if np.any(np.abs(p - mu) <= _DEGEN_RTOL * mu):
             raise RobustPriceError("companion point is singular at p = mu")
-        if np.any(p < 0):
-            raise RobustPriceError(f"price must be nonnegative, got {p[p < 0][0]}")
         above = p > mu
         if above.any():
             gap = above & (p < market.right_threshold * (1.0 - _DEGEN_RTOL))

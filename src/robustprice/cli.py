@@ -25,8 +25,7 @@ from .dispersion import DispersionMeasure, power_moment, variance_measure
 from .errors import RobustPriceError
 from .extremal import worst_case_distribution
 from .optimizer import (PriceSolution, compare_prices, optimal_price_general,
-                        optimal_price_power, optimal_price_revenue_variance,
-                        optimal_price_variance)
+                        optimal_price_revenue_variance, optimal_price_variance)
 from .oracle import MIN_GRID_N
 from .ratio import worst_case_cr, worst_case_cr_dispersion_ub
 from .verify import run_checks
@@ -185,16 +184,13 @@ def _json(v):
 
 
 def _solve_price(args, objective: str, with_threshold: bool = True) -> PriceSolution:
-    measure = args.phi
-    if measure.is_variance and args.sigma is not None:
-        if objective == "cr":
-            return optimal_price_variance(args.mu, args.sigma, args.beta,
-                                          args.compat_printed_pl, with_threshold)
-        return optimal_price_revenue_variance(args.mu, args.sigma, args.beta, with_threshold)
-    market = _market(args)
-    if measure.is_power and objective == "cr":
-        return optimal_price_power(args.mu, market.s, measure.q, args.beta)
-    return optimal_price_general(market, objective=objective)
+    """The variance table for a market given by --sigma, else the general optimizer."""
+    if args.sigma is None:
+        return optimal_price_general(_market(args), objective=objective)
+    if objective == "cr":
+        return optimal_price_variance(args.mu, args.sigma, args.beta,
+                                      args.compat_printed_pl, with_threshold)
+    return optimal_price_revenue_variance(args.mu, args.sigma, args.beta, with_threshold)
 
 
 def cmd_price(args) -> int:

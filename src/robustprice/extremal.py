@@ -129,10 +129,8 @@ def three_point(market: MarketInfo, p: float) -> DiscreteDistribution:
     """Three-point member {0, p, beta} of the market.
 
     Exists (all masses nonnegative) exactly for p between the two support
-    thresholds; requires a finite maximum valuation.
+    thresholds; its masses need a finite maximum valuation.
     """
-    if not math.isfinite(market.beta):
-        raise UnboundedSupportError("three-point construction needs finite beta")
     if market.is_degenerate:
         return point_mass(market.mu)
     t1, t2 = left_threshold(market), right_threshold(market)
@@ -149,6 +147,8 @@ def three_point_masses(market: MarketInfo, p: float) -> Tuple[float, float, floa
 
     p may be an array; the masses are then arrays of its shape.
     """
+    if not math.isfinite(market.beta):
+        raise UnboundedSupportError("three-point masses need a finite maximum valuation")
     bad = ~((np.asarray(p) > 0) & (np.asarray(p) < market.beta))
     if np.any(bad):
         raise RobustPriceError(f"degenerate three-point system at p={p}: needs 0 < p < beta")

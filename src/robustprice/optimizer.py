@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .ambiguity import (_BRENTQ_RTOL, _BRENTQ_XTOL, MarketInfo, companion_point,
+from .ambiguity import (_BRENTQ_RTOL, _BRENTQ_XTOL, MarketInfo, _companion,
                         left_threshold, power_market, require_feasible,
                         right_threshold, variance_market, variance_thresholds)
 from .bounds import _variance_pass
@@ -29,7 +29,6 @@ REGIME_HIGH_PRICE = "high"
 _THRESHOLD_SCAN = 200
 _ROOT_SCAN = 2001
 _BRENTQ_MAXITER = 100
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -137,8 +136,7 @@ def _optimal_variance(mu: float, sigma: float, beta: float, objective: str,
     market = variance_market(mu, sigma, beta)
     require_feasible(market)
     if market.is_degenerate:
-        label, value = ("p_l", 1.0) if objective == "cr" else ("pi_l", mu)
-        return PriceSolution(mu, value, REGIME_LOW_PRICE, label, ((label, mu, value),), None)
+        return _select([("p_l", mu, 1.0) if objective == "cr" else ("pi_l", mu, mu)])
     labels, *table = _variance_table(mu, sigma, beta, objective, compat_printed_pl)
     cands = [(label, p, v) for label, p, v, keep in zip(labels, *(c.tolist() for c in table))
              if keep]
@@ -178,39 +176,33 @@ def delta_star(mu: float, beta: float) -> float:
 
 def _scan_root(f, lo: float, hi: float, scale: float, n: int = _ROOT_SCAN,
                last: bool = False) -> Optional[float]:
-    """The first (with ``last``, the last) sign-change root of f on [lo, hi]
-    found on an n-point scan; None if there is none or the interval is empty.
-
-    f maps a point array to residuals and a float to one.  The scan calls it
-    once on the grid; a grid point where f is 0 is a root, and Brent's method
-    refines the chosen sign change from the scan's residuals at its ends, one
-    float per step, with xtol relative to ``scale``.  Neighbours' signs are
-    compared, not multiplied: an infinite residual times 0 is NaN.
-    """
+    """:func:`_refine` on an n-point scan of [lo, hi]; None if it is empty.
+    f maps a point array to residuals and a float to one."""
     if not hi > lo:
         return None
     grid = np.linspace(lo, hi, n)
-    fx = f(grid)
+    return _refine(lambda x: float(f(x)), grid, f(grid), scale, last)
+
+
+def _refine(f, grid: np.ndarray, fx: np.ndarray, scale: float, last=False) -> Optional[float]:
+    """The first (with ``last``, the last) sign-change root of f from its
+    residuals fx on grid, None if there is none: a grid point where fx is 0,
+    or Brent's method on the chosen sign change from the residuals at its
+    ends, calling the float function f once per step, with xtol relative to
+    ``scale``.  Signs are compared, not multiplied: inf times 0 is NaN."""
     sign = np.sign(fx)
     hits = np.flatnonzero((sign == 0.0) | np.append(sign[:-1] == -sign[1:], False))
     if not hits.size:
         return None
     i = int(hits[-1 if last else 0])
-    j = min(i + 1, n - 1)
-
-    def residual(x: float) -> float:
-        fi = float(f(x))
-        if math.isnan(fi):
-            raise RootFindingError(f"residual is NaN at x = {x}")
-        return fi
-
-    return _brent(residual, *grid[[i, j]].tolist(), *fx[[i, j]].tolist(), _BRENTQ_XTOL * scale)
+    j = min(i + 1, len(grid) - 1)
+    return _brent(f, *grid[[i, j]].tolist(), *fx[[i, j]].tolist(), _BRENTQ_XTOL * scale)
 
 
 def _brent(f, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float) -> float:
     """Brent's method on the bracket [xpre, xcur] with residuals fpre, fcur,
     on floats, as C brentq (Brent 1973); f is called once per step, never
-    at the bracket ends."""
+    at the bracket ends, and a NaN residual raises."""
     if fpre == 0 or fcur == 0:
         return xpre if fpre == 0 else xcur
     if (fpre < 0) == (fcur < 0):
@@ -243,122 +235,100 @@ def _brent(f, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float) -
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = f(xcur)
+        if math.isnan(fcur):
+            raise RootFindingError(f"residual is NaN at x = {xcur}")
     raise RootFindingError(f"Brent's method did not converge in {_BRENTQ_MAXITER} steps")
 
 
-def optimal_price_power(mu: float, s: float, q: float, beta: float) -> PriceSolution:
-    """Price maximizing the worst-case ratio under fractional-moment knowledge.
+def _residuals(market: MarketInfo, p: np.ndarray, low: bool, cr: bool) -> dict:
+    """The regime conditions' residuals at the prices p, each with the sign of
+    its condition, by candidate label.  With the companion equation g(a, p) =
+    phi(a)(mu - p) + phi(p)(a - mu) - s(a - p), a' = -g_p / g_a and g_a > 0;
+    in the mid regime T = N / D and w_beta = N / M, N = mu (phi(0) - phi(p))
+    - p (phi(0) - s), D = N + beta (phi(0) - s) + mu (phi(beta) - phi(0)),
+    M = beta (phi(0) - phi(p)) + p (phi(beta) - phi(0)) > 0.
 
-    Four candidates: two low-regime roots (clipped by the left threshold,
-    and searched only below it when beta is finite) and two high-regime
-    points (clipped into the three-point region); the optimum is the
-    better of the clipped low and high candidates.
+    * ``bar_p_l``: where the two low branches cross, (mu - p)/(a - p) = p/a;
+    * ``hat_p_l``: where the low branch p / a is stationary, a g_a + p g_p = 0;
+    * ``hat_p_h``: where T is stationary, N' = 0 (D - N does not depend on p);
+    * ``bar_p_h``: where T crosses p / beta;
+    * ``hat_pi_l``, ``hat_pi_h``: where the low revenue p (mu - p)/(a - p)
+      and the mid revenue p w_beta are stationary.
     """
-    market = power_market(mu, s, q, beta)
-    require_feasible(market)
-    if market.is_degenerate:
-        return PriceSolution(mu, 1.0, REGIME_LOW_PRICE, "p_l", (("p_l", mu, 1.0),), None)
-    t1 = left_threshold(market)
-    t2 = right_threshold(market)
-    eps = 1e-9 * mu
-
-    # With beta = inf the companion near mu can be so large that the terms
-    # below overflow; the residual is then +inf, which keeps its sign.
-    def bar_pl_resid(p):
-        a = companion_point(market, p)
-        with np.errstate(over="ignore"):
-            return p - (a - np.sqrt(a * (a - mu)))
-
-    def hat_pl_resid(p):
-        a = companion_point(market, p)
-        with np.errstate(over="ignore"):
-            return (np.power(a, q) - np.power(p, q)) / (a - p) - q * s / mu
-
-    # Low roots above t1 never win (the low candidate is the smallest of
-    # t1 and the roots), and at t1 the companion point is beta; scanning on
-    # towards mu reaches companions beyond any bracket when q is near 1.
-    top = t1 if math.isfinite(beta) else mu * (1.0 - 1e-7)
-    raw = [(label, _scan_root(resid, eps, top, mu))
-           for label, resid in (("bar_p_l", bar_pl_resid), ("hat_p_l", hat_pl_resid))]
-    raw = [(label, root) for label, root in raw if root is not None]
-    low_parts = [t1] + [root for _, root in raw]
-
-    cands = []
-    if t1 > 0:
-        cands.append(("p_l", min(low_parts)))
-
-    hat_ph = (s / (q * mu)) ** (1.0 / (q - 1.0))
-    raw.append(("hat_p_h", hat_ph))
-    if math.isfinite(beta):
-        def bar_ph_resid(p):
-            return (beta ** q - np.power(p, q) + beta * np.power(p, q - 1.0)) \
-                / (2.0 * beta - p) - s / mu
-
-        bar_ph = _scan_root(bar_ph_resid, eps, t2, mu, last=True)
-        # At maximal dispersion (t1 = 0) the only member is {0, beta}, whose
-        # ratio p / beta peaks at t2 = beta.
-        high_parts = [t1, hat_ph] if t1 > 0 else [t2]
-        if bar_ph is not None:
-            raw.append(("bar_p_h", bar_ph))
-            high_parts.append(bar_ph)
-        p_high = min(max(high_parts), t2)
-        if p_high > 0:
-            cands.append(("p_h", p_high))
-
-    # Raw candidate values are reported at their in-range clip for audit.
-    cands += [(label, min(max(p, eps), t2)) for label, p in raw]
-    values = worst_case_cr(market, np.array([p for _, p in cands])).cr
-    cands = [(label, float(p), float(v)) for (label, p), v in zip(cands, values)]
-    return _select(cands[:2] + sorted(cands[2:], key=lambda c: c[0]))
+    mu, s, m = market.mu, market.s, market.measure
+    phi_p, dphi_p = m._value(p), m.derivative(p)
+    if low:
+        a = _companion(market, p)
+        g_a = m.derivative(a) * (mu - p) + phi_p - s
+        g_p = s - m._value(a) + dphi_p * (a - mu)
+        if cr:
+            return {"bar_p_l": p - a * mu / (a + np.sqrt(a * (a - mu))),
+                    "hat_p_l": a * g_a + p * g_p}
+        return {"hat_pi_l": (mu - 2.0 * p) * (a - p) * g_a + p * (mu - p) * (g_a + g_p)}
+    (phi0, phib), beta = market.phi_ends, market.beta
+    dp, ds, db = phi0 - phi_p, phi0 - s, phib - phi0
+    n = mu * dp - p * ds
+    if cr:
+        return {"hat_p_h": dphi_p - (s - phi0) / mu,
+                "bar_p_h": n / (n + beta * ds + mu * db) - p / beta}
+    return {"hat_pi_h": (n - p * (mu * dphi_p + ds)) * (beta * dp + p * db)
+            - p * n * (db - beta * dphi_p)}
 
 
-def optimal_price_general(market: MarketInfo, tol: float = 1e-8,
-                          objective: str = "cr") -> PriceSolution:
-    """Scan-and-rescan maximizer of the worst-case ratio (or revenue).
+def _condition_roots(market: MarketInfo, lo: float, hi: float, low: bool, cr: bool):
+    """[(label, root)] of the regime's conditions that change sign on [lo, hi]
+    (none if it is empty): the last root for ``bar_p_h``, else the first.  The
+    conditions share one scan grid, whose companion points are solved once."""
+    def at(x: float, label: str) -> float:   # a Brent step
+        return float(_residuals(market, np.array([x]), low, cr)[label][0])
 
-    Fallback path for custom dispersion measures: a fine scan of each regime
-    branch, rescanned around its best point down to a step of ``tol * mu``.
-    Accuracy is claimed only up to the first scan for multi-modal objectives.
+    if not hi > lo:
+        return []
+    grid = np.linspace(lo, hi, _ROOT_SCAN)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        roots = [(label, _refine(lambda x, k=label: at(x, k), grid, fx, market.mu,
+                                 label == "bar_p_h"))
+                 for label, fx in _residuals(market, grid, low, cr).items()]
+    return [(label, root) for label, root in roots if root is not None]
+
+
+def optimal_price_general(market: MarketInfo, objective: str = "cr") -> PriceSolution:
+    """Price maximizing the worst-case ratio (objective "cr") or revenue ("rev").
+
+    In each regime the ratio is the smaller of a tail branch and p / y, so
+    its maximum lies at a threshold, a crossing of the branches or a
+    stationary point of one; the revenue's at a threshold or a stationary
+    point.  The candidates, valued in one array call, are t1, t2 (beta
+    finite) and the roots of :func:`_residuals`: low ones on (1e-9 mu, t1]
+    (up to mu (1 - 1e-7) when beta = inf), mid ones on [t1, t2] when t1 > 0.
+    The solution lists ``p_l`` and ``p_h`` (``pi_l``, ``pi_h``), the best of
+    each regime, then the roots by price.
     """
-    require_feasible(market)
     if objective not in ("cr", "rev"):
         raise RobustPriceError(f"objective must be 'cr' or 'rev', got {objective!r}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise RobustPriceError(f"tol must be positive and finite, got {tol}")
-    mu = market.mu
+    cr, mu = objective == "cr", market.mu
+    require_feasible(market)
     if market.is_degenerate:
-        val = 1.0 if objective == "cr" else mu
-        return PriceSolution(mu, val, REGIME_LOW_PRICE, "p_l", (("p_l", mu, val),), None)
+        return _select([("p_l", mu, 1.0) if cr else ("pi_l", mu, mu)])
+    t1, t2 = left_threshold(market), right_threshold(market)
+    finite, ends = math.isfinite(market.beta), [t1] if t1 > 0 else []
+    low = _condition_roots(market, 1e-9 * mu, t1 if finite else mu * (1.0 - 1e-7), True, cr)
+    mid = _condition_roots(market, t1, t2, False, cr) if ends and finite else []
+    regimes = [("p_l" if cr else "pi_l", ends, low),
+               ("p_h" if cr else "pi_h", ends + [t2] if finite else [], mid)]
+    prices = sorted({p for _, e, roots in regimes for p in e + [r for _, r in roots]})
+    values = worst_case_cr(market, np.array(prices)).cr if cr \
+        else worst_case_revenue(market, np.array(prices))
+    value = dict(zip(prices, values.tolist()))
+    best = [(label, p, value[p]) for label, e, roots in regimes if e
+            for p in [max(e + [r for _, r in roots], key=value.get)]]
+    return _select(best + [(label, p, value[p]) for label, p in
+                           sorted(low + mid, key=lambda r: r[1])])
 
-    def f(p):
-        if objective == "cr":
-            return worst_case_cr(market, p).cr
-        return worst_case_revenue(market, p)
 
-    t1 = left_threshold(market)
-    t2 = right_threshold(market)
-    if not math.isfinite(market.beta):
-        t2 = mu  # beyond the low regime the objective is 0 when beta is infinite
-    segments = []
-    if t1 > 0:
-        segments.append(("p_l", 1e-9 * mu, t1))
-    if t2 > t1:
-        segments.append(("p_h", t1 if t1 > 0 else 1e-9 * mu, t2))
-    labels, lo, hi = (np.array(v) for v in zip(*segments))
-    # A rescan spans at most two steps of the grid before it, so it divides
-    # the step by (_ROOT_SCAN - 1) / 2 at least; eps * mu is the finest step.
-    shrink = math.log(np.max(hi - lo) / ((_ROOT_SCAN - 1) * mu)) - math.log(max(tol, _EPS))
-    rows = np.arange(len(labels))
-    best_p = best_v = np.full(len(labels), -np.inf)
-    for _ in range(1 + max(0, math.ceil(shrink / math.log((_ROOT_SCAN - 1) / 2)))):
-        grid = np.linspace(lo, hi, _ROOT_SCAN, axis=-1)
-        vals = f(grid.reshape(-1)).reshape(grid.shape)
-        i = np.argmax(vals, axis=1)
-        p, v = grid[rows, i], vals[rows, i]
-        best_p, best_v = np.where(v > best_v, p, best_p), np.maximum(v, best_v)
-        lo = grid[rows, np.maximum(i - 1, 0)]
-        hi = grid[rows, np.minimum(i + 1, _ROOT_SCAN - 1)]
-    return _select(list(zip(labels.tolist(), best_p.tolist(), best_v.tolist())))
+def optimal_price_power(mu: float, s: float, q: float, beta: float) -> PriceSolution:
+    """:func:`optimal_price_general` on the power market (ratio objective)."""
+    return optimal_price_general(power_market(mu, s, q, beta))
 
 
 @dataclass(frozen=True)

@@ -166,8 +166,11 @@ def verify_dual_certificate(market: MarketInfo, p: float, target: str,
 
     Verifies (a) the sense inequality F vs the tail indicator at every grid
     point, (b) dual objective l0 + l1 mu + l2 s equals the primal bound,
-    and (c) complementary slackness at the claimed support points.
+    and (c) complementary slackness at the claimed support points.  The grid
+    spans [0, beta], so beta = inf raises UnboundedSupportError.
     """
+    if not math.isfinite(market.beta):
+        raise UnboundedSupportError("the certificate grid needs a finite maximum valuation")
     if market.is_degenerate:
         return CertificateReport(True, target, "degenerate", None,
                                  float("nan"), float("nan"), 0.0, float("nan"),

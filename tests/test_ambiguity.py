@@ -287,6 +287,19 @@ class TestCompanionArray:
                 companion_point(market, np.array([0.2, bad, t2]))
 
 
+    @pytest.mark.parametrize("market", [power_market(0.5, 0.45, 1.5, 1.0),
+                                        variance_market(0.5, 0.3, math.inf),
+                                        variance_market(0.5, 0.3, 1.0),
+                                        variance_market(0.5, 0.0, 1.0)],
+                             ids=["power", "variance-unbounded", "variance", "point-mass"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_price_raises(self, market, bad):
+        with pytest.raises(RobustPriceError, match="nonnegative and finite"):
+            companion_point(market, bad)
+        with pytest.raises(RobustPriceError, match="nonnegative and finite"):
+            companion_point(market, np.array([0.2, bad]))
+
+
 class TestThresholdCache:
     def test_solved_once_per_market(self):
         calls = []

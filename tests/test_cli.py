@@ -5,7 +5,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from robustprice import cli
+from robustprice import cli, optimal_price_general, power_market
 
 
 def run(capsys, argv):
@@ -28,6 +28,11 @@ def usage_error(capsys, argv):
     assert exc.value.code == cli.EXIT_USAGE
     assert cap.out == ""
     return cap.err
+
+
+def _printed(x):
+    """A number as the CLI prints it in JSON: 12 significant digits."""
+    return float(f"{x:.12g}")
 
 
 def schema(name):
@@ -65,6 +70,18 @@ class TestPrice:
         labels = {c[0] for c in obj["candidates"]}
         assert "hat_p_h" in labels
         jsonschema.validate(obj, schema("price"))
+
+    def test_power_both_objectives_print_the_library(self, capsys):
+        obj = run_json(capsys, ["price", "--mu", "0.5", "--s", "0.45", "--phi", "power:q=1.5",
+                                "--beta", "1", "--objective", "both"])
+        for objective in ("cr", "rev"):
+            sol = optimal_price_general(power_market(0.5, 0.45, 1.5, 1.0), objective)
+            got = obj[objective]
+            jsonschema.validate(got, schema("price"))
+            assert (got["price"], got["value"], got["label"], got["regime"]) == (
+                _printed(sol.price), _printed(sol.value), sol.label, sol.regime)
+            assert got["candidates"] == [[label, _printed(p), _printed(v)]
+                                         for label, p, v in sol.candidates]
 
     def test_compat_flag_changes_price(self, capsys):
         obj = run_json(capsys, ["price", "--mu", "0.5", "--sigma", "0.5",
@@ -287,6 +304,18 @@ class TestSweep:
                                     "--beta", "1", "--vary", "sigma",
                                     "--values", "0.1,0.8"])
         assert code == cli.EXIT_INFEASIBLE
+
+    def test_power_q_both_objectives_print_the_library(self, capsys):
+        code, out, _ = run(capsys, ["sweep", "--mu", "0.5", "--s", "0.45", "--beta", "1",
+                                    "--vary", "q", "--values", "1.3,1.5,2.5",
+                                    "--objective", "both"])
+        assert code == cli.EXIT_OK
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        for row, q in zip(rows, (1.3, 1.5, 2.5), strict=True):
+            cr, rev = (optimal_price_general(power_market(0.5, 0.45, q, 1.0), objective)
+                       for objective in ("cr", "rev"))
+            assert row == [f"{q:.6f}", f"{cr.price:.6f}", cr.label, f"{cr.value:.6f}",
+                           f"{rev.price:.6f}", f"{rev.value:.6f}"]
 
     def test_varied_spread_replaces_the_other_flag(self, capsys):
         # Varying sigma drops --s, and varying s drops --sigma.

@@ -90,6 +90,11 @@ class TestTwoPoint:
         with pytest.raises(RobustPriceError):
             two_point(m, 1.3)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_price(self, bad):
+        with pytest.raises(RobustPriceError, match="nonnegative and finite"):
+            two_point(variance_market(0.5, 0.3, math.inf), bad)
+
     def test_rejects_mid_range_price(self):
         # Between the thresholds the companion leaves [0, beta].
         m = variance_market(0.5, 0.3, 1.2)
@@ -132,6 +137,11 @@ class TestThreePoint:
     def test_needs_finite_beta(self):
         with pytest.raises(UnboundedSupportError):
             three_point(variance_market(0.5, 0.5, math.inf), 0.6)
+
+    def test_masses_need_finite_beta(self):
+        for p in (0.6, np.array([0.6, 0.8])):
+            with pytest.raises(UnboundedSupportError):
+                three_point_masses(variance_market(0.5, 0.5, math.inf), p)
 
     def test_moments_over_random_markets(self):
         rng = np.random.default_rng(12)

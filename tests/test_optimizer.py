@@ -300,14 +300,14 @@ class TestPowerOptimizer:
 class TestGeneralOptimizer:
     def test_matches_variance_closed_form(self):
         m = variance_market(0.5, 0.3, 1.0)
-        sol = optimal_price_general(m, tol=1e-8)
+        sol = optimal_price_general(m)
         ref = optimal_price_variance(0.5, 0.3, 1.0, with_threshold=False)
         assert sol.price == pytest.approx(ref.price, abs=1e-6)
         assert sol.value == pytest.approx(ref.value, abs=1e-6)
 
     def test_matches_power_closed_form(self):
         m = power_market(mu=0.5, s=0.45, q=1.5, beta=1.0)
-        sol = optimal_price_general(m, tol=1e-8)
+        sol = optimal_price_general(m)
         ref = optimal_price_power(0.5, 0.45, 1.5, 1.0)
         assert sol.price == pytest.approx(ref.price, abs=1e-6)
         assert sol.value == pytest.approx(ref.value, abs=1e-6)
@@ -327,6 +327,31 @@ class TestGeneralOptimizer:
     def test_bad_objective(self):
         with pytest.raises(RobustPriceError):
             optimal_price_general(variance_market(0.5, 0.1, 1.0), objective="welfare")
+
+    # Toward either end of the dispersion range both paths lose digits with
+    # the conditioning, about 1e-12 at u = 1e-6 or 1 - 1e-6; the ends
+    # themselves are pinned by test_table_ends.
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(mu=st.floats(0.3, 1.5), spread=st.floats(1.01, 6.0), u=st.floats(0.01, 0.99),
+           bounded=st.booleans(), objective=st.sampled_from(["cr", "rev"]))
+    def test_equals_the_variance_table(self, mu, spread, u, bounded, objective):
+        beta = mu * spread if bounded else math.inf
+        sigma = u * math.sqrt(mu * (mu * spread - mu))
+        table = (optimal_price_variance if objective == "cr"
+                 else optimal_price_revenue_variance)(mu, sigma, beta, with_threshold=False)
+        sol = optimal_price_general(variance_market(mu, sigma, beta), objective)
+        assert abs(sol.value - table.value) <= 1e-13 * (1.0 if objective == "cr" else mu)
+        assert abs(sol.price - table.price) <= 1e-12 * mu
+        assert sol.regime == table.regime
+
+    @pytest.mark.parametrize("objective", ["cr", "rev"])
+    def test_table_ends(self, objective):
+        # Table 1's ends: the point mass, and the {0, beta} member priced at beta.
+        table = optimal_price_variance if objective == "cr" else optimal_price_revenue_variance
+        for sigma in (0.0, 0.5):
+            sol = optimal_price_general(variance_market(0.5, sigma, 1.0), objective)
+            ref = table(0.5, sigma, 1.0, with_threshold=False)
+            assert (sol.price, sol.value, sol.regime) == (ref.price, ref.value, ref.regime)
 
 
 class TestComparePrices:

@@ -207,6 +207,11 @@ class TestDualCertificates:
         rep = verify_dual_certificate(M, 0.6, TARGET_INF_TAIL)
         assert rep.certificate.lambda2 > 0
 
+    def test_unbounded_market_raises(self):
+        for target in (TARGET_SUP_TAIL, TARGET_INF_TAIL):
+            with pytest.raises(UnboundedSupportError):
+                verify_dual_certificate(variance_market(0.5, 0.3, math.inf), 0.3, target)
+
     def test_degenerate_skip(self):
         rep = verify_dual_certificate(variance_market(0.5, 0.0, 1.0), 0.3,
                                       TARGET_SUP_TAIL)
