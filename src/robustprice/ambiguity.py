@@ -57,6 +57,8 @@ class MarketInfo:
     The support thresholds, the degeneracy flag and the dispersion excess
     are computed on first use and kept on the instance; a failed
     computation is not kept, so an infeasible market raises on every access.
+    ``dataclasses.replace`` computes them again: its excess is s - phi(mu),
+    which loses a variance market's exact sigma**2 (see :func:`variance_market`).
     """
 
     mu: float
@@ -248,6 +250,16 @@ def require_feasible(market: MarketInfo) -> None:
         raise InfeasibleMarketError(rep.reason)
 
 
+def _check_price(p, hi: float) -> None:
+    """The one price rule: raise unless each price in p (float or array) is in (0, hi], finite."""
+    p = np.asarray(p, dtype=float).reshape(-1)
+    ok = (p > 0) & (p <= min(hi, _PRICE_MAX))
+    if np.count_nonzero(ok) < p.size:
+        x = p[~ok][0]
+        raise RobustPriceError(f"price {x} exceeds maximum valuation {hi}" if 0 < x < math.inf
+                               else f"price must be nonnegative and finite, and nonzero, got {x}")
+
+
 def as_price_array(p):
     """(prices as a 1-d float array, function giving a result p's shape).
 
@@ -275,14 +287,16 @@ def companion_point(market: MarketInfo, p):
 
     p may be a float or an array; every price is solved by the same
     elementwise iteration, so a price gives the same companion alone or
-    inside an array.  Raises if any price is NaN, infinite, negative, at the
-    mean, or strictly between the mean and the right threshold.
+    inside an array.  Raises if a price is NaN, negative, with phi(p) infinite,
+    at the mean, or strictly between the mean and the right threshold.
     """
     mu = market.mu
     p, restore = as_price_array(p)
-    bad = ~(p >= 0) | (p == math.inf)   # NaN fails p >= 0
+    with np.errstate(all="ignore"):   # an overflowing phi(p) is inf and fails
+        bad = ~(p >= 0) | ~np.isfinite(market.measure._value(np.abs(p)))   # NaN fails both
     if bad.any():
-        raise RobustPriceError(f"price must be nonnegative and finite, got {p[bad][0]}")
+        raise RobustPriceError(
+            f"price must be nonnegative and finite, phi(p) too, got {p[bad][0]}")
     if not market.is_degenerate:
         if np.any(np.abs(p - mu) <= _DEGEN_RTOL * mu):
             raise RobustPriceError("companion point is singular at p = mu")

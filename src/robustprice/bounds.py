@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import (_BAND, _PRICE_MAX, MODE_EXACT, MODE_UPPER, MarketInfo,
+from .ambiguity import (_BAND, MODE_EXACT, MODE_UPPER, MarketInfo, _check_price,
                         _companion, _price_edges, as_price_array, is_point_mass,
                         variance_companion, variance_thresholds)
 from .errors import (InternalConsistencyError, ModeError, RobustPriceError,
@@ -46,15 +46,6 @@ class TailBounds:
     sup_cond_exp: float
     best_case_rev: float
     regime: str
-
-
-def _check_price(p: np.ndarray, hi: float) -> None:
-    """Raise unless every price lies in (0, hi]; NaN and inf never do."""
-    ok = (p > 0) & (p <= min(hi, _PRICE_MAX))
-    if np.count_nonzero(ok) < p.size:
-        x = p[~ok][0]
-        raise RobustPriceError(f"price {x} exceeds maximum valuation {hi}" if 0 < x < math.inf
-                               else f"price must be positive and finite, got {x}")
 
 
 def _member_masses(mu: float, s, beta: float, p, phi_p, phi0: float, phib: float):

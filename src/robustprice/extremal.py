@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .ambiguity import MarketInfo, companion_point, left_threshold, right_threshold
+from .ambiguity import MarketInfo, _check_price, companion_point, left_threshold, right_threshold
 from .bounds import _member_masses, _tails
 from .dispersion import DispersionMeasure
 from .errors import RobustPriceError, UnboundedSupportError
@@ -59,21 +59,17 @@ class DiscreteDistribution:
     def revenue(self, p: float) -> float:
         return p * self.tail(p)
 
-    def optimal_revenue(self, extra_prices: Tuple[float, ...] = ()) -> float:
-        """max over support points (and optional extra prices) of t * P(X >= t).
+    def optimal_revenue(self) -> float:
+        """max over support points of t * P(X >= t).
 
         For finite support the supremum over all prices is attained at a
         support point, so scanning the support is exact.
         """
-        best = 0.0
-        for t in list(self.supports) + list(extra_prices):
-            if t > 0:
-                best = max(best, t * self.tail(t))
-        return best
+        return max((t * self.tail(t) for t in self.supports if t > 0), default=0.0)
 
     def ratio(self, p: float) -> float:
         """Revenue at p relative to the optimal revenue for this distribution."""
-        opt = self.optimal_revenue(extra_prices=(p,))
+        opt = self.optimal_revenue()
         if opt == 0.0:
             return 1.0 if self.revenue(p) == 0.0 else math.inf
         return self.revenue(p) / opt
@@ -104,11 +100,11 @@ def two_point(market: MarketInfo, p: float) -> DiscreteDistribution:
     Admissible for p in [0, left_threshold] or p in [right_threshold, beta],
     where both support points stay inside [0, beta].
     """
+    if p != 0:   # NaN included
+        _check_price(p, market.beta)
     if market.is_degenerate:
         return point_mass(market.mu)
     mu = market.mu
-    if p < 0 or p > market.beta:
-        raise RobustPriceError(f"price {p} outside support [0, {market.beta}]")
     if p == 0.0:
         a = right_threshold(market)
     else:
@@ -131,6 +127,7 @@ def three_point(market: MarketInfo, p: float) -> DiscreteDistribution:
     Exists (all masses nonnegative) exactly for p between the two support
     thresholds; its masses need a finite maximum valuation.
     """
+    _check_price(p, market.beta)
     if market.is_degenerate:
         return point_mass(market.mu)
     t1, t2 = left_threshold(market), right_threshold(market)
@@ -167,12 +164,11 @@ def worst_case_distribution(market: MarketInfo, p: float, eps: float = None) -> 
     two-point member already gives ratio 0.  With beta = inf no member
     attains the bounds between the mean and the right threshold.
     """
+    _check_price(p, market.beta)
     if eps is None:
         eps = 1e-9 * (market.beta if math.isfinite(market.beta) else market.mu)
     if not 0 < eps < p:
         raise RobustPriceError(f"need 0 < eps < p, got eps={eps}, p={p}")
-    if not p <= market.beta or math.isinf(p):
-        raise RobustPriceError(f"price {p} outside (0, {market.beta}]")
     pm = p - eps
     lo, hi, y, _ = _tails(market, np.array([pm]))
     if market.is_degenerate:

@@ -307,7 +307,6 @@ def optimal_price_general(market: MarketInfo, objective: str = "cr") -> PriceSol
     if objective not in ("cr", "rev"):
         raise RobustPriceError(f"objective must be 'cr' or 'rev', got {objective!r}")
     cr, mu = objective == "cr", market.mu
-    require_feasible(market)
     if market.is_degenerate:
         return _select([("p_l", mu, 1.0) if cr else ("pi_l", mu, mu)])
     t1, t2 = left_threshold(market), right_threshold(market)

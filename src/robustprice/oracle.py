@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ._kernels import DISP_TOL, MASS_TOL, enumerate_min
-from .ambiguity import (MarketInfo, _companion, companion_point,
+from .ambiguity import (MarketInfo, _check_price, _companion, companion_point,
                         left_threshold, right_threshold, variance_market)
 from .bounds import (REGIME_HIGH, REGIME_LOW, REGIME_MID, tail_prob_max,
                      tail_prob_min)
@@ -42,6 +42,7 @@ def oracle_grid(market: MarketInfo, p: float, grid_n: int) -> Tuple[np.ndarray, 
     t2 are two-point members on a price and its companion.  Returns
     (grid, eps) where eps is the left-limit offset, (beta/grid_n)/1000.
     """
+    _check_price(p, market.beta)
     if grid_n < MIN_GRID_N:
         raise RobustPriceError(f"grid_n must be at least {MIN_GRID_N}, got {grid_n}")
     if not math.isfinite(market.beta):
@@ -49,7 +50,7 @@ def oracle_grid(market: MarketInfo, p: float, grid_n: int) -> Tuple[np.ndarray, 
     beta = market.beta
     eps = (beta / grid_n) / 1000.0
     t1, t2 = left_threshold(market), right_threshold(market)
-    prices = np.array([min(p, beta), max(p - eps, 0.0)])
+    prices = np.array([p, max(p - eps, 0.0)])
     # t1 can round to mu when beta >> mu, where the companion is singular.
     paired = prices[(prices < market.mu) & (prices <= t1) | (prices >= t2)]
     companions = _companion(market, paired)
@@ -62,8 +63,9 @@ def oracle_grid(market: MarketInfo, p: float, grid_n: int) -> Tuple[np.ndarray, 
 def _run_kernel(market: MarketInfo, p: float, grid_n: int):
     g, _ = oracle_grid(market, p, grid_n)
     phi = np.asarray(market.measure.value(g), dtype=float)
+    # A pair's dispersion error scales like phi, so its bound does too.
     cr, rev, cr_wit, rev_wit, n_feas = enumerate_min(
-        g, phi, market.mu, market.s, p, DISP_TOL, MASS_TOL)
+        g, phi, market.mu, market.s, p, DISP_TOL * np.ptp(phi), MASS_TOL)
     if n_feas == 0 or not math.isfinite(cr):
         raise InfeasibleMarketError(
             f"no feasible grid-supported distribution at grid_n={grid_n}")
@@ -125,17 +127,15 @@ class CertificateReport:
     note: str = ""
 
 
-def _certificate(market: MarketInfo, p: float, target: str) -> Tuple[DualCertificate, str, Tuple[float, ...]]:
+def _certificate(market: MarketInfo, p: float, target: str) -> Optional[Tuple[DualCertificate, str, Tuple[float, ...]]]:
     """Multipliers fixed by complementary slackness on the member attaining
-    the bound, plus that member's support points.
+    the bound, plus its support points; None if they repeat ({0, beta, beta}).
 
     F equals the tail indicator at each support point: 1{x >= p} for the
     sup tail, its left limit 1{x > p} for the inf tail.  On a two-point
     member F also touches the indicator at the point other than p (at t2
     for {0, t2}), so F' = 0 there.  The three conditions are one 3x3 solve.
     """
-    if target not in (TARGET_SUP_TAIL, TARGET_INF_TAIL):
-        raise RobustPriceError(f"unknown certificate target {target!r}")
     sup = target == TARGET_SUP_TAIL
     t1, t2 = left_threshold(market), right_threshold(market)
     if p <= t1:
@@ -148,6 +148,8 @@ def _certificate(market: MarketInfo, p: float, target: str) -> Tuple[DualCertifi
         regime, supports, flat = REGIME_HIGH, (a, p), a
     else:
         regime, supports, flat = REGIME_HIGH, (0.0, t2), t2
+    if len(set(supports)) < len(supports):
+        return None
     m = market.measure
     rows = [[1.0, x, m.value(x)] for x in supports]   # F(x) = row . (l0, l1, l2)
     rhs = [float(x >= p if sup else x > p) for x in supports]
@@ -167,19 +169,22 @@ def verify_dual_certificate(market: MarketInfo, p: float, target: str,
     Verifies (a) the sense inequality F vs the tail indicator at every grid
     point, (b) dual objective l0 + l1 mu + l2 s equals the primal bound,
     and (c) complementary slackness at the claimed support points.  The grid
-    spans [0, beta], so beta = inf raises UnboundedSupportError.
+    spans [0, beta], so beta = inf raises UnboundedSupportError.  The point
+    mass, and {0, beta} at p = beta for the inf tail, skip ("degenerate-skip").
     """
+    _check_price(p, market.beta)
+    if target not in (TARGET_SUP_TAIL, TARGET_INF_TAIL):
+        raise RobustPriceError(f"unknown certificate target {target!r}")
     if not math.isfinite(market.beta):
         raise UnboundedSupportError("the certificate grid needs a finite maximum valuation")
-    if market.is_degenerate:
+    found = None if market.is_degenerate else _certificate(market, p, target)
+    if found is None:
         return CertificateReport(True, target, "degenerate", None,
                                  float("nan"), float("nan"), 0.0, float("nan"),
                                  note="degenerate-skip")
-    if p > market.beta and target == TARGET_INF_TAIL:
-        raise RobustPriceError(f"price {p} exceeds maximum valuation {market.beta}")
     # Indicators at p-minus are handled by the closed forms themselves; the
     # certificate uses the plain indicator 1{x >= p}.
-    cert, regime, supports = _certificate(market, p, target)
+    cert, regime, supports = found
     m = market.measure
     x = np.linspace(0.0, market.beta, grid_n)
     F = cert.lambda0 + cert.lambda1 * x + cert.lambda2 * np.asarray(m.value(x))

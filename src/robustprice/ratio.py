@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import (MODE_UPPER, MarketInfo, as_price_array,
+from .ambiguity import (MODE_UPPER, MarketInfo, _check_price, as_price_array,
                         require_feasible, variance_market)
-from .bounds import HIGH, LOW, REGIMES, _check_price, _tails, variance_tails
+from .bounds import HIGH, LOW, REGIMES, _tails, variance_tails
 from .errors import RobustPriceError
 
 BRANCH_TAIL = "tail_ratio"
@@ -70,7 +70,6 @@ def worst_case_cr(market: MarketInfo, p) -> RatioBreakdown:
     p may be a float or an array of prices.  With beta = inf the ratio is
     0 from the mean on: the best-case conditional expectation is unbounded.
     """
-    require_feasible(market)
     p, restore = as_price_array(p)
     return _breakdown(p, *_tails(market, p), restore)
 
@@ -106,7 +105,6 @@ def worst_case_cr_dispersion_ub(market: MarketInfo, p):
     The exact-mode ratio up to the left threshold, the mean/maximum-only
     ratio above it.  p may be a float or an array of prices.
     """
-    require_feasible(market)
     p, restore = as_price_array(p)
     lo, hi, y, regime = _tails(market, p, MODE_UPPER)
     exact = np.minimum(*_branches(p, lo, hi, y, regime))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from robustprice import ambiguity, bounds, optimizer, ratio
-from robustprice.ambiguity import (MarketInfo, _solve_right_threshold,
+from robustprice.ambiguity import (MODE_EXACT, MODE_UPPER, MarketInfo, _solve_right_threshold,
                                    check_feasible, companion_point,
                                    left_threshold, power_market,
                                    right_threshold, variance_market,
@@ -22,8 +22,8 @@ from robustprice.optimizer import (_ROOT_SCAN, _THRESHOLD_SCAN, _scan_root, _var
                                    optimal_price_general, optimal_price_power,
                                    optimal_price_revenue_variance,
                                    optimal_price_variance, sigma_star)
-from robustprice.ratio import (worst_case_cr, worst_case_cr_variance,
-                               worst_case_revenue)
+from robustprice.ratio import (worst_case_cr, worst_case_cr_dispersion_ub,
+                               worst_case_cr_variance, worst_case_revenue)
 
 from test_evaluator import _exp_measure
 
@@ -502,10 +502,12 @@ class TestMaximalDispersion:
             verdicts = set()
             for k in range(-20, 21, 2):
                 m, calls = _market_near_cap(family, mu, beta, 1.0 + k * 2e-13)
+                upper, _ = _market_near_cap(family, mu, beta, 1.0 + k * 2e-13, MODE_UPPER)
                 feasible = check_feasible(m).feasible
                 p = 0.9 * beta
                 calls += [lambda: left_threshold(m), lambda: worst_case_cr(m, p),
-                          lambda: tail_bounds(m, p)]
+                          lambda: tail_bounds(m, p), lambda: optimal_price_general(m, "rev"),
+                          lambda: worst_case_cr_dispersion_ub(upper, p)]
                 for call in calls:
                     if feasible:
                         call()
@@ -521,21 +523,22 @@ class TestMaximalDispersion:
         assert min(r.pi_l, r.p_l, r.pi_h, r.p_h) >= 0.0
 
 
-def _market_near_cap(family, mu, beta, factor):
-    """A market whose dispersion is factor times its cap on [0, beta], and
-    the family's optimizer calls on it."""
+def _market_near_cap(family, mu, beta, factor, mode=MODE_EXACT):
+    """A market whose dispersion is factor times its cap on [0, beta], built
+    in ``mode`` by the family's constructor, and the family's optimizer
+    calls on it."""
     if family == "variance":
         sigma = math.sqrt(mu * (beta - mu) * factor)
-        return variance_market(mu, sigma, beta), [
+        return variance_market(mu, sigma, beta, mode), [
             lambda: optimal_price_variance(mu, sigma, beta, with_threshold=False),
             lambda: optimal_price_revenue_variance(mu, sigma, beta, with_threshold=False),
             lambda: worst_case_cr_variance(mu, sigma, beta, 0.9 * beta)]
     if family.startswith("power"):
         q = float(family[len("power"):])
         s = mu * beta ** (q - 1.0) * factor
-        return power_market(mu, s, q, beta), [lambda: optimal_price_power(mu, s, q, beta)]
+        return power_market(mu, s, q, beta, mode), [lambda: optimal_price_power(mu, s, q, beta)]
     cap = (1.0 - mu / beta) + (mu / beta) * math.exp(beta / mu)
-    m = MarketInfo(mu=mu, s=cap * factor, beta=beta, measure=_exp_measure(mu))
+    m = MarketInfo(mu=mu, s=cap * factor, beta=beta, measure=_exp_measure(mu), mode=mode)
     return m, [lambda: optimal_price_general(m)]
 
 

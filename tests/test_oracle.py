@@ -91,6 +91,20 @@ class TestOracleCR:
         oracle, _ = oracle_worst_case_cr(market, p, grid_n=61)
         assert closed - 1e-9 <= oracle <= closed + 1e-3
 
+    def test_power_of_two_scale_leaves_the_ratio_unchanged(self):
+        # Scaling by 2**k is exact on the grid, phi, mu, s and p, so the
+        # ratio cannot move when the dispersion bound scales with phi.  An
+        # absolute bound admitted non-members below a scale of about 1e-3.
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            market, p = random_feasible_instance(rng)
+            mu, sigma, beta = market.mu, market.sigma, market.beta
+            unit, _ = oracle_worst_case_cr(variance_market(mu, sigma, beta), p, grid_n=61)
+            for k in (-40, -20, -10, 10, 20, 40):
+                c = 2.0 ** k
+                scaled = variance_market(mu * c, sigma * c, beta * c)
+                assert oracle_worst_case_cr(scaled, p * c, grid_n=61)[0] == unit, (mu, k)
+
     def test_gap_shrinks_with_grid(self):
         rng = np.random.default_rng(52)
         for _ in range(5):
