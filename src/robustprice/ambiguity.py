@@ -95,7 +95,7 @@ class MarketInfo:
     @cached_property
     def is_degenerate(self) -> bool:
         """True when s = phi(mu): the only member is the point mass at mu."""
-        return bool(is_point_mass(self.s, self.measure.value(self.mu)))
+        return bool(is_point_mass(self.excess, self.s, self.measure.value(self.mu)))
 
     @cached_property
     def right_threshold(self) -> float:
@@ -190,13 +190,15 @@ def left_threshold(market: MarketInfo) -> float:
     return market.left_threshold
 
 
-def is_point_mass(s, phi_mu):
-    """True where s = phi(mu) to a relative _DEGEN_RTOL: the point-mass rule.
+def is_point_mass(excess, s, phi_mu):
+    """True where the excess s - phi(mu) is 0 to a relative _DEGEN_RTOL: the
+    point-mass rule.
 
-    Such a market's only member is the point mass at mu; for variance that is
-    sigma up to about 1e-6 mu.  s and phi_mu are floats or arrays that broadcast.
+    Such a market's only member is the point mass at mu; for variance, whose
+    excess is the exact sigma**2, that is sigma up to 1e-6 mu.  The arguments
+    are floats or arrays that broadcast.
     """
-    return np.abs(s - phi_mu) <= _DEGEN_RTOL * np.maximum(np.abs(phi_mu), np.abs(s))
+    return np.abs(excess) <= _DEGEN_RTOL * np.maximum(np.abs(phi_mu), np.abs(s))
 
 
 def variance_companion(mu: float, s2, p):
@@ -333,7 +335,8 @@ def _solve_companion(market: MarketInfo, p: np.ndarray) -> np.ndarray:
     root in the bracket, found by safeguarded Newton-bisection started at
     the end from which Newton converges monotonically.  Every operation is
     elementwise and converged entries leave the working arrays, so each
-    price follows the same iterates alone or inside an array.
+    price follows the same iterates alone or inside an array.  A price whose
+    phi(p) is not finite raises RobustPriceError.
     """
     mu, s, m = market.mu, market.s, market.measure
     phi, dphi = m.value, m.derivative
@@ -341,6 +344,8 @@ def _solve_companion(market: MarketInfo, p: np.ndarray) -> np.ndarray:
     below = p < mu
     # g(a) = phi(a) w + c a + c0, grouped so that no terms of size s*a cancel.
     phi_p = phi(p)
+    if not np.isfinite(phi_p).all():
+        raise RobustPriceError(f"phi(p) is not finite at p = {p[~np.isfinite(phi_p)][0]}")
     w, c, c0 = mu - p, phi_p - s, s * p - phi_p * mu
     # Above the mean: a root in [0, mu) exists iff g(0) <= 0, which holds
     # exactly for p >= right_threshold (at the threshold the companion is 0);

@@ -209,7 +209,7 @@ def variance_tails(mu: float, s2, beta: float, p: np.ndarray):
     evaluated in one call; the companion is :func:`variance_companion`.
     """
     return _variance_pass(mu, s2, beta, p, *variance_thresholds(mu, s2, beta),
-                          is_point_mass(mu * mu + s2, mu * mu))
+                          is_point_mass(s2, mu * mu + s2, mu * mu))
 
 
 def _variance_pass(mu: float, s2, beta: float, p: np.ndarray, t1, t2, point):

@@ -24,8 +24,7 @@ from .bounds import tail_bounds
 from .dispersion import DispersionMeasure, power_moment, variance_measure
 from .errors import RobustPriceError
 from .extremal import worst_case_distribution
-from .optimizer import (PriceSolution, compare_prices, optimal_price_general,
-                        optimal_price_revenue_variance, optimal_price_variance)
+from .optimizer import PriceSolution, _optimal, compare_prices
 from .oracle import MIN_GRID_N
 from .ratio import worst_case_cr, worst_case_cr_dispersion_ub
 from .verify import run_checks
@@ -184,13 +183,9 @@ def _json(v):
 
 
 def _solve_price(args, objective: str, with_threshold: bool = True) -> PriceSolution:
-    """The variance table for a market given by --sigma, else the general optimizer."""
-    if args.sigma is None:
-        return optimal_price_general(_market(args), objective=objective)
-    if objective == "cr":
-        return optimal_price_variance(args.mu, args.sigma, args.beta,
-                                      args.compat_printed_pl, with_threshold)
-    return optimal_price_revenue_variance(args.mu, args.sigma, args.beta, with_threshold)
+    """The optimizer on the market of the flags; --compat-printed-pl is for the ratio."""
+    return _optimal(_market(args), objective, args.compat_printed_pl and objective == "cr",
+                    with_threshold)
 
 
 def cmd_price(args) -> int:
@@ -231,12 +226,6 @@ def cmd_compare(args) -> int:
     return _emit(_json(compare_prices(args.mu, args.sigma, args.beta)), args.out)
 
 
-def _fmt6(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.6f}"
-
-
 def _sweep_solution(args, v: float, objective: str) -> PriceSolution:
     """The price with the varied flag set to v; sigma and s replace each other."""
     point = argparse.Namespace(**vars(args))
@@ -264,10 +253,10 @@ def cmd_sweep(args) -> int:
     for v in values:
         primary = "rev" if args.objective == "rev" else "cr"
         sol = _sweep_solution(args, v, primary)
-        row = [_fmt6(v), _fmt6(sol.price), sol.label, _fmt6(sol.value)]
+        row = [f"{v:.6f}", f"{sol.price:.6f}", sol.label, f"{sol.value:.6f}"]
         if both:
             rsol = _sweep_solution(args, v, "rev")
-            row += [_fmt6(rsol.price), _fmt6(rsol.value)]
+            row += [f"{rsol.price:.6f}", f"{rsol.value:.6f}"]
         lines.append(",".join(row))
     return _emit("\n".join(lines) + "\n", args.out)
 

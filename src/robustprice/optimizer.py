@@ -15,11 +15,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .ambiguity import (_BRENTQ_RTOL, _BRENTQ_XTOL, MarketInfo, _companion,
-                        left_threshold, power_market, require_feasible,
+from .ambiguity import (_BRENTQ_RTOL, _BRENTQ_XTOL, _DEGEN_RTOL, MODE_EXACT, MarketInfo,
+                        _companion, left_threshold, power_market, require_feasible,
                         right_threshold, variance_market, variance_thresholds)
 from .bounds import _variance_pass
-from .errors import InternalConsistencyError, RobustPriceError, RootFindingError
+from .errors import InternalConsistencyError, ModeError, RobustPriceError, RootFindingError
 from .ratio import _branches, worst_case_cr, worst_case_revenue
 
 REGIME_LOW_PRICE = "low"
@@ -29,6 +29,9 @@ REGIME_HIGH_PRICE = "high"
 _THRESHOLD_SCAN = 200
 _ROOT_SCAN = 2001
 _BRENTQ_MAXITER = 100
+# sigma / mu just outside the point-mass rule sigma**2 <= _DEGEN_RTOL (mu**2 + sigma**2),
+# whose edge is sqrt(_DEGEN_RTOL) (1 + _DEGEN_RTOL / 2): past it by far more than rounding.
+_POINT_MASS_EDGE = math.sqrt(_DEGEN_RTOL) * (1.0 + _DEGEN_RTOL)
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,10 @@ def _variance_table(mu: float, sigma, beta: float, objective: str,
 
 def _variance_threshold(mu: float, beta: float, objective: str) -> float:
     """First sigma in (0, sigma_max) where the best low candidate stops
-    beating the best high one; infinite when beta is."""
+    beating the best high one; infinite when beta is.  The scan starts at
+    1e-3 sigma_max or, if higher, at the point-mass rule's edge (capped at
+    sigma_max), below which the point mass (p_l) wins: the edge if high
+    already wins there, inf if the market there is the point mass."""
     if not (math.isfinite(mu) and mu > 0 and beta > mu):   # a NaN beta fails too
         variance_market(mu, 0.0, beta)   # raises with the market's message
     if not math.isfinite(beta):
@@ -124,36 +130,30 @@ def _variance_threshold(mu: float, beta: float, objective: str) -> float:
         return values[0] - np.maximum.reduce(values[1:])
 
     sigma_max = math.sqrt(mu * (beta - mu))
-    root = _scan_root(gap, 1e-3 * sigma_max, sigma_max * (1.0 - 1e-9), mu, _THRESHOLD_SCAN)
+    lo, hi = 1e-3 * sigma_max, sigma_max * (1.0 - 1e-9)
+    if lo < _POINT_MASS_EDGE * mu:   # the scan starts at the point-mass rule's edge
+        lo = min(_POINT_MASS_EDGE * mu, sigma_max)
+        if variance_market(mu, lo, beta).is_degenerate:
+            return math.inf
+        if gap(lo) <= 0:
+            return lo
+    root = _scan_root(gap, lo, hi, mu, _THRESHOLD_SCAN)
     if root is None:
         raise RootFindingError(f"no low/high value crossing on (0, {sigma_max})")
     return root
-
-
-def _optimal_variance(mu: float, sigma: float, beta: float, objective: str,
-                      compat_printed_pl: bool, with_threshold: bool) -> PriceSolution:
-    """The best present candidate of the variance table, and the threshold."""
-    market = variance_market(mu, sigma, beta)
-    require_feasible(market)
-    if market.is_degenerate:
-        return _select([("p_l", mu, 1.0) if objective == "cr" else ("pi_l", mu, mu)])
-    labels, *table = _variance_table(mu, sigma, beta, objective, compat_printed_pl)
-    cands = [(label, p, v) for label, p, v, keep in zip(labels, *(c.tolist() for c in table))
-             if keep]
-    return _select(cands, _variance_threshold(mu, beta, objective) if with_threshold else None)
 
 
 def optimal_price_variance(mu: float, sigma: float, beta: float,
                            compat_printed_pl: bool = False,
                            with_threshold: bool = True) -> PriceSolution:
     """Price maximizing the worst-case ratio under variance knowledge."""
-    return _optimal_variance(mu, sigma, beta, "cr", compat_printed_pl, with_threshold)
+    return _optimal(variance_market(mu, sigma, beta), "cr", compat_printed_pl, with_threshold)
 
 
 def optimal_price_revenue_variance(mu: float, sigma: float, beta: float,
                                    with_threshold: bool = True) -> PriceSolution:
     """Price maximizing the worst-case revenue under variance knowledge."""
-    return _optimal_variance(mu, sigma, beta, "rev", False, with_threshold)
+    return _optimal(variance_market(mu, sigma, beta), "rev", False, with_threshold)
 
 
 def sigma_star(mu: float, beta: float) -> float:
@@ -292,8 +292,28 @@ def _condition_roots(market: MarketInfo, lo: float, hi: float, low: bool, cr: bo
     return [(label, root) for label, root in roots if root is not None]
 
 
-def optimal_price_general(market: MarketInfo, objective: str = "cr") -> PriceSolution:
-    """Price maximizing the worst-case ratio (objective "cr") or revenue ("rev").
+def _optimal(market: MarketInfo, objective: str, compat_printed_pl: bool = False,
+             with_threshold: bool = False) -> PriceSolution:
+    """:func:`optimal_price_general`, whose variance table may take the printed
+    radical (see :func:`_low_price`) and attach sigma_star or delta_star."""
+    if objective not in ("cr", "rev"):
+        raise RobustPriceError(f"objective must be 'cr' or 'rev', got {objective!r}")
+    if market.mode != MODE_EXACT:
+        raise ModeError(f"the optimizers require mode='exact', the market has {market.mode!r}")
+    cr, mu, beta = objective == "cr", market.mu, market.beta
+    if market.is_degenerate:
+        return _select([("p_l", mu, 1.0) if cr else ("pi_l", mu, mu)])
+    if not market.measure.is_variance:
+        return _condition_optimal(market, cr)
+    require_feasible(market)
+    labels, *table = _variance_table(mu, market.sigma, beta, objective, compat_printed_pl)
+    cands = [(label, p, v) for label, p, v, keep in zip(labels, *(c.tolist() for c in table))
+             if keep]
+    return _select(cands, _variance_threshold(mu, beta, objective) if with_threshold else None)
+
+
+def _condition_optimal(market: MarketInfo, cr: bool) -> PriceSolution:
+    """The optimal price of a market other than the point mass, any measure.
 
     In each regime the ratio is the smaller of a tail branch and p / y, so
     its maximum lies at a threshold, a crossing of the branches or a
@@ -304,13 +324,8 @@ def optimal_price_general(market: MarketInfo, objective: str = "cr") -> PriceSol
     The solution lists ``p_l`` and ``p_h`` (``pi_l``, ``pi_h``), the best of
     each regime, then the roots by price.
     """
-    if objective not in ("cr", "rev"):
-        raise RobustPriceError(f"objective must be 'cr' or 'rev', got {objective!r}")
-    cr, mu = objective == "cr", market.mu
-    if market.is_degenerate:
-        return _select([("p_l", mu, 1.0) if cr else ("pi_l", mu, mu)])
     t1, t2 = left_threshold(market), right_threshold(market)
-    finite, ends = math.isfinite(market.beta), [t1] if t1 > 0 else []
+    mu, finite, ends = market.mu, math.isfinite(market.beta), [t1] if t1 > 0 else []
     low = _condition_roots(market, 1e-9 * mu, t1 if finite else mu * (1.0 - 1e-7), True, cr)
     mid = _condition_roots(market, t1, t2, False, cr) if ends and finite else []
     regimes = [("p_l" if cr else "pi_l", ends, low),
@@ -323,6 +338,16 @@ def optimal_price_general(market: MarketInfo, objective: str = "cr") -> PriceSol
             for p in [max(e + [r for _, r in roots], key=value.get)]]
     return _select(best + [(label, p, value[p]) for label, p in
                            sorted(low + mid, key=lambda r: r[1])])
+
+
+def optimal_price_general(market: MarketInfo, objective: str = "cr") -> PriceSolution:
+    """Price maximizing the worst-case ratio (objective "cr") or revenue ("rev").
+
+    A variance measure (also :func:`power_market` with q = 2) takes the closed
+    forms of :func:`_variance_table`, any other :func:`_condition_optimal`;
+    an upper-mode market raises :class:`ModeError`.
+    """
+    return _optimal(market, objective)
 
 
 def optimal_price_power(mu: float, s: float, q: float, beta: float) -> PriceSolution:
@@ -359,14 +384,13 @@ def compare_prices(mu: float, sigma: float, beta: float) -> OrderingReport:
         raise RobustPriceError("price comparison needs a finite maximum valuation")
     market = variance_market(mu, sigma, beta)
     require_feasible(market)
+    ss, ds = sigma_star(mu, beta), delta_star(mu, beta)
     if market.is_degenerate:
-        return OrderingReport(mu, mu, mu, mu, sigma, sigma_star(mu, beta),
-                              delta_star(mu, beta), False, True, False, True)
+        return OrderingReport(mu, mu, mu, mu, sigma, ss, ds, False, True, False, True)
     _, (pi_l, pi_h), _, (low_present, _) = _variance_table(mu, sigma, beta, "rev")
     _, prices, (_, v_h1, v_h2), _ = _variance_table(mu, sigma, beta, "cr")
     pi_l, pi_h, (p_l, p_h1, p_h2) = float(pi_l), float(pi_h), prices.tolist()
     p_h = p_h1 if v_h1 >= v_h2 else p_h2
-    ss, ds = sigma_star(mu, beta), delta_star(mu, beta)
     return OrderingReport(
         pi_l=pi_l, p_l=p_l, pi_h=pi_h, p_h=p_h, sigma=sigma, sigma_star=ss, delta_star=ds,
         low_ordering_applies=sigma <= min(ss, ds) and bool(low_present),

@@ -31,6 +31,7 @@ TARGET_INF_TAIL = "inf_tail"
 DEFAULT_GRID_N = 121
 MIN_GRID_N = 21
 CERT_GRID_N = 2001
+CERT_TOL = 1e-9   # a certificate's largest violation and duality gap
 
 
 def oracle_grid(market: MarketInfo, p: float, grid_n: int) -> Tuple[np.ndarray, float]:
@@ -161,9 +162,7 @@ def _certificate(market: MarketInfo, p: float, target: str) -> Optional[Tuple[Du
     return DualCertificate(l0, l1, l2, sense, target), regime, supports
 
 
-def verify_dual_certificate(market: MarketInfo, p: float, target: str,
-                            grid_n: int = CERT_GRID_N,
-                            tol: float = 1e-9) -> CertificateReport:
+def verify_dual_certificate(market: MarketInfo, p: float, target: str) -> CertificateReport:
     """Check the regime certificate on a grid and the weak-duality identity.
 
     Verifies (a) the sense inequality F vs the tail indicator at every grid
@@ -186,7 +185,7 @@ def verify_dual_certificate(market: MarketInfo, p: float, target: str,
     # certificate uses the plain indicator 1{x >= p}.
     cert, regime, supports = found
     m = market.measure
-    x = np.linspace(0.0, market.beta, grid_n)
+    x = np.linspace(0.0, market.beta, CERT_GRID_N)
     F = cert.lambda0 + cert.lambda1 * x + cert.lambda2 * np.asarray(m.value(x))
     ind = (x >= p).astype(float)
     sup = cert.sense == "dominates_indicator"
@@ -203,7 +202,7 @@ def verify_dual_certificate(market: MarketInfo, p: float, target: str,
     # p-minus, where the indicator's left limit is 0.
     slack = max(abs(cert.lambda0 + cert.lambda1 * xs + cert.lambda2 * float(m.value(xs))
                     - (xs >= p if sup else xs > p)) for xs in supports)
-    passed = (max_violation <= tol and abs(dual - primal) <= tol and slack <= 1e-8)
+    passed = max_violation <= CERT_TOL and abs(dual - primal) <= CERT_TOL and slack <= 1e-8
     return CertificateReport(passed, target, regime, cert, float(dual),
                              float(primal), max_violation, float(x[worst]))
 

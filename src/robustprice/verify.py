@@ -15,7 +15,7 @@ import numpy as np
 from .ambiguity import left_threshold, right_threshold
 from .bounds import best_case_revenue
 from .optimizer import optimal_price_variance
-from .oracle import (TARGET_INF_TAIL, TARGET_SUP_TAIL, oracle_worst_case,
+from .oracle import (CERT_TOL, TARGET_INF_TAIL, TARGET_SUP_TAIL, oracle_worst_case,
                      random_feasible_instance, random_four_point,
                      verify_dual_certificate)
 from .ratio import worst_case_cr
@@ -93,12 +93,12 @@ def certificate_deviation(markets):
     return n, dev, ok
 
 
-def four_point_gap(instances, worst, rng: np.random.Generator, draws: int = 100) -> float:
+def four_point_gap(instances, worst, rng: np.random.Generator) -> float:
     """Largest excess of the oracle CR minimum over the lowest ratio among
-    `draws` random four-point members of each instance."""
+    100 random four-point members of each instance."""
     gap = 0.0
     for (market, p), (o, _, _, _) in zip(instances, worst):
-        lowest = min(random_four_point(market, rng).ratio(p) for _ in range(draws))
+        lowest = min(random_four_point(market, rng).ratio(p) for _ in range(100))
         gap = max(gap, o - lowest)
     return gap
 
@@ -132,7 +132,7 @@ def run_checks(trials: int, grid_n: int, seed: int,
     dev = witness_deviation(instances, closed, worst, grid_n)
     yield ("witness_agreement", trials, dev, 1.0, dev <= 1.0)
     n, dev, ok = certificate_deviation(markets)
-    yield ("dual_certificates", n, dev, 1e-9, ok)
+    yield ("dual_certificates", n, dev, CERT_TOL, ok)
     k = min(trials, 10)
     dev = four_point_gap(instances[:k], worst[:k], rng)
     yield ("four_point_control", k, dev, 1e-9, dev <= 1e-9)

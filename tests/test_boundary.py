@@ -179,6 +179,17 @@ def test_companion_rejects_an_overflowing_phi():
         rp.companion_point(power_market(MU, 0.45, 1.5, BETA), 1e300)
 
 
+@pytest.mark.parametrize("call", [rp.tail_bounds, rp.worst_case_cr, rp.worst_case_revenue])
+def test_pass_rejects_an_overflowing_phi(call):
+    # With beta = inf every finite price is in the domain, but phi(1e300)
+    # overflows: the companion solve once read best_case_rev 0.49999999999999645
+    # there (about s / sqrt(p) = 4.5e-151 in truth), and the ratio 0.
+    m = power_market(MU, 0.45, 1.5, math.inf)
+    with pytest.raises(RobustPriceError, match="phi"):
+        call(m, 1e300)
+    call(m, 1e100)   # phi(1e100) = 1e150 is finite
+
+
 @pytest.mark.parametrize("market_name", MARKETS)
 def test_certificate_rejects_an_unknown_target(market_name):
     # The point mass has no certificate, so its skip report must not hide a bad target.

@@ -83,6 +83,18 @@ class TestPrice:
             assert got["candidates"] == [[label, _printed(p), _printed(v)]
                                          for label, p, v in sol.candidates]
 
+    @pytest.mark.parametrize("mu,sigma,beta", [("0.5", "0.3", "1"), ("0.5", "0.45", "1"),
+                                               ("1.2", "0.5", "3"), ("0.5", "0.3", "inf")])
+    def test_s_on_variance_prints_the_sigma_answer(self, capsys, mu, sigma, beta):
+        # --phi defaults to variance, so --s mu**2 + sigma**2 is the same market:
+        # the same table, candidates and threshold, byte for byte.
+        s = repr(float(mu) ** 2 + float(sigma) ** 2)
+        tail = ["--beta", beta, "--objective", "both"]
+        _, by_sigma, _ = run(capsys, ["price", "--mu", mu, "--sigma", sigma, *tail])
+        code, by_s, _ = run(capsys, ["price", "--mu", mu, "--s", s, *tail])
+        assert code == cli.EXIT_OK and by_s == by_sigma
+        assert json.loads(by_s)["cr"]["threshold"] is not None
+
     def test_compat_flag_changes_price(self, capsys):
         obj = run_json(capsys, ["price", "--mu", "0.5", "--sigma", "0.5",
                                 "--beta", "inf", "--compat-printed-pl"])

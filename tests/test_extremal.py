@@ -38,6 +38,10 @@ class TestDiscreteDistribution:
         assert d.ratio(0.5) == pytest.approx(1.0)
         assert d.ratio(0.6) == pytest.approx(0.0)
 
+    def test_ratio_without_revenue(self):
+        # All mass at 0: no price earns anything, the optimum included.
+        assert DiscreteDistribution(np.array([0.0]), np.array([1.0])).ratio(0.3) == 1.0
+
     def test_validation(self):
         with pytest.raises(RobustPriceError):
             DiscreteDistribution(np.array([0.5, 0.5]), np.array([0.5, 0.5]))

@@ -15,10 +15,10 @@ from robustprice.ambiguity import (MODE_EXACT, MODE_UPPER, MarketInfo, _solve_ri
                                    variance_thresholds)
 from robustprice.bounds import tail_bounds, variance_tails
 from robustprice.dispersion import custom_measure
-from robustprice.errors import (InfeasibleMarketError, InternalConsistencyError,
+from robustprice.errors import (InfeasibleMarketError, InternalConsistencyError, ModeError,
                                 RobustPriceError)
-from robustprice.optimizer import (_ROOT_SCAN, _THRESHOLD_SCAN, _scan_root, _variance_table,
-                                   compare_prices, delta_star,
+from robustprice.optimizer import (_ROOT_SCAN, _THRESHOLD_SCAN, _condition_optimal,
+                                   _scan_root, _variance_table, compare_prices, delta_star,
                                    optimal_price_general, optimal_price_power,
                                    optimal_price_revenue_variance,
                                    optimal_price_variance, sigma_star)
@@ -191,6 +191,61 @@ class TestSigmaStar:
     def test_unbounded_beta(self):
         assert sigma_star(0.5, math.inf) == math.inf
 
+    @pytest.mark.parametrize("threshold,solve", [(sigma_star, optimal_price_variance),
+                                                 (delta_star, optimal_price_revenue_variance)])
+    def test_never_inside_the_point_mass_rule(self, threshold, solve):
+        # With beta - mu below 1e-6 mu the scan starts at the rule's edge, just
+        # past 1e-6 mu; where high already wins there, the edge is the threshold.
+        for mu in (0.5, 3e-5, 2e4):
+            for gap in (3e-12, 1e-11, 1e-9, 1e-7, 1e-6, 1e-5):
+                beta = mu * (1.0 + gap)
+                t = threshold(mu, beta)
+                assert not variance_market(mu, t, beta).is_degenerate, (mu, gap)
+                assert 1e-6 * mu < t < 1.001e-6 * mu or gap >= 1e-7, (mu, gap)
+                below, above = (solve(mu, t * f, beta, with_threshold=False)
+                                for f in (1.0 - 1e-3, 1.0 + 1e-3))
+                assert (below.regime, above.regime) == ("low", "high"), (mu, gap)
+
+    @pytest.mark.parametrize("threshold,solve", [(sigma_star, optimal_price_variance),
+                                                 (delta_star, optimal_price_revenue_variance)])
+    def test_agrees_with_the_optimizer_at_the_rule_edge(self, threshold, solve):
+        # beta - mu near 1e-12 mu puts sigma_max at the rule's edge, inside it
+        # or not as beta rounds.  The threshold is inf exactly where the
+        # {0, beta} market is the point mass; elsewhere high wins there.
+        seen = set()
+        for mu in np.random.default_rng(3).uniform(0.1, 10.0, 100):
+            for gap in (0.9999e-12, 1e-12, 1.0001e-12):
+                beta = mu * (1.0 + gap)
+                t, sigma_max = threshold(mu, beta), math.sqrt(mu * (beta - mu))
+                top = solve(mu, sigma_max, beta, with_threshold=False)
+                seen.add(t == math.inf)
+                if t == math.inf:
+                    assert variance_market(mu, sigma_max, beta).is_degenerate, (mu, gap)
+                    assert (top.price, top.regime) == (mu, "low"), (mu, gap)
+                else:
+                    assert not variance_market(mu, t, beta).is_degenerate, (mu, gap)
+                    assert t <= sigma_max and top.regime == "high", (mu, gap)
+        assert seen == {True, False}
+
+    def test_rule_edge_is_sharp(self):
+        # The rule reads a variance market's exact sigma**2, so its edge
+        # sits at sigma = 1e-6 mu for every mu, not wherever mu**2 + sigma**2
+        # happens to round.
+        for mu in np.random.default_rng(5).uniform(1e-6, 1e6, 2000):
+            assert variance_market(mu, 1e-6 * mu, 2.0 * mu).is_degenerate, mu
+            assert not variance_market(mu, 1e-6 * (1.0 + 1e-12) * mu, 2.0 * mu).is_degenerate, mu
+
+    @pytest.mark.parametrize("threshold", [sigma_star, delta_star])
+    def test_every_feasible_sigma_the_point_mass(self, threshold):
+        # beta - mu below about 1e-12 mu: every market is the point mass, priced
+        # at mu in the low regime, so the high regime never takes over.
+        for gap in (1e-13, 9e-13):
+            mu = 0.5
+            beta = mu * (1.0 + gap)
+            assert threshold(mu, beta) == math.inf
+            sol = optimal_price_variance(mu, math.sqrt(mu * (beta - mu)), beta)
+            assert (sol.price, sol.label, sol.regime) == (mu, "p_l", "low")
+
     @pytest.mark.parametrize("threshold", [sigma_star, delta_star])
     @pytest.mark.parametrize("mu,beta,message", [
         (0.5, 0.4, "maximum valuation must exceed the mean"),
@@ -297,11 +352,24 @@ class TestPowerOptimizer:
             assert abs(sol.price - t1) > 1e-9
 
 
+def _square_market(mu, sigma, beta):
+    """(market, sigma) of mean/variance knowledge under the custom measure x**2,
+    which is not ``is_variance``, so the optimizer takes the generic condition
+    roots, not the variance table; sigma is the market's own, sqrt(s - mu**2),
+    since s = mu**2 + sigma**2 rounds."""
+    s = mu * mu + sigma * sigma
+    return MarketInfo(mu, s, beta, custom_measure(np.square, lambda x: 2 * x)), \
+        math.sqrt(s - mu * mu)
+
+
 class TestGeneralOptimizer:
+    # A variance market reads the table on every path, so these tests run the
+    # generic conditions on _square_market, or call _condition_optimal.
     def test_matches_variance_closed_form(self):
-        m = variance_market(0.5, 0.3, 1.0)
+        m, sigma = _square_market(0.5, 0.3, 1.0)
+        assert not m.measure.is_variance
         sol = optimal_price_general(m)
-        ref = optimal_price_variance(0.5, 0.3, 1.0, with_threshold=False)
+        ref = optimal_price_variance(0.5, sigma, 1.0, with_threshold=False)
         assert sol.price == pytest.approx(ref.price, abs=1e-6)
         assert sol.value == pytest.approx(ref.value, abs=1e-6)
 
@@ -318,9 +386,9 @@ class TestGeneralOptimizer:
         assert sol.value == pytest.approx(1.0)
 
     def test_revenue_objective(self):
-        m = variance_market(0.5, 0.1, 1.0)
+        m, sigma = _square_market(0.5, 0.1, 1.0)
         sol = optimal_price_general(m, objective="rev")
-        ref = optimal_price_revenue_variance(0.5, 0.1, 1.0, with_threshold=False)
+        ref = optimal_price_revenue_variance(0.5, sigma, 1.0, with_threshold=False)
         assert sol.price == pytest.approx(ref.price, abs=1e-6)
         assert sol.value == pytest.approx(ref.value, abs=1e-6)
 
@@ -330,7 +398,8 @@ class TestGeneralOptimizer:
 
     # Toward either end of the dispersion range both paths lose digits with
     # the conditioning, about 1e-12 at u = 1e-6 or 1 - 1e-6; the ends
-    # themselves are pinned by test_table_ends.
+    # themselves are pinned by test_table_ends.  The optimizer reads the table
+    # on a variance market, so the conditions are called directly.
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(mu=st.floats(0.3, 1.5), spread=st.floats(1.01, 6.0), u=st.floats(0.01, 0.99),
            bounded=st.booleans(), objective=st.sampled_from(["cr", "rev"]))
@@ -339,9 +408,44 @@ class TestGeneralOptimizer:
         sigma = u * math.sqrt(mu * (mu * spread - mu))
         table = (optimal_price_variance if objective == "cr"
                  else optimal_price_revenue_variance)(mu, sigma, beta, with_threshold=False)
-        sol = optimal_price_general(variance_market(mu, sigma, beta), objective)
+        sol = _condition_optimal(variance_market(mu, sigma, beta), objective == "cr")
         assert abs(sol.value - table.value) <= 1e-13 * (1.0 if objective == "cr" else mu)
         assert abs(sol.price - table.price) <= 1e-12 * mu
+        assert sol.regime == table.regime
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(mu=st.floats(0.3, 1.5), spread=st.floats(1.01, 6.0), u=st.floats(0.01, 0.99),
+           bounded=st.booleans(), objective=st.sampled_from(["cr", "rev"]))
+    def test_every_path_reads_the_table(self, mu, spread, u, bounded, objective):
+        # One optimizer body: a variance market reads the table whoever calls,
+        # so every field agrees to the bit, threshold and candidates included.
+        beta = mu * spread if bounded else math.inf
+        sigma = u * math.sqrt(mu * (mu * spread - mu))
+        table = (optimal_price_variance if objective == "cr"
+                 else optimal_price_revenue_variance)(mu, sigma, beta, with_threshold=False)
+        assert optimal_price_general(variance_market(mu, sigma, beta), objective) == table
+        s = mu * mu + sigma * sigma   # x**2 from power_market is the variance measure too
+        assert optimal_price_general(power_market(mu, s, 2.0, beta), objective) == (
+            optimal_price_variance if objective == "cr" else optimal_price_revenue_variance)(
+                mu, math.sqrt(s - mu * mu), beta, with_threshold=False)
+
+    # The same conditions on the custom measure x**2, whose companion is solved
+    # by Newton's method to 1e-14 mu, not in closed form; the conditions and
+    # values divide it by a - p, which shrinks like sigma, so the bound is
+    # 1e-13 mu / sigma.  At u = 0.01 the gaps reach 5.5e-12 in value and
+    # 1.3e-12 mu in price (600 random markets).
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(mu=st.floats(0.3, 1.5), spread=st.floats(1.01, 6.0), u=st.floats(0.01, 0.99),
+           bounded=st.booleans(), objective=st.sampled_from(["cr", "rev"]))
+    def test_generic_conditions_match_the_variance_table(self, mu, spread, u, bounded,
+                                                         objective):
+        beta = mu * spread if bounded else math.inf
+        m, sigma = _square_market(mu, u * math.sqrt(mu * (mu * spread - mu)), beta)
+        table = (optimal_price_variance if objective == "cr"
+                 else optimal_price_revenue_variance)(mu, sigma, beta, with_threshold=False)
+        sol, bound = optimal_price_general(m, objective), 1e-13 * mu / sigma
+        assert abs(sol.value - table.value) <= bound * (1.0 if objective == "cr" else mu)
+        assert abs(sol.price - table.price) <= bound * mu
         assert sol.regime == table.regime
 
     @pytest.mark.parametrize("objective", ["cr", "rev"])
@@ -349,9 +453,19 @@ class TestGeneralOptimizer:
         # Table 1's ends: the point mass, and the {0, beta} member priced at beta.
         table = optimal_price_variance if objective == "cr" else optimal_price_revenue_variance
         for sigma in (0.0, 0.5):
-            sol = optimal_price_general(variance_market(0.5, sigma, 1.0), objective)
+            sol = optimal_price_general(_square_market(0.5, sigma, 1.0)[0], objective)
             ref = table(0.5, sigma, 1.0, with_threshold=False)
             assert (sol.price, sol.value, sol.regime) == (ref.price, ref.value, ref.regime)
+
+    @pytest.mark.parametrize("objective", ["cr", "rev"])
+    @pytest.mark.parametrize("market", [
+        variance_market(0.5, 0.3, 1.0, MODE_UPPER), variance_market(0.5, 0.0, 1.0, MODE_UPPER),
+        power_market(0.5, 0.45, 1.5, 1.0, MODE_UPPER), power_market(0.5, 0.45, 1.5, math.inf,
+                                                                      MODE_UPPER)],
+        ids=["variance", "point_mass", "power", "power_unbounded"])
+    def test_upper_mode_raises_before_any_answer(self, market, objective):
+        with pytest.raises(ModeError, match="mode='exact'"):
+            optimal_price_general(market, objective)
 
 
 class TestComparePrices:
@@ -428,14 +542,17 @@ class TestPointMassRule:
                                       worst_case_cr(m, p).cr)
 
     def test_rule_ends_at_the_market_threshold(self):
-        # Just above the rule the market is a genuine one and the table answers.
-        m = variance_market(0.5, 5e-7, 1.0)
+        # sigma = 1e-6 mu is the rule's edge, inside it; just above it the
+        # market is a genuine one and the table answers.
+        assert variance_market(0.5, 5e-7, 1.0).is_degenerate
+        sigma = 5e-7 * (1.0 + 1e-12)
+        m = variance_market(0.5, sigma, 1.0)
         assert not m.is_degenerate
-        sol = optimal_price_variance(0.5, 5e-7, 1.0)
+        sol = optimal_price_variance(0.5, sigma, 1.0)
         assert sol.label == "p_l" and sol.price < 0.5 and sol.value < 1.0
-        assert sol.value == worst_case_cr_variance(0.5, 5e-7, 1.0, sol.price).cr
-        # The market keeps sigma**2 = 2.5e-13 exactly, so it reads the table's value.
-        assert worst_case_cr(m, sol.price).cr == sol.value == 0.9998999966668553
+        assert sol.value == worst_case_cr_variance(0.5, sigma, 1.0, sol.price).cr
+        # The market keeps sigma**2 exactly, so it reads the table's value.
+        assert worst_case_cr(m, sol.price).cr == sol.value == 0.9998999966668551
 
 
 class TestMaximalDispersion:

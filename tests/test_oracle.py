@@ -12,12 +12,13 @@ from robustprice.ambiguity import (MarketInfo, companion_point, left_threshold,
 from robustprice.bounds import (REGIME_HIGH, REGIME_LOW, REGIME_MID,
                                 tail_prob_max, tail_prob_min)
 from robustprice.errors import RobustPriceError, UnboundedSupportError
-from robustprice.oracle import (TARGET_INF_TAIL, TARGET_SUP_TAIL,
+from robustprice.oracle import (CERT_TOL, TARGET_INF_TAIL, TARGET_SUP_TAIL,
                                 oracle_grid, oracle_worst_case,
                                 oracle_worst_case_cr,
                                 oracle_worst_case_rev, random_feasible_instance,
                                 random_four_point, verify_dual_certificate)
 from robustprice.ratio import worst_case_cr, worst_case_revenue
+from robustprice.verify import certificate_deviation
 
 from test_evaluator import _exp_measure
 
@@ -230,6 +231,12 @@ class TestDualCertificates:
         rep = verify_dual_certificate(variance_market(0.5, 0.0, 1.0), 0.3,
                                       TARGET_SUP_TAIL)
         assert rep.passed and rep.note == "degenerate-skip"
+
+    def test_deviation_skips_the_zero_price(self):
+        # At maximal dispersion t1 = 0, so of 0.5 t1, (t1 + t2)/2 and beta the
+        # first is no price: two prices, each for both tails.
+        n, dev, ok = certificate_deviation([variance_market(0.5, 0.5, 1.0)])
+        assert (n, ok) == (4, True) and dev <= CERT_TOL
 
     @staticmethod
     def _check_market(m, extra=()):

@@ -153,7 +153,8 @@ class TestVarianceClosedForm:
 
     @pytest.mark.parametrize("mu,sigma,beta,field", [
         (0.5, math.nan, 1.0, "sigma"), (0.5, [0.1, math.nan], 1.0, "sigma"),
-        (0.5, 0.3, math.nan, "beta"), (-0.5, 0.3, 1.0, "mean"), (0.0, 0.3, 1.0, "mean")])
+        (0.5, 0.3, math.nan, "beta"), (-0.5, 0.3, 1.0, "mean"), (0.0, 0.3, 1.0, "mean"),
+        (0.5, [0.3, -0.1], 1.0, "sigma must be nonnegative")])   # a valid maximum sigma
     def test_rejects_bad_inputs(self, mu, sigma, beta, field):
         with pytest.raises(RobustPriceError, match=field):
             worst_case_cr_variance(mu, sigma, beta, 0.3)
