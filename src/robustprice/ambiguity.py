@@ -82,7 +82,7 @@ class MarketInfo:
         if self.mode not in (MODE_EXACT, MODE_UPPER):
             raise RobustPriceError(f"mode must be 'exact' or 'upper', got {self.mode!r}")
         phi_mu = self.measure.value(self.mu)
-        if self.s < phi_mu * (1 - 1e-12):
+        if self.s < phi_mu and not is_point_mass(self.s - phi_mu, self.s, phi_mu):
             raise InfeasibleMarketError(
                 f"dispersion s={self.s} below the point-mass minimum phi(mu)={phi_mu}")
 

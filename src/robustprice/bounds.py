@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import (_BAND, MODE_EXACT, MODE_UPPER, MarketInfo, _check_price,
-                        _companion, _price_edges, as_price_array, is_point_mass,
-                        variance_companion, variance_thresholds)
+                        _companion, _price_edges, as_price_array, variance_companion)
 from .errors import (InternalConsistencyError, ModeError, RobustPriceError,
                      UnboundedSupportError)
 
@@ -202,18 +201,13 @@ def _tails(market: MarketInfo, p: np.ndarray, mode: str = MODE_EXACT, attained=F
     return out
 
 
-def variance_tails(mu: float, s2, beta: float, p: np.ndarray):
+def _variance_pass(mu: float, s2, beta: float, p: np.ndarray, t1, t2, point):
     """The pass for mean/variance/maximum knowledge with sigma**2 = s2 exact.
 
-    s2 is a float or an array of p's length (1-d), so many markets are
-    evaluated in one call; the companion is :func:`variance_companion`.
+    s2, the thresholds t1, t2 and the point-mass flag are floats or arrays of
+    p's length (1-d), so the optimizer tables evaluate many markets in one
+    call; the companion is :func:`variance_companion`.
     """
-    return _variance_pass(mu, s2, beta, p, *variance_thresholds(mu, s2, beta),
-                          is_point_mass(s2, mu * mu + s2, mu * mu))
-
-
-def _variance_pass(mu: float, s2, beta: float, p: np.ndarray, t1, t2, point):
-    """:func:`variance_tails` at the thresholds t1, t2 and point-mass flag of s2."""
     return _evaluate(p, _price_edges(mu, beta, t1, t2), mu, mu * mu + s2, beta, t1, t2,
                      np.square, (0.0, beta * beta),
                      lambda x, i: variance_companion(mu, _at(s2, i), x), point)

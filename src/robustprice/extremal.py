@@ -171,8 +171,6 @@ def worst_case_distribution(market: MarketInfo, p: float, eps: float = None) -> 
         raise RobustPriceError(f"need 0 < eps < p, got eps={eps}, p={p}")
     pm = p - eps
     lo, hi, y, _ = _tails(market, np.array([pm]))
-    if market.is_degenerate:
-        return point_mass(market.mu)
     if p > right_threshold(market):
         return two_point(market, 0.0)
     if not math.isfinite(y[0]):

@@ -294,22 +294,24 @@ def _condition_roots(market: MarketInfo, lo: float, hi: float, low: bool, cr: bo
 
 def _optimal(market: MarketInfo, objective: str, compat_printed_pl: bool = False,
              with_threshold: bool = False) -> PriceSolution:
-    """:func:`optimal_price_general`, whose variance table may take the printed
-    radical (see :func:`_low_price`) and attach sigma_star or delta_star."""
+    """:func:`optimal_price_general`; a variance market may take the printed radical
+    (:func:`_low_price`) and attach sigma_star or delta_star, the point mass too."""
     if objective not in ("cr", "rev"):
         raise RobustPriceError(f"objective must be 'cr' or 'rev', got {objective!r}")
     if market.mode != MODE_EXACT:
         raise ModeError(f"the optimizers require mode='exact', the market has {market.mode!r}")
-    cr, mu, beta = objective == "cr", market.mu, market.beta
+    cr, mu, beta, variance = objective == "cr", market.mu, market.beta, market.measure.is_variance
+    if variance:
+        require_feasible(market)
+    threshold = _variance_threshold(mu, beta, objective) if variance and with_threshold else None
     if market.is_degenerate:
-        return _select([("p_l", mu, 1.0) if cr else ("pi_l", mu, mu)])
-    if not market.measure.is_variance:
+        return _select([("p_l", mu, 1.0) if cr else ("pi_l", mu, mu)], threshold)
+    if not variance:
         return _condition_optimal(market, cr)
-    require_feasible(market)
     labels, *table = _variance_table(mu, market.sigma, beta, objective, compat_printed_pl)
     cands = [(label, p, v) for label, p, v, keep in zip(labels, *(c.tolist() for c in table))
              if keep]
-    return _select(cands, _variance_threshold(mu, beta, objective) if with_threshold else None)
+    return _select(cands, threshold)
 
 
 def _condition_optimal(market: MarketInfo, cr: bool) -> PriceSolution:

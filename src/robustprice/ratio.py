@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import (MODE_UPPER, MarketInfo, _check_price, as_price_array,
-                        require_feasible, variance_market)
-from .bounds import HIGH, LOW, REGIMES, _tails, variance_tails
-from .errors import RobustPriceError
+from .ambiguity import MODE_UPPER, MarketInfo, _check_price, as_price_array, variance_market
+from .bounds import HIGH, LOW, REGIMES, _tails
 
 BRANCH_TAIL = "tail_ratio"
 BRANCH_PRICE = "price_over_cond_exp"
@@ -74,20 +72,10 @@ def worst_case_cr(market: MarketInfo, p) -> RatioBreakdown:
     return _breakdown(p, *_tails(market, p), restore)
 
 
-def worst_case_cr_variance(mu: float, sigma, beta: float, p) -> RatioBreakdown:
-    """Worst-case ratio for mean/variance/maximum knowledge.
-
-    sigma and p may be arrays; they broadcast against each other, each
-    entry a market of its own.  Feasibility rises with sigma, so the
-    market of the largest sigma is checked for all.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    if (sigma < 0).any():
-        raise RobustPriceError(f"sigma must be nonnegative, got {sigma}")
-    require_feasible(variance_market(mu, float(sigma.max(initial=0.0)), beta))
-    p, s2 = np.broadcast_arrays(np.asarray(p, dtype=float), sigma * sigma)
-    p, restore = as_price_array(p)
-    return _breakdown(p, *variance_tails(mu, s2.reshape(-1), beta, p), restore)
+def worst_case_cr_variance(mu: float, sigma: float, beta: float, p) -> RatioBreakdown:
+    """:func:`worst_case_cr` on :func:`variance_market`: mean/variance/maximum
+    knowledge.  p may be a float or an array of prices; sigma is a float."""
+    return worst_case_cr(variance_market(mu, sigma, beta), p)
 
 
 def worst_case_cr_mean_range(mu: float, beta: float, p):

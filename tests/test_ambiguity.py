@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from robustprice.ambiguity import (MarketInfo, check_feasible, companion_point,
-                                   left_threshold, power_market,
+                                   is_point_mass, left_threshold, power_market,
                                    right_threshold, variance_market)
 from robustprice.dispersion import custom_measure, power_moment
 from robustprice.errors import InfeasibleMarketError, RobustPriceError
+from robustprice.optimizer import optimal_price_general
 
 
 class TestConstruction:
@@ -27,6 +28,40 @@ class TestConstruction:
     def test_rejects_s_below_point_mass(self):
         with pytest.raises(InfeasibleMarketError):
             power_market(mu=0.5, s=0.2, q=2.0, beta=1.0)
+
+    @pytest.mark.parametrize("shift", [-10.0, 10.0])   # phi(mu) = -9.75 and 10.25
+    def test_point_mass_of_a_measure_of_either_sign_at_the_mean(self, shift):
+        measure = custom_measure(lambda x: np.square(np.asarray(x, dtype=float)) + shift,
+                                 lambda x: 2.0 * np.asarray(x, dtype=float))
+        phi_mu = 0.25 + shift
+        for s in (phi_mu, phi_mu - 5e-12, phi_mu + 5e-12):
+            m = MarketInfo(mu=0.5, s=s, beta=1.0, measure=measure)
+            assert m.is_degenerate
+            assert optimal_price_general(m).price == 0.5
+        with pytest.raises(InfeasibleMarketError, match="point-mass minimum"):
+            MarketInfo(mu=0.5, s=phi_mu - 1e-9, beta=1.0, measure=measure)
+
+    @pytest.mark.parametrize("mu,q", [(0.5, 2.0), (0.7, 1.5), (3e5, 3.0), (2e-6, 2.0),
+                                      (1.3, 1.1)])
+    def test_positive_phi_verdicts_kept_around_the_old_edge(self, mu, q):
+        # The former rule rejected s < phi(mu) (1 - 1e-12).  Within 40 ulps of that
+        # edge the verdict is unchanged except at the edge itself, where the old
+        # rule accepted a market below phi(mu) that is not the point mass.
+        phi_mu = power_moment(q).value(mu)
+        edge = phi_mu * (1 - 1e-12)
+        grid, below, above = [edge], edge, edge
+        for _ in range(40):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            grid += [below, above]
+        for s in grid:
+            try:
+                power_market(mu, s, q, 2.0 * mu)
+                accepted = True
+            except InfeasibleMarketError:
+                accepted = False
+            assert accepted == bool(s >= phi_mu or is_point_mass(s - phi_mu, s, phi_mu))
+            if s != edge:
+                assert accepted == (not s < edge)
 
     def test_degenerate_flag(self):
         assert variance_market(0.5, 0.0, 1.0).is_degenerate

@@ -5,7 +5,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from robustprice import cli, optimal_price_general, power_market
+from robustprice import cli, delta_star, optimal_price_general, power_market, sigma_star
 
 
 def run(capsys, argv):
@@ -94,6 +94,15 @@ class TestPrice:
         code, by_s, _ = run(capsys, ["price", "--mu", mu, "--s", s, *tail])
         assert code == cli.EXIT_OK and by_s == by_sigma
         assert json.loads(by_s)["cr"]["threshold"] is not None
+
+    def test_point_mass_prints_the_threshold(self, capsys):
+        tail = ["--beta", "1", "--objective", "both"]
+        by_sigma = run_json(capsys, ["price", "--mu", "0.5", "--sigma", "0", *tail])
+        by_s = run_json(capsys, ["price", "--mu", "0.5", "--s", "0.25", *tail])
+        assert by_s == by_sigma
+        assert by_sigma["cr"]["threshold"] == _printed(sigma_star(0.5, 1.0))
+        assert by_sigma["rev"]["threshold"] == _printed(delta_star(0.5, 1.0))
+        jsonschema.validate(by_sigma["cr"], schema("price"))
 
     def test_compat_flag_changes_price(self, capsys):
         obj = run_json(capsys, ["price", "--mu", "0.5", "--sigma", "0.5",

@@ -195,6 +195,11 @@ class TestWorstCase:
         assert ratios[2] == pytest.approx(0.5, abs=1e-6)
 
     def test_degenerate(self):
-        d = worst_case_distribution(variance_market(0.5, 0.0, 1.0), 0.3)
-        np.testing.assert_allclose(d.supports, [0.5])
-
+        # The tail pass gives the point mass up to the mean; above it the {0, t2}
+        # member, t2 = mu, is the point mass too.
+        for market in (variance_market(0.5, 0.0, 1.0), variance_market(0.5, 0.0, math.inf),
+                       power_market(0.5, 0.5 ** 1.5, 1.5, 2.0)):
+            for p in (0.3, 0.5, 0.7):
+                d = worst_case_distribution(market, p)
+                np.testing.assert_array_equal(d.supports, [0.5])
+                np.testing.assert_array_equal(d.masses, [1.0])

@@ -13,7 +13,7 @@ from robustprice.ambiguity import (MODE_EXACT, MODE_UPPER, MarketInfo, _solve_ri
                                    left_threshold, power_market,
                                    right_threshold, variance_market,
                                    variance_thresholds)
-from robustprice.bounds import tail_bounds, variance_tails
+from robustprice.bounds import _variance_pass, tail_bounds
 from robustprice.dispersion import custom_measure
 from robustprice.errors import (InfeasibleMarketError, InternalConsistencyError, ModeError,
                                 RobustPriceError)
@@ -541,6 +541,22 @@ class TestPointMassRule:
         np.testing.assert_array_equal(worst_case_cr_variance(mu, sigma, beta, p).cr,
                                       worst_case_cr(m, p).cr)
 
+    @pytest.mark.parametrize("beta", [1.0, math.inf])
+    @pytest.mark.parametrize("sigma", [0.0, 1e-7])
+    def test_carries_the_threshold(self, sigma, beta):
+        # The threshold depends on (mu, beta) only, so the point mass has it too.
+        for solve, threshold in ((optimal_price_variance, sigma_star),
+                                 (optimal_price_revenue_variance, delta_star)):
+            assert solve(0.5, sigma, beta).threshold == threshold(0.5, beta)
+            assert solve(0.5, sigma, beta, with_threshold=False).threshold is None
+
+    def test_no_threshold_unless_asked_of_a_variance_market(self):
+        q15, q2 = power_market(0.5, 0.5 ** 1.5, 1.5, 1.0), power_market(0.5, 0.25, 2.0, 1.0)
+        assert q15.is_degenerate and q2.is_degenerate
+        assert optimal_price_general(q15).threshold is optimal_price_general(q2).threshold is None
+        for objective in ("cr", "rev"):
+            assert optimizer._optimal(q15, objective, with_threshold=True).threshold is None
+
     def test_rule_ends_at_the_market_threshold(self):
         # sigma = 1e-6 mu is the rule's edge, inside it; just above it the
         # market is a genuine one and the table answers.
@@ -751,7 +767,8 @@ class TestArrayScans:
             # {0, beta}, whose revenue there is mu.
             mid = np.where(ps < beta, ps * (mu * mu + s2 - mu * ps) / (beta * (beta - ps)), mu)
         ref = np.where(ps <= t1, ps * d * d / (d * d + s2), np.where(ps <= t2, mid, 0.0))
-        for got in (worst_case_revenue(m, ps), ps * variance_tails(mu, s2, beta, ps)[0]):
+        tails = _variance_pass(mu, s2, beta, ps, *variance_thresholds(mu, s2, beta), False)
+        for got in (worst_case_revenue(m, ps), ps * tails[0]):
             assert np.max(np.abs(got - ref)) <= 1e-13 * mu
 
     def test_general_objective_array_equals_scalar(self):

@@ -6,12 +6,12 @@ import pytest
 from robustprice.ambiguity import (MODE_UPPER, companion_point, left_threshold,
                                    power_market, right_threshold, variance_companion,
                                    variance_market, variance_thresholds)
-from robustprice.bounds import (REGIME_HIGH, REGIME_LOW, REGIME_MID, tail_bounds,
-                                variance_tails)
+from robustprice.bounds import (REGIME_HIGH, REGIME_LOW, REGIME_MID, REGIMES,
+                                _variance_pass, tail_bounds)
 from robustprice.errors import (InfeasibleMarketError, ModeError,
                                 RobustPriceError)
 from robustprice.extremal import worst_case_distribution
-from robustprice.ratio import (BRANCH_DEGENERATE, BRANCH_PRICE, BRANCH_TAIL,
+from robustprice.ratio import (BRANCH_DEGENERATE, BRANCH_PRICE, BRANCH_TAIL, _breakdown,
                                worst_case_cr, worst_case_cr_dispersion_ub,
                                worst_case_cr_mean_range, worst_case_cr_variance,
                                worst_case_revenue)
@@ -106,7 +106,8 @@ class TestVarianceClosedForm:
 
     def test_market_path_gives_the_same_bits(self):
         # A variance market keeps sigma**2, so the market path (companion,
-        # thresholds, tail pass) repeats the sigma path operation for operation.
+        # thresholds, tail pass) repeats, operation for operation, the variance
+        # pass the optimizer tables take from sigma**2.
         rng = np.random.default_rng(34)
         for _ in range(400):
             mu, sigma, beta = _random_variance_inputs(rng)
@@ -115,13 +116,14 @@ class TestVarianceClosedForm:
             top = beta if math.isfinite(beta) else 2.0 * t2
             p = np.concatenate([rng.uniform(0.0, 1.0, 12) * top, [t1, t2, mu, top]])
             p = p[(p > 0) & (p <= top)]
-            a, b = worst_case_cr(m, p), worst_case_cr_variance(mu, sigma, beta, p)
+            tails = _variance_pass(mu, s2, beta, p, t1, t2, m.is_degenerate)
+            a, b = worst_case_cr(m, p), _breakdown(p, *tails, lambda v: v)
             for field in ("p", "cr", "branch", "tail_ratio", "price_over_y", "regime"):
                 np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
             if math.isfinite(beta):
                 tb = tail_bounds(m, p)
-                for got, want in zip((tb.inf_tail, tb.sup_tail, tb.sup_cond_exp),
-                                     variance_tails(mu, s2, beta, p)):
+                for got, want in zip((tb.inf_tail, tb.sup_tail, tb.sup_cond_exp, tb.regime),
+                                     (*tails[:3], REGIMES[tails[3]])):
                     np.testing.assert_array_equal(got, want)
             if m.is_degenerate:   # thresholds and companions are mu there
                 continue
@@ -152,20 +154,35 @@ class TestVarianceClosedForm:
             worst_case_cr_variance(0.5, 0.8, 1.0, 0.3)
 
     @pytest.mark.parametrize("mu,sigma,beta,field", [
-        (0.5, math.nan, 1.0, "sigma"), (0.5, [0.1, math.nan], 1.0, "sigma"),
-        (0.5, 0.3, math.nan, "beta"), (-0.5, 0.3, 1.0, "mean"), (0.0, 0.3, 1.0, "mean"),
-        (0.5, [0.3, -0.1], 1.0, "sigma must be nonnegative")])   # a valid maximum sigma
+        (0.5, math.nan, 1.0, "sigma"), (0.5, 0.3, math.nan, "beta"),
+        (-0.5, 0.3, 1.0, "mean"), (0.0, 0.3, 1.0, "mean"),
+        (0.5, -0.1, 1.0, "sigma must be nonnegative")])
     def test_rejects_bad_inputs(self, mu, sigma, beta, field):
         with pytest.raises(RobustPriceError, match=field):
             worst_case_cr_variance(mu, sigma, beta, 0.3)
 
+    def test_rejects_an_array_sigma(self):
+        # sigma is a float, as in variance_market; prices may be an array.
+        with pytest.raises(TypeError):
+            worst_case_cr_variance(0.5, np.array([0.1, 0.3]), 1.0, np.array([0.3, 0.4]))
+
     def test_feasibility_decided_by_the_largest_sigma(self):
         # sigma^2 at the cap plus 3e-13: check_feasible accepts the market.
         sigma = math.sqrt(0.25 + 3e-13)
-        b = worst_case_cr_variance(0.5, [0.1, sigma], 1.0, 0.9)
-        assert b.cr[1] == worst_case_cr(variance_market(0.5, sigma, 1.0), 0.9).cr
+        b = worst_case_cr_variance(0.5, sigma, 1.0, 0.9)
+        assert b.cr == worst_case_cr(variance_market(0.5, sigma, 1.0), 0.9).cr
         with pytest.raises(InfeasibleMarketError):
-            worst_case_cr_variance(0.5, [0.1, 0.6], 1.0, 0.9)
+            worst_case_cr_variance(0.5, 0.6, 1.0, 0.9)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="t1 and t2 both lie in the bands around mu; at p = mu the "
+                              "high piece's sup tail is inf/inf, averaged in (ROADMAP M)")
+    def test_finite_where_both_thresholds_are_in_the_bands_at_the_mean(self):
+        # 1e-6 mu < sigma < 1e-6 sqrt(mu beta): not the point mass.
+        m = variance_market(0.5, 6.5e-7, 2.0)
+        assert not m.is_degenerate
+        assert math.isfinite(tail_bounds(m, 0.5).sup_tail)
+        assert math.isfinite(worst_case_cr(m, 0.5).cr)
 
     def test_maximal_dispersion_market(self):
         # sigma^2 = mu(beta - mu): singleton market {0, beta}.
