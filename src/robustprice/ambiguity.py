@@ -68,6 +68,8 @@ class MarketInfo:
     mode: str = MODE_EXACT
 
     def __post_init__(self):
+        for name in ("mu", "s", "beta"):   # one type for every field: an int beta truncates
+            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         for name in ("mu", "s"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -120,8 +122,12 @@ class MarketInfo:
         return float(phi(0.0)), float(phi(beta)) if math.isfinite(beta) else math.inf
 
     @cached_property
-    def _edges(self) -> np.ndarray:   # the tail pass's _price_edges of the thresholds
-        return _price_edges(self.mu, self.beta, self.left_threshold, self.right_threshold)
+    def _edges(self) -> np.ndarray:
+        """The tail pass's (6, 1) price edges: 0, t1 -+ band, t2 -+ band, beta."""
+        t1, t2, beta = self.left_threshold, self.right_threshold, self.beta
+        band = _BAND * (beta if math.isfinite(beta) else self.mu)
+        return np.array((0.0, t1 - band, t1 + band, t2 - band, t2 + band,
+                         min(beta, _PRICE_MAX))).reshape(6, 1)
 
     @property
     def sigma(self) -> float:
@@ -134,6 +140,7 @@ class MarketInfo:
 def variance_market(mu: float, sigma: float, beta: float, mode: str = MODE_EXACT) -> MarketInfo:
     """Convenience constructor for mean/standard-deviation/maximum knowledge;
     the market keeps sigma**2 exactly as its :attr:`MarketInfo.excess`."""
+    mu, sigma = _as_float("mu", mu), _as_float("sigma", sigma)
     if not math.isfinite(sigma):
         raise RobustPriceError(f"sigma must be finite, got {sigma}")
     if sigma < 0:
@@ -142,6 +149,13 @@ def variance_market(mu: float, sigma: float, beta: float, mode: str = MODE_EXACT
                         measure=variance_measure(), mode=mode)
     market.__dict__["excess"] = sigma * sigma   # seeds the cached property
     return market
+
+
+def _as_float(name: str, value) -> float:
+    """A market parameter as a Python float; a bool is not a number here."""
+    if isinstance(value, (bool, np.bool_)):
+        raise RobustPriceError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def power_market(mu: float, s: float, q: float, beta: float, mode: str = MODE_EXACT) -> MarketInfo:
@@ -161,7 +175,10 @@ def _solve_right_threshold(market: MarketInfo) -> float:
     than the point mass and variance."""
     m = market.measure
     if m.is_power and not (m.is_variance or market.is_degenerate):
-        return (market.s / market.mu) ** (1.0 / (m.q - 1.0))
+        try:
+            return (market.s / market.mu) ** (1.0 / (m.q - 1.0))
+        except OverflowError:   # beyond the largest float, as for q near 1
+            return math.inf
     return float(_companion(market, np.zeros(1))[0])
 
 
@@ -218,15 +235,6 @@ def variance_thresholds(mu: float, s2, beta: float):
     right one is capped at beta, which rounding can exceed.
     """
     return variance_companion(mu, s2, beta), np.minimum(variance_companion(mu, s2, 0.0), beta)
-
-
-def _price_edges(mu: float, beta: float, t1, t2) -> np.ndarray:
-    """The edges the tail pass compares prices with: 0, t1 -+ band, t2 -+ band
-    and beta; (6, 1) for float thresholds, (6, n) for arrays of n."""
-    band = _BAND * (beta if math.isfinite(beta) else mu)
-    zero = 0.0 * t1   # the thresholds' shape
-    return np.array((zero, t1 - band, t1 + band, t2 - band, t2 + band,
-                     zero + min(beta, _PRICE_MAX))).reshape(6, -1)
 
 
 def _feasibility_tol(market: MarketInfo) -> float:

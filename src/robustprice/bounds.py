@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import (_BAND, MODE_EXACT, MODE_UPPER, MarketInfo, _check_price,
-                        _companion, _price_edges, as_price_array, variance_companion)
+                        _companion, as_price_array)
 from .errors import (InternalConsistencyError, ModeError, RobustPriceError,
                      UnboundedSupportError)
 
@@ -50,8 +50,8 @@ class TailBounds:
 def _member_masses(mu: float, s, beta: float, p, phi_p, phi0: float, phib: float):
     """(w_p, w_beta) of the {0, p, beta} member with mean mu and dispersion s.
 
-    phi_p, phi0, phib: the measure at p, 0 and beta; s may be an array of p's
-    shape.  No checks: outside 0 < p < beta the masses are meaningless.
+    phi_p, phi0, phib: the measure at p, 0 and beta.  No checks: outside
+    0 < p < beta the masses are meaningless.
     """
     dp, ds, db = phi0 - phi_p, phi0 - s, phib - phi0
     denom = beta * dp + p * db
@@ -61,16 +61,14 @@ def _member_masses(mu: float, s, beta: float, p, phi_p, phi0: float, phib: float
 
 
 @np.errstate(all="ignore")
-def _evaluate(p, edges, mu, s, beta, t1, t2, phi, ends, companion, point):
+def _evaluate(market: MarketInfo, p):
     """(inf tail, sup tail, sup conditional expectation, regime code) per price.
 
     The one regime evaluator and price check: p is a 1-d price array, and a
-    price outside (0, beta], NaN and inf included, raises.  edges are the
-    thresholds' _price_edges; s, t1, t2 and point (True where the market is
-    the point mass at mu) are scalars or arrays of p's length.  The measure
+    price outside (0, beta], NaN and inf included, raises.  The measure
     enters only through phi, evaluated once per mid-regime price, its ends
-    (phi(0), phi(beta)), and companion(p[index], index), the companion
-    points of p[index].  The pieces and the members attaining them:
+    (phi(0), phi(beta)), and the companion points.  The pieces and the
+    members attaining them:
 
     * low, p <= t1: {p, a} with a = companion(p) > mu; inf (mu-p)/(a-p),
       sup 1, y = a;
@@ -92,35 +90,39 @@ def _evaluate(p, edges, mu, s, beta, t1, t2, phi, ends, companion, point):
     the maximal-dispersion market {0, beta} (t2 = beta; inf = sup =
     mu/beta, y = beta, mid) have one member and no bands.
     """
+    mu, s, beta = market.mu, market.s, market.beta
+    t1, t2 = market.left_threshold, market.right_threshold
     finite = math.isfinite(beta)
     scale = beta if finite else mu
 
-    def low_piece(x, i):
-        a = companion(x, i)
+    def low_piece(x):
+        a = _companion(market, x)
         if not finite:
             a = np.where(x >= mu, math.inf, a)   # the piece's limit at mu
         return (mu - x) / (a - x), 1.0, a
 
-    def mid_piece(x, i):
+    def mid_piece(x):
         if not finite:
             return 0.0, np.minimum(mu / x, 1.0), math.inf
-        wp, wb = _member_masses(mu, _at(s, i), beta, x, phi(x), *ends)
+        wp, wb = _member_masses(mu, s, beta, x, market.measure._value(x), *market.phi_ends)
         sup = np.minimum(np.maximum(wp + wb, 0.0), 1.0)   # rounding can leave [0, 1]
         return np.minimum(np.maximum(wb, 0.0), sup), sup, beta
 
-    def high_piece(x, i):
-        a = companion(x, i)
+    def high_piece(x):
+        a = np.where(x == mu, 0.0, _companion(market, x))   # the piece's limit at mu
         return 0.0, (a - mu) / (a - x), beta
 
     # One comparison checks and labels the prices: above[k] is 1 where p > edge
     # k, the edges 0, t1 -+ band, t2 -+ band and beta.  The two bands may overlap.
-    above = (p > edges).view(np.int8)
+    above = (p > market._edges).view(np.int8)
     n = np.add.reduce(above, 1).tolist()
     if n[0] != p.size or n[5]:
         _check_price(p, beta)
-    single = point | (t2 >= beta * (1.0 - _BAND))   # a market gives a plain bool
-    any_single = single is True or single is not False and np.count_nonzero(single) > 0
-    keep = np.logical_not(single) if any_single else True
+    point = market.is_degenerate
+    if point or finite and t2 >= beta * (1.0 - _BAND):   # one member: the point mass or {0, beta}
+        tail = (p <= mu).astype(float) if point else np.full(p.shape, mu / beta)
+        regime = np.where(p <= mu, LOW, HIGH) if point else np.full(p.shape, MID)
+        return tail, tail.copy(), np.full(p.shape, mu if point else beta), regime
     # Each piece runs once, on the prices between edges lo and hi: where it labels and the band
     # below its threshold; high to low, so a band price ends with the piece below it.
     out, blends = np.empty((3, p.size)), []
@@ -129,27 +131,14 @@ def _evaluate(p, edges, mu, s, beta, t1, t2, phi, ends, companion, point):
         count = n[lo] - n[hi]
         if count:
             i = slice(None) if count == p.size else (above[lo] != above[hi]).nonzero()[0]
-            inf_tail[i], sup_tail[i], cond_exp[i] = piece(p[i], i)   # scalars or arrays over p[i]
+            inf_tail[i], sup_tail[i], cond_exp[i] = piece(p[i])   # scalars or arrays over p[i]
         if lo and n[lo] != n[lo + 1]:
-            at = ((above[lo] != above[lo + 1]) & keep).nonzero()[0]
+            at = (above[lo] != above[lo + 1]).nonzero()[0]
             blends.append((at, out.take(at, axis=1), lo))
     for at, other, lo in reversed(blends):   # t1 first
-        if at.size:
-            t, steep = (t2, beta - t2 < mu * _BAND / _BOUNDARY_AGREE) if lo == 3 else (t1, False)
-            _blend(out, at, other, p[at], scale, _at(steep, at), _at(t, at))
-    regime = above[2] + above[4]
-    if any_single:
-        one = np.where(point, p <= mu, mu / beta)   # the member's tail
-        for k, v in enumerate((one, one, np.where(point, mu, beta))):
-            out[k] = np.where(single, v, out[k])
-        regime = np.where(point, np.where(p <= mu, LOW, HIGH),
-                          np.where(single, MID, regime))
-    return inf_tail, sup_tail, cond_exp, regime
-
-
-def _at(v, i):
-    """v[i] for an array of the prices' length; a scalar as it is."""
-    return v[i] if isinstance(v, np.ndarray) else v
+        steep = lo == 3 and beta - t2 < mu * _BAND / _BOUNDARY_AGREE
+        _blend(out, at, other, p[at], scale, steep, t2 if lo == 3 else t1)
+    return inf_tail, sup_tail, cond_exp, above[2] + above[4]
 
 
 def _blend(out, at, piece, p, scale, steep, t) -> None:
@@ -167,7 +156,7 @@ def _blend(out, at, piece, p, scale, steep, t) -> None:
     """
     cur = out.take(at, axis=1)
     gap = np.maximum(*np.abs(cur[:2] - piece[:2]))
-    bad = gap > _BOUNDARY_AGREE * np.maximum(1.0, scale / p)
+    bad = ~(gap <= _BOUNDARY_AGREE * np.maximum(1.0, scale / p))   # a NaN gap disagrees
     values = 0.5 * (cur + piece)
     if np.count_nonzero(bad):
         own = bad & steep
@@ -192,25 +181,11 @@ def _tails(market: MarketInfo, p: np.ndarray, mode: str = MODE_EXACT, attained=F
     if market.mode != mode:
         raise ModeError(f"this bound requires mode={mode!r}, the market has mode="
                         f"{market.mode!r}")
-    out = _evaluate(p, market._edges, market.mu, market.s, market.beta, market.left_threshold,
-                    market.right_threshold, market.measure._value, market.phi_ends,
-                    lambda x, i: _companion(market, x), market.is_degenerate)
+    out = _evaluate(market, p)
     if attained and not math.isfinite(market.beta) and (
             (out[3] == MID) & (p < market.right_threshold)).any():
         raise UnboundedSupportError("three-point regime needs a finite maximum valuation")
     return out
-
-
-def _variance_pass(mu: float, s2, beta: float, p: np.ndarray, t1, t2, point):
-    """The pass for mean/variance/maximum knowledge with sigma**2 = s2 exact.
-
-    s2, the thresholds t1, t2 and the point-mass flag are floats or arrays of
-    p's length (1-d), so the optimizer tables evaluate many markets in one
-    call; the companion is :func:`variance_companion`.
-    """
-    return _evaluate(p, _price_edges(mu, beta, t1, t2), mu, mu * mu + s2, beta, t1, t2,
-                     np.square, (0.0, beta * beta),
-                     lambda x, i: variance_companion(mu, _at(s2, i), x), point)
 
 
 def tail_prob_max(market: MarketInfo, p):
@@ -257,7 +232,11 @@ def tail_prob_min_dispersion_ub(market: MarketInfo, p):
     less-dispersed members, so between the left threshold and the mean the
     bound relaxes to the mean/maximum value, and above the mean the point
     mass at the mean drives it to zero.  Stated without full proof in the
-    source analysis; validated against the enumeration oracle only.
+    source analysis, and no oracle checks it (the enumeration oracle admits
+    only members with E[phi(X)] = s): the tests pin it at two prices of one
+    market (0.3902 below the left threshold, 0.2222 between it and the
+    mean) and check that it never exceeds the exact-mode bound, that it is 0
+    from the mean on, and that an exact-mode market is refused.
     """
     p, restore = as_price_array(p)
     lo, _, _, regime = _tails(market, p, MODE_UPPER)

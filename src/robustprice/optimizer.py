@@ -15,12 +15,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .ambiguity import (_BRENTQ_RTOL, _BRENTQ_XTOL, _DEGEN_RTOL, MODE_EXACT, MarketInfo,
-                        _companion, left_threshold, power_market, require_feasible,
-                        right_threshold, variance_market, variance_thresholds)
-from .bounds import _variance_pass
+from .ambiguity import (_BAND, _BRENTQ_RTOL, _BRENTQ_XTOL, _DEGEN_RTOL, MODE_EXACT,
+                        MarketInfo, _companion, left_threshold, power_market,
+                        require_feasible, right_threshold, variance_market,
+                        variance_thresholds)
 from .errors import InternalConsistencyError, ModeError, RobustPriceError, RootFindingError
-from .ratio import _branches, worst_case_cr, worst_case_revenue
+from .ratio import worst_case_cr, worst_case_revenue
 
 REGIME_LOW_PRICE = "low"
 REGIME_HIGH_PRICE = "high"
@@ -78,7 +78,7 @@ def _high_prices(t2, beta: float, cr: bool):
     """The unclipped high candidates from t2: (p_h1, p_h2) of the ratio, (pi_h,) of revenue."""
     if not cr:
         return beta - np.sqrt(beta * np.maximum(beta - t2, 0.0)),
-    disc = (3.0 * beta - t2) ** 2 - 4.0 * beta * beta
+    disc = np.square(3.0 * beta - t2) - 4.0 * beta * beta   # ** on a numpy float is pow()
     return 0.5 * (beta + t2 - np.sqrt(np.maximum(disc, 0.0))), 0.5 * t2
 
 
@@ -93,7 +93,14 @@ def _variance_table(mu: float, sigma, beta: float, objective: str,
     (len(labels), *sigma.shape), one row per candidate.  A candidate is
     present where it is admissible: the low price needs t1 > 0, the high
     prices a finite beta and a positive clipped price.  An absent entry
-    keeps its clipped price, but its value (taken at t2) is to be ignored.
+    keeps its clipped price, but its value is to be ignored.
+
+    The values are the worst-case members' closed forms.  With
+    a = mu + sigma**2 / (mu - p) and T = p (t2 - p) / (p (t2 - p) + beta (beta - t2)),
+    {p, a} up to t1 gives the ratio min((mu - p)/(a - p), p/a) and the revenue
+    p (mu - p)/(a - p); {0, p, beta} above it min(T, p/beta) and
+    p mu (t2 - p) / (beta (beta - p)); {0, beta} (t2 in the band below beta)
+    tails mu/beta and T = 1.
     """
     sigma = np.asarray(sigma, dtype=float)
     cr = objective == "cr"
@@ -102,15 +109,21 @@ def _variance_table(mu: float, sigma, beta: float, objective: str,
     t1, t2 = variance_thresholds(mu, s2, beta)
     high = np.minimum(np.maximum(_high_prices(t2, beta, cr), t1), t2) \
         if math.isfinite(beta) else ()
-    prices = np.array((np.minimum(_low_price(mu, sigma, cr, compat_printed_pl), t1), *high))
-    labels, present = labels[:len(prices)], prices > 0
+    p = np.array((np.minimum(_low_price(mu, sigma, cr, compat_printed_pl), t1), *high))
+    labels, present = labels[:len(p)], p > 0
     present[0] = t1 > 0
-    stack = np.zeros(prices.shape)   # the pass takes s2, t1 and t2 per price
-    p, s2, t1, t2 = (v.reshape(-1) for v in (np.where(present, prices, t2), s2 + stack,
-                                              t1 + stack, t2 + stack))
-    tails = _variance_pass(mu, s2, beta, p, t1, t2, False)   # a low price that overflowed raises
-    values = np.minimum(*_branches(p, *tails)) if cr else p * tails[0]
-    return labels, prices, values.reshape(prices.shape), present
+    with np.errstate(divide="ignore", invalid="ignore"):   # in entries np.where or present drops
+        single = t2 >= beta * (1.0 - _BAND)
+        low = (p <= t1) & ~single
+        a = mu + s2 / (mu - p)
+        if cr:
+            d = p * (t2 - p)
+            mid = np.minimum(np.where(single, 1.0, d / (d + beta * (beta - t2))), p / beta)
+            values = np.where(low, np.minimum((mu - p) / (a - p), p / a), mid)
+        else:
+            mid = p * np.where(single, mu / beta, mu * (t2 - p) / (beta * (beta - p)))
+            values = np.where(low, p * (mu - p) / (a - p), mid)
+    return labels, p, values, present
 
 
 def _variance_threshold(mu: float, beta: float, objective: str) -> float:

@@ -1,4 +1,5 @@
-"""Every public function that takes a price, on hostile prices.
+"""Every public function that takes a price, on hostile prices; every market
+constructor, on fields of every number type.
 
 The contract: a call raises a RobustPriceError subclass or returns numbers
 with no NaN (inf only for the conditional expectation when beta = inf).
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import robustprice as rp
@@ -204,3 +205,68 @@ def test_repeated_support_certificate_is_skipped():
     rep = rp.verify_dual_certificate(m, BETA, "inf_tail")
     assert rep.passed and rep.note == "degenerate-skip"
     assert rp.verify_dual_certificate(m, BETA, "sup_tail").certificate is not None
+
+
+# --------------------------------------------------------------------------
+# Market parameters: every constructor stores its fields as floats, so an
+# int, a numpy integer or a float32 field answers as the float market does.
+
+# constructor on (mu, s or sigma, beta), with integer-valued fields that every
+# type below holds exactly; s sits inside its feasible range.
+CONSTRUCTORS = {
+    "variance": (lambda mu, sigma, beta: variance_market(mu, sigma, beta), (2, 1, 5)),
+    "power": (lambda mu, s, beta: power_market(mu, s, 1.5, beta), (2, 4, 5)),
+    "exp": (lambda mu, s, beta: MarketInfo(mu, s, beta, _exp_measure(2.0)), (2, 4, 5)),
+}
+NUMBER_TYPES = (int, np.int64, np.float32, float)
+
+
+def _answers(m):
+    """Thresholds, the optimal price and the pass at a price in each regime, as floats."""
+    t1, t2 = rp.left_threshold(m), rp.right_threshold(m)
+    sol = rp.optimal_price_general(m)
+    prices = np.array([0.5 * t1, 0.5 * (t1 + t2), 0.5 * (t2 + m.beta)])
+    tb = rp.tail_bounds(m, prices)
+    return ((t1, t2, sol.price, sol.value, sol.label, m.mu, m.s, m.beta),
+            [np.asarray(v).tolist() for v in (tb.inf_tail, tb.sup_tail, tb.sup_cond_exp,
+                                               tb.regime, rp.worst_case_cr(m, prices).cr)])
+
+
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(types=st.tuples(*[st.sampled_from(NUMBER_TYPES)] * 3))
+@example(types=(int,) * 3)
+@example(types=(np.int64,) * 3)
+@example(types=(np.float32,) * 3)
+def test_market_fields_of_any_number_type(name, types):
+    make, fields = CONSTRUCTORS[name]
+    m = make(*(t(v) for t, v in zip(types, fields)))
+    assert all(type(getattr(m, f)) is float for f in ("mu", "s", "beta"))
+    assert _answers(m) == _answers(make(*map(float, fields)))
+
+
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+@pytest.mark.parametrize("field", range(3))
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_a_bool_field_raises(name, field, flag):
+    make, fields = CONSTRUCTORS[name]
+    with pytest.raises(RobustPriceError, match="must be a number"):
+        make(*(flag if k == field else v for k, v in enumerate(fields)))
+
+
+def test_an_integer_beta_solves_the_left_threshold_in_floats():
+    # The companion of beta was solved into an integer array and truncated to 0.
+    assert rp.left_threshold(power_market(MU, 0.45, 1.5, 1)) == pytest.approx(0.13701562)
+    sol = rp.optimal_price_power(MU, 0.45, 1.5, 1)
+    assert sol == rp.optimal_price_power(MU, 0.45, 1.5, 1.0)
+    assert sol.value == pytest.approx(0.49356, abs=1e-5)
+    assert rp.optimal_price_variance(MU, np.float32(0.25), np.int64(1)) == \
+        rp.optimal_price_variance(MU, 0.25, 1.0)
+
+
+def test_a_power_threshold_beyond_the_floats_is_infinite():
+    # q near 1: (s / mu)**(1 / (q - 1)) overflows, so t2 = inf, past any finite beta.
+    report = rp.check_feasible(power_market(MU, 1.0, 1.0005, 2.0))
+    assert not report.feasible and report.right_threshold == math.inf
+    with pytest.raises(rp.InfeasibleMarketError):
+        rp.optimal_price_power(MU, 1.0, 1.0005, 2.0)

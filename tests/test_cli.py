@@ -116,6 +116,16 @@ class TestPrice:
         assert out == ""
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize("sub", [["price"], ["cr", "--p", "0.3"]])
+    def test_power_threshold_beyond_the_floats_is_infeasible(self, capsys, sub):
+        # q near 1 puts t2 = (s / mu)**(1 / (q - 1)) past the largest float:
+        # t2 = inf exceeds any finite beta, not a traceback.
+        code, out, err = run(capsys, [*sub, "--mu", "0.5", "--s", "1.0", "--beta", "2",
+                                      "--phi", "power:q=1.0005"])
+        assert code == cli.EXIT_INFEASIBLE
+        assert out == ""
+        assert json.loads(err)["error"] == "InfeasibleMarketError"
+
     def test_flag_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["price", "--mu", "0.5"])

@@ -14,11 +14,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from robustprice.ambiguity import (MODE_UPPER, MarketInfo, _price_edges, left_threshold,
-                                   power_market, right_threshold,
-                                   variance_companion, variance_market,
-                                   variance_thresholds)
-from robustprice.bounds import (_BAND, REGIME_MID, _evaluate, best_case_revenue,
+from robustprice import bounds
+from robustprice.ambiguity import (MODE_UPPER, MarketInfo, _companion, left_threshold,
+                                   power_market, right_threshold, variance_market)
+from robustprice.bounds import (_BAND, REGIME_MID, best_case_revenue,
                                 cond_exp_max, tail_bounds, tail_prob_max,
                                 tail_prob_min, tail_prob_min_dispersion_ub)
 from robustprice.dispersion import custom_measure
@@ -91,15 +90,22 @@ class TestThresholdBands:
             assert tb.sup_tail == pytest.approx(sup, abs=tol)
             assert worst_case_cr(m, p).regime == tb.regime == REGIME_MID
 
-    def test_band_disagreement_still_raises(self):
-        # Away from maximal dispersion a wrong piece is still caught.
-        mu, s2, beta = 0.5, 0.01, 1.0
-        t1, t2 = variance_thresholds(mu, s2, beta)
-        p = np.array([t2])
+    def test_band_disagreement_still_raises(self, monkeypatch):
+        # Away from maximal dispersion a wrong piece is still caught: a wrong
+        # companion moves the high piece off the mid one at t2.
+        m = variance_market(0.5, 0.1, 1.0)
+        t2 = right_threshold(m)
+        monkeypatch.setattr(bounds, "_companion", lambda market, x: _companion(market, x) + 0.01)
         with pytest.raises(InternalConsistencyError):
-            _evaluate(p, _price_edges(mu, beta, t1, t2), mu, mu * mu + s2, beta, t1, t2,
-                      np.square, (0.0, beta * beta),
-                      lambda x, i: variance_companion(mu, s2, x) + 0.01, False)
+            tail_bounds(m, t2)
+
+    def test_a_nan_piece_disagrees(self, monkeypatch):
+        # A NaN gap between the pieces is a disagreement, not averaged in.
+        m = variance_market(0.5, 0.1, 1.0)
+        t2 = right_threshold(m)
+        monkeypatch.setattr(bounds, "_companion", lambda market, x: _companion(market, x) * math.nan)
+        with pytest.raises(InternalConsistencyError):
+            tail_bounds(m, t2)
 
     def test_one_label_just_above_left_threshold(self, capsys):
         argv = ["--mu", "0.5", "--sigma", "0.3", "--beta", "1", "--p", "0.320000000000032"]

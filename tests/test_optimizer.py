@@ -13,10 +13,9 @@ from robustprice.ambiguity import (MODE_EXACT, MODE_UPPER, MarketInfo, _solve_ri
                                    left_threshold, power_market,
                                    right_threshold, variance_market,
                                    variance_thresholds)
-from robustprice.bounds import _variance_pass, tail_bounds
+from robustprice.bounds import tail_bounds
 from robustprice.dispersion import custom_measure
-from robustprice.errors import (InfeasibleMarketError, InternalConsistencyError, ModeError,
-                                RobustPriceError)
+from robustprice.errors import InfeasibleMarketError, ModeError, RobustPriceError
 from robustprice.optimizer import (_ROOT_SCAN, _THRESHOLD_SCAN, _condition_optimal,
                                    _scan_root, _variance_table, compare_prices, delta_star,
                                    optimal_price_general, optimal_price_power,
@@ -767,9 +766,7 @@ class TestArrayScans:
             # {0, beta}, whose revenue there is mu.
             mid = np.where(ps < beta, ps * (mu * mu + s2 - mu * ps) / (beta * (beta - ps)), mu)
         ref = np.where(ps <= t1, ps * d * d / (d * d + s2), np.where(ps <= t2, mid, 0.0))
-        tails = _variance_pass(mu, s2, beta, ps, *variance_thresholds(mu, s2, beta), False)
-        for got in (worst_case_revenue(m, ps), ps * tails[0]):
-            assert np.max(np.abs(got - ref)) <= 1e-13 * mu
+        assert np.max(np.abs(worst_case_revenue(m, ps) - ref)) <= 1e-13 * mu
 
     def test_general_objective_array_equals_scalar(self):
         mu, beta = 0.7, 1.8
@@ -810,13 +807,27 @@ class TestVarianceTable:
             assert variance_thresholds(mu, top * top, beta)[0] == 0.0
             assert not present[0, -1] and prices[0, -1] == 0.0 and present[1:, -1].all()
 
+    @pytest.mark.parametrize("objective", ["cr", "rev"])
+    def test_a_float_sigma_gives_the_array_bits(self, objective):
+        # The threshold's Brent steps pass floats and its scan arrays.  A float
+        # makes numpy scalars, on which x ** 2 is pow(): it differs from the
+        # array's square for about 1 in 1,000 inputs.
+        rng = np.random.default_rng(71)
+        for beta in (0.6, 1.0, 2.5):
+            sigmas = rng.uniform(1e-3, 1.0, 1000) * math.sqrt(0.5 * (beta - 0.5))
+            _, *full = _variance_table(0.5, sigmas, beta, objective)
+            for k, sigma in enumerate(sigmas.tolist()):
+                _, *cols = _variance_table(0.5, sigma, beta, objective)
+                assert all(col.tobytes() == ref[:, k].tobytes() for col, ref in zip(cols, full))
+
 
 class TestThresholdCost:
     """Each gap evaluation of sigma_star/delta_star, the scan and every Brent
-    step, computes the thresholds once and runs one tail pass."""
+    step, computes the thresholds once and runs no tail pass: the table values
+    its candidates by their closed forms."""
 
     @pytest.mark.parametrize("threshold", [sigma_star, delta_star])
-    def test_one_threshold_computation_and_one_pass_per_gap(self, monkeypatch, threshold):
+    def test_one_threshold_computation_and_no_pass_per_gap(self, monkeypatch, threshold):
         originals = {"variance_thresholds": ambiguity.variance_thresholds,
                      "_evaluate": bounds._evaluate}
         counts = dict.fromkeys(originals, 0)
@@ -845,7 +856,7 @@ class TestThresholdCost:
 
         monkeypatch.setattr(optimizer, "_scan_root", recording_scan)
         threshold(0.5, 1.0)
-        assert [d for _, d in gaps] == [{"variance_thresholds": 1, "_evaluate": 1}] * len(gaps)
+        assert [d for _, d in gaps] == [{"variance_thresholds": 1, "_evaluate": 0}] * len(gaps)
         (grid, _), *steps = gaps
         assert isinstance(grid, np.ndarray) and grid.size == _THRESHOLD_SCAN
         assert steps and all(type(x) is float for x, _ in steps)   # Brent passes floats
@@ -863,12 +874,34 @@ class TestScaleInvariance:
         assert small.price / 5e-7 == pytest.approx(unit.price / 0.5, rel=1e-9)
         assert small.value == pytest.approx(unit.value, rel=1e-9)
 
-    def test_nan_candidate_raises(self):
-        # At 1e103 the {0, p, beta} mass solve overflows and every candidate
-        # value is NaN; unit scale gives p_h1 at 0.6406.
-        with pytest.raises(InternalConsistencyError, match="candidate p_l .* NaN"):
-            optimal_price_variance(0.5e103, 0.45e103, 1e103, with_threshold=False)
-        assert optimal_price_variance(0.5, 0.45, 1.0, with_threshold=False).label == "p_h1"
+    def test_extreme_scale_prices_as_the_unit_market(self):
+        # At 1e103 the tail pass's {0, p, beta} mass solve overflows, so the table
+        # once valued every candidate NaN; its closed forms do not overflow there.
+        big, unit = optimal_price_variance(0.5e103, 0.45e103, 1e103), \
+            optimal_price_variance(0.5, 0.45, 1.0)
+        assert big.label == unit.label == "p_h1"
+        assert big.value == pytest.approx(unit.value, rel=1e-15, abs=0.0)
+        assert big.price / 1e103 == pytest.approx(unit.price, rel=1e-15, abs=0.0)
+        assert big.threshold / 1e103 == unit.threshold
+
+    # Scaling by a power of two is exact in floating point, and every step of
+    # the variance optimizers (Cardano, the clipped high prices, the closed-form
+    # values, the threshold scan and Brent's steps) is homogeneous in the scale.
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(mu=st.floats(0.3, 1.5), spread=st.one_of(st.floats(1.05, 4.0), st.just(math.inf)),
+           u=st.floats(0.01, 1.0), e=st.integers(-400, 400),
+           objective=st.sampled_from(["cr", "rev"]))
+    def test_variance_optimizers_are_exact_under_binary_scaling(self, mu, spread, u, e,
+                                                                objective):
+        beta = mu * spread
+        sigma = u * (math.sqrt(mu * (beta - mu)) if math.isfinite(beta) else 2.0 * mu)
+        k, solve = 2.0 ** e, (optimal_price_variance if objective == "cr"
+                              else optimal_price_revenue_variance)
+        a, b = solve(mu, sigma, beta), solve(k * mu, k * sigma, k * beta)
+        scaled = k if objective == "rev" else 1.0
+        assert (b.label, b.regime, b.price, b.value, b.threshold) == (
+            a.label, a.regime, k * a.price, scaled * a.value, k * a.threshold)
+        assert b.candidates == tuple((label, k * p, scaled * v) for label, p, v in a.candidates)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(mu=st.floats(0.3, 1.5), spread=st.floats(1.3, 3.5), u=st.floats(0.1, 0.9),
