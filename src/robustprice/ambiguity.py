@@ -118,8 +118,12 @@ class MarketInfo:
     @cached_property
     def phi_ends(self) -> tuple:
         """(phi(0), phi(beta)) as floats, for every {0, p, beta} mass solve."""
-        phi, beta = self.measure.value, self.beta
-        return float(phi(0.0)), float(phi(beta)) if math.isfinite(beta) else math.inf
+        beta = self.beta
+        return self._phi0, float(self.measure.value(beta)) if math.isfinite(beta) else math.inf
+
+    @cached_property
+    def _phi0(self) -> float:   # apart from phi_ends: phi(beta) can overflow
+        return float(self.measure.value(0.0))
 
     @cached_property
     def _edges(self) -> np.ndarray:
@@ -335,7 +339,7 @@ def _companion(market: MarketInfo, p: np.ndarray) -> np.ndarray:
 
 
 def _solve_companion(market: MarketInfo, p: np.ndarray) -> np.ndarray:
-    """Companion points of nondegenerate, non-variance markets (1-d p).
+    """Companion points of nondegenerate, non-variance markets (1-d p >= 0).
 
     Root of g(a) = phi(a)(mu-p) + phi(p)(a-mu) - s(a-p), the defining
     equation times (a - p).  Below the mean g is convex with g(mu) < 0; above
@@ -344,25 +348,26 @@ def _solve_companion(market: MarketInfo, p: np.ndarray) -> np.ndarray:
     the end from which Newton converges monotonically.  Every operation is
     elementwise and converged entries leave the working arrays, so each
     price follows the same iterates alone or inside an array.  A price whose
-    phi(p) is not finite raises RobustPriceError.
+    phi(p) is not finite raises RobustPriceError.  No iterate is negative.
     """
     mu, s, m = market.mu, market.s, market.measure
-    phi, dphi = m.value, m.derivative
+    phi, dphi = m._value, m._derivative
     out = np.zeros_like(p)
     below = p < mu
     # g(a) = phi(a) w + c a + c0, grouped so that no terms of size s*a cancel.
     phi_p = phi(p)
-    if not np.isfinite(phi_p).all():
+    if np.count_nonzero(np.isfinite(phi_p)) < p.size:
         raise RobustPriceError(f"phi(p) is not finite at p = {p[~np.isfinite(phi_p)][0]}")
     w, c, c0 = mu - p, phi_p - s, s * p - phi_p * mu
     # Above the mean: a root in [0, mu) exists iff g(0) <= 0, which holds
     # exactly for p >= right_threshold (at the threshold the companion is 0);
     # the other prices keep 0.
-    g0 = phi(0.0) * w + c0
-    pos = np.flatnonzero(below | (g0 < 0))
-    if pos.size == 0:
+    pos = (below | (market._phi0 * w + c0 < 0)).nonzero()[0]
+    n = pos.size
+    if n == 0:
         return out
-    below, w, c, c0 = below[pos], w[pos], c[pos], c0[pos]
+    if n < p.size:
+        below, w, c, c0 = below[pos], w[pos], c[pos], c0[pos]
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # Below the mean: walk hi = mu + mu * 2**k up until g(hi) > 0,
@@ -371,13 +376,14 @@ def _solve_companion(market: MarketInfo, p: np.ndarray) -> np.ndarray:
         hi = np.where(below, 2.0 * mu, mu)
         grow = below
         for _ in range(_COMPANION_DOUBLINGS):
-            if not grow.any():
+            if not np.count_nonzero(grow):
                 break
             grow = grow & ~(phi(hi) * w + c * hi + c0 > 0)
-            lo = np.where(grow, hi, lo)
-            hi = np.where(grow, 2.0 * hi - mu, hi)
-        if grow.any():
-            raise RootFindingError(f"no sign change found above {mu} after bracket expansion")
+            np.copyto(lo, hi, where=grow)
+            np.copyto(hi, 2.0 * hi - mu, where=grow)
+        if np.count_nonzero(grow):
+            raise RootFindingError(f"no sign change found above {mu} after bracket expansion "
+                                   f"at p = {p[pos[grow]][0]} on {market}")
 
         x = np.where(below, hi, lo)
         fx = phi(x) * w + c * x + c0
@@ -388,25 +394,27 @@ def _solve_companion(market: MarketInfo, p: np.ndarray) -> np.ndarray:
             step = fx / dfx
             newton = x - step
             take = (newton >= lo) & (newton <= hi) & (np.abs(2.0 * fx) <= np.abs(dx * dfx))
-            if take.all():
+            if np.count_nonzero(take) == n:
                 dx, x = step, newton
             else:
-                half = 0.5 * (hi - lo)
-                dx = np.where(take, step, half)
-                x = np.where(take, newton, lo + half)
+                dx = 0.5 * (hi - lo)
+                x = lo + dx
+                np.copyto(dx, step, where=take)
+                np.copyto(x, newton, where=take)
             fx = phi(x) * w + c * x + c0
             done = (np.abs(dx) <= tol + _BRENTQ_RTOL * np.abs(x)) | (fx == 0)
-            if done.any():
+            k = np.count_nonzero(done)
+            if k:
                 out[pos[done]] = x[done]
-                keep = ~done
-                if not keep.any():
+                if k == n:
                     break
+                keep, n = (~done).nonzero()[0], n - k
                 x, fx, lo, hi, dx, pos, w, c, c0 = (
                     v[keep] for v in (x, fx, lo, hi, dx, pos, w, c, c0))
             dfx = dphi(x) * w + c
             neg = fx < 0
-            lo = np.where(neg, x, lo)
-            hi = np.where(neg, hi, x)
+            np.copyto(lo, x, where=neg)
+            np.copyto(hi, x, where=~neg)
         else:
             raise RootFindingError("companion point iteration did not converge")
     return out

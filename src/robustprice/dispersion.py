@@ -67,7 +67,9 @@ class DispersionMeasure:
         right-limit value 0 is returned there so dual certificates stay
         evaluable on the whole support.
         """
-        x = _domain(x)
+        return self._derivative(_domain(x))
+
+    def _derivative(self, x):   # derivative without the domain check, as _value
         # 0 ** (q - 1) = 0 for q > 1: the right-limit value at x = 0.
         return self.q * np.power(x, self.q - 1.0) if self.family == "power" \
             else self.deriv_fn(x)

@@ -189,33 +189,54 @@ def delta_star(mu: float, beta: float) -> float:
 
 def _scan_root(f, lo: float, hi: float, scale: float, n: int = _ROOT_SCAN,
                last: bool = False) -> Optional[float]:
-    """:func:`_refine` on an n-point scan of [lo, hi]; None if it is empty.
-    f maps a point array to residuals and a float to one."""
+    """The root of :func:`_search` on an n-point scan of [lo, hi], None if it
+    is empty; f maps a point array to residuals and a float to one."""
     if not hi > lo:
         return None
     grid = np.linspace(lo, hi, n)
-    return _refine(lambda x: float(f(x)), grid, f(grid), scale, last)
+    search = _search(grid, f(grid), scale, last)
+    try:
+        x = next(search)
+        while True:   # one float call per Brent step
+            x = search.send(float(f(x)))
+    except StopIteration as stop:
+        return stop.value
 
 
-def _refine(f, grid: np.ndarray, fx: np.ndarray, scale: float, last=False) -> Optional[float]:
-    """The first (with ``last``, the last) sign-change root of f from its
-    residuals fx on grid, None if there is none: a grid point where fx is 0,
-    or Brent's method on the chosen sign change from the residuals at its
-    ends, calling the float function f once per step, with xtol relative to
-    ``scale``.  Signs are compared, not multiplied: inf times 0 is NaN."""
+def _refine(f, searches: list) -> list:
+    """The roots of searches stepped together: each round calls f once on the
+    active searches' points and sends search k its point's entry of row k."""
+    roots, sends = [None] * len(searches), dict.fromkeys(range(len(searches)))
+    while sends:
+        points = {}
+        for k, fx in sends.items():
+            try:
+                points[k] = searches[k].send(fx)
+            except StopIteration as stop:
+                roots[k] = stop.value
+        rows = f(np.array(list(points.values()))) if points else ()
+        sends = {k: rows[k][j].item() for j, k in enumerate(points)}
+    return roots
+
+
+def _search(grid: np.ndarray, fx: np.ndarray, scale: float, last=False):
+    """The first (with ``last``, the last) sign-change root from the residuals fx on grid,
+    None if there is none, as a generator (:func:`_brent`): a grid point where fx is 0, or
+    Brent's method from the chosen sign change's ends, with xtol relative to ``scale``.
+    Signs are compared, not multiplied: inf times 0 is NaN."""
     sign = np.sign(fx)
     hits = np.flatnonzero((sign == 0.0) | np.append(sign[:-1] == -sign[1:], False))
     if not hits.size:
         return None
     i = int(hits[-1 if last else 0])
     j = min(i + 1, len(grid) - 1)
-    return _brent(f, *grid[[i, j]].tolist(), *fx[[i, j]].tolist(), _BRENTQ_XTOL * scale)
+    return (yield from _brent(*grid[[i, j]].tolist(), *fx[[i, j]].tolist(), _BRENTQ_XTOL * scale))
 
 
-def _brent(f, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float) -> float:
-    """Brent's method on the bracket [xpre, xcur] with residuals fpre, fcur,
-    on floats, as C brentq (Brent 1973); f is called once per step, never
-    at the bracket ends, and a NaN residual raises."""
+def _brent(xpre: float, xcur: float, fpre: float, fcur: float, xtol: float):
+    """Brent's method on the bracket [xpre, xcur] with residuals fpre, fcur, on floats, as
+    C brentq (Brent 1973): a generator that yields each step's point (never a bracket end),
+    is sent its float residual and returns the root; a NaN residual raises."""
     if fpre == 0 or fcur == 0:
         return xpre if fpre == 0 else xcur
     if (fpre < 0) == (fcur < 0):
@@ -247,7 +268,7 @@ def _brent(f, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float) -
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
+        fcur = yield xcur
         if math.isnan(fcur):
             raise RootFindingError(f"residual is NaN at x = {xcur}")
     raise RootFindingError(f"Brent's method did not converge in {_BRENTQ_MAXITER} steps")
@@ -269,10 +290,10 @@ def _residuals(market: MarketInfo, p: np.ndarray, low: bool, cr: bool) -> dict:
       and the mid revenue p w_beta are stationary.
     """
     mu, s, m = market.mu, market.s, market.measure
-    phi_p, dphi_p = m._value(p), m.derivative(p)
+    phi_p, dphi_p = m._value(p), m._derivative(p)
     if low:
         a = _companion(market, p)
-        g_a = m.derivative(a) * (mu - p) + phi_p - s
+        g_a = m._derivative(a) * (mu - p) + phi_p - s
         g_p = s - m._value(a) + dphi_p * (a - mu)
         if cr:
             return {"bar_p_l": p - a * mu / (a + np.sqrt(a * (a - mu))),
@@ -291,18 +312,17 @@ def _residuals(market: MarketInfo, p: np.ndarray, low: bool, cr: bool) -> dict:
 def _condition_roots(market: MarketInfo, lo: float, hi: float, low: bool, cr: bool):
     """[(label, root)] of the regime's conditions that change sign on [lo, hi]
     (none if it is empty): the last root for ``bar_p_h``, else the first.  The
-    conditions share one scan grid, whose companion points are solved once."""
-    def at(x: float, label: str) -> float:   # a Brent step
-        return float(_residuals(market, np.array([x]), low, cr)[label][0])
-
+    conditions share one scan grid, and their Brent searches step together:
+    a low-regime round solves the companion points of its 1-2 points at once."""
     if not hi > lo:
         return []
     grid = np.linspace(lo, hi, _ROOT_SCAN)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        roots = [(label, _refine(lambda x, k=label: at(x, k), grid, fx, market.mu,
-                                 label == "bar_p_h"))
-                 for label, fx in _residuals(market, grid, low, cr).items()]
-    return [(label, root) for label, root in roots if root is not None]
+        scan = _residuals(market, grid, low, cr)
+        roots = _refine(lambda x: list(_residuals(market, x, low, cr).values()),
+                        [_search(grid, fx, market.mu, label == "bar_p_h")
+                         for label, fx in scan.items()])
+    return [(label, root) for label, root in zip(scan, roots) if root is not None]
 
 
 def _optimal(market: MarketInfo, objective: str, compat_printed_pl: bool = False,

@@ -270,3 +270,38 @@ def test_a_power_threshold_beyond_the_floats_is_infinite():
     assert not report.feasible and report.right_threshold == math.inf
     with pytest.raises(rp.InfeasibleMarketError):
         rp.optimal_price_power(MU, 1.0, 1.0005, 2.0)
+
+
+def test_a_companion_bracket_that_runs_out_names_the_market():
+    # q near 1 with beta = inf: t2 = inf, and a low price's companion lies
+    # beyond the largest float, so the bracket doublings run out.
+    with pytest.raises(rp.RootFindingError, match=r"q=1\.0005") as info:
+        rp.optimal_price_power(MU, 1.0, 1.0005, math.inf)
+    assert all(f in str(info.value) for f in ("at p = 5e-10", "mu=0.5", "s=1.0", "beta=inf"))
+
+
+def _answers_or_error(make, fields):
+    """:func:`_answers` of the market, or the RobustPriceError subclass it raises."""
+    try:
+        return _answers(make(*fields))
+    except RobustPriceError as e:
+        return type(e)
+
+
+# Power markets with q in (1, 1.01], where the companion's bracket grows the
+# most, and s near either end of [mu**q, mu * beta**(q - 1)] (the point mass
+# and {0, beta}): a typed market answers or raises as the float market of the
+# same values.
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(types=st.tuples(*[st.sampled_from(NUMBER_TYPES)] * 3),
+       q=st.floats(1.0, 1.01, exclude_min=True), upper=st.booleans(),
+       u=st.floats(1e-9, 1e-2))
+@example(types=(float,) * 3, q=1.01, upper=False, u=1e-9)
+@example(types=(np.float32,) * 3, q=1.0005, upper=True, u=1e-6)
+def test_power_fields_near_q_1_of_any_number_type(types, q, upper, u):
+    mu, beta = 2, 5
+    lo, hi = mu ** q, mu * beta ** (q - 1.0)
+    s = hi - u * (hi - lo) if upper else lo + u * (hi - lo)
+    make = lambda mu, s, beta: power_market(mu, s, q, beta)  # noqa: E731
+    fields = [t(v) for t, v in zip(types, (mu, s, beta))]
+    assert _answers_or_error(make, fields) == _answers_or_error(make, map(float, fields))

@@ -50,10 +50,20 @@ def _recording(f):
     return g, calls
 
 
+def _run(f, search):
+    """The root of one Brent search, sent f(x) at each point x it yields."""
+    try:
+        x = next(search)
+        while True:
+            x = search.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
 def _solve(f, lo, hi, scale):
     """_brent on [lo, hi], handed the end residuals as a scan would."""
     g = _scalar(f)
-    return _brent(g, lo, hi, g(lo), g(hi), _XTOL * scale)
+    return _run(g, _brent(lo, hi, g(lo), g(hi), _XTOL * scale))
 
 
 # Brackets of _wavy: sign changes of several widths, one wide bracket with
@@ -92,7 +102,7 @@ class TestSolveBracketed:
         f = _scalar(_wavy)
         for a, b in zip(_LO, _HI):
             g, calls = _recording(f)
-            root = _brent(g, a, b, f(a), f(b), _XTOL)
+            root = _run(g, _brent(a, b, f(a), f(b), _XTOL))
             assert (root, len(calls) + 2) == _reference(_wavy, a, b, 1.0)
 
 
@@ -113,28 +123,62 @@ class TestScanRoot:
         assert calls == []
 
     def test_refinement_never_revisits_the_scan(self, monkeypatch):
-        # Every call after the scan is one Brent step, at a point off its grid.
-        scans = []
-        refine = optimizer._refine
+        # After the scan, each Brent round is one residual call with one point
+        # per active search, in search order, and none of them on the grid.
+        threshold, calls, runs = [], [], []
+        scan_root, residuals, refine = optimizer._scan_root, optimizer._residuals, \
+            optimizer._refine
 
-        def recording_refine(f, grid, *args, **kwargs):
-            g, calls = _recording(f)
-            root = refine(g, grid, *args, **kwargs)
-            scans.append((grid, calls, root))
-            return root
+        def recording_scan(f, *args, **kwargs):
+            g, steps = _recording(f)
+            threshold.append((steps, scan_root(g, *args, **kwargs)))
+            return threshold[-1][1]
 
+        def recording_residuals(market, p, *args):
+            calls.append(np.array(p, copy=True))
+            return residuals(market, p, *args)
+
+        def recording_refine(f, searches):
+            points = [[] for _ in searches]
+            first = len(calls)
+            roots = refine(f, [_tapped(s, xs) for s, xs in zip(searches, points)])
+            runs.append((calls[first - 1], calls[first:], points, roots))
+            return roots
+
+        monkeypatch.setattr(optimizer, "_scan_root", recording_scan)
+        monkeypatch.setattr(optimizer, "_residuals", recording_residuals)
         monkeypatch.setattr(optimizer, "_refine", recording_refine)
         sigma_star(0.5, 1.0)
         optimal_price_power(0.5, 0.45, 1.5, 1.0)  # both mid roots
         optimal_price_power(0.5, 0.4, 1.5, 1.0)   # the low crossing only
         optimal_price_power(0.5, 0.45, 1.5, math.inf)  # both low roots, no mid regime
         # The threshold, then bar_p_l, hat_p_l, hat_p_h and bar_p_h of each market.
-        assert [root is not None for _, _, root in scans] == [True] + [False, False, True, True] \
+        roots = [root for _, root in threshold] + [r for *_, rs in runs for r in rs]
+        assert [root is not None for root in roots] == [True] + [False, False, True, True] \
             + [True, False, False, False] + [True, True]
-        for grid, steps, root in scans:
-            assert len(steps) > 0 or root is None
-            for x in steps:
-                assert x.size == 1 and not np.isin(x, grid).any()
+        (steps, _), = threshold
+        grid, *steps = steps
+        assert grid.size > 1 and steps and all(x.size == 1 for x in steps)
+        assert not np.isin(np.array(steps), grid).any()
+        for grid, rounds, points, roots in runs:
+            assert grid.size == _ROOT_SCAN
+            assert len(rounds) == max(map(len, points))
+            for r, x in enumerate(rounds):
+                assert x.tolist() == [xs[r] for xs in points if len(xs) > r]
+                assert not np.isin(x, grid).any()
+            for xs, root in zip(points, roots):
+                assert len(xs) > 0 or root is None
+
+
+def _tapped(search, points):
+    """The generator search, recording each point it yields in points."""
+    fx = None
+    try:
+        while True:
+            points.append(search.send(fx))
+            fx = yield points[-1]
+    except StopIteration as stop:
+        return stop.value
 
 
 def _exp_market(k, u=0.5, mu0=0.5, beta0=1.2):
@@ -144,6 +188,43 @@ def _exp_market(k, u=0.5, mu0=0.5, beta0=1.2):
                              lambda x: np.exp(np.asarray(x, dtype=float) / mu) / mu)
     hi = (1 - mu0 / beta0) + (mu0 / beta0) * math.exp(beta0 / mu0)
     return MarketInfo(mu=mu, s=math.e + u * (hi - math.e), beta=beta0 * k, measure=measure)
+
+
+class TestLockstepRefinement:
+    """The searches of a regime step together and find the roots that each
+    finds alone: the reference runs one condition's Brent search at a time,
+    with its residual at one price per step."""
+
+    @staticmethod
+    def _one_at_a_time(market, lo, hi, low, cr):
+        grid = np.linspace(lo, hi, _ROOT_SCAN)
+        roots = []
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for label, fx in optimizer._residuals(market, grid, low, cr).items():
+                def f(x, label=label):
+                    return float(optimizer._residuals(market, np.array([x]), low, cr)[label][0])
+                root = _run(f, optimizer._search(grid, fx, market.mu, label == "bar_p_h"))
+                if root is not None:
+                    roots.append((label, root))
+        return roots
+
+    @pytest.mark.parametrize("market", [
+        MarketInfo(0.5, 0.45, 1.0, power_moment(1.5)),
+        MarketInfo(0.5, 0.45, math.inf, power_moment(1.5)),
+        _exp_market(1.0), _exp_market(1.0, u=0.2), _exp_market(1.0, u=0.8)],
+        ids=["power", "power_unbounded", "exp", "exp_low_s", "exp_high_s"])
+    @pytest.mark.parametrize("cr", [True, False], ids=["cr", "rev"])
+    def test_roots_equal_one_search_at_a_time(self, market, cr):
+        mu, t1, t2 = market.mu, left_threshold(market), right_threshold(market)
+        finite = math.isfinite(market.beta)
+        regimes = [(True, 1e-9 * mu, t1 if finite else mu * (1.0 - 1e-7))]
+        regimes += [(False, t1, t2)] if finite and t1 > 0 else []
+        found = 0
+        for low, lo, hi in regimes:
+            roots = optimizer._condition_roots(market, lo, hi, low, cr)
+            assert roots == self._one_at_a_time(market, lo, hi, low, cr)
+            found += len(roots)
+        assert found > 0
 
 
 def scan_and_rescan(market, objective="cr", tol=1e-8):
