@@ -6,12 +6,13 @@ competitive-ratio and revenue objectives at a fixed price p.
 
 Two interchangeable implementations are provided: a loop kernel, compiled
 with numba when numba is installed (the optional ``fast`` extra), and a
-vectorized numpy kernel used otherwise.  The numpy kernel builds no triple
-index: it enumerates the triples in one block per first support point,
-each block drawn from a single pair index and kept to the triples whose
-triangle can hold (mu, s).  Both kernels visit the feasible candidates
-in the same lexicographic order and break ties by first occurrence, so
-results are bit-comparable.
+vectorized numpy kernel used otherwise.  The numpy kernel is one stream
+of scored member blocks, read by one running minimum per objective: every
+feasible pair, then the triples in one block per first support point,
+drawn from the pair index and kept to those whose triangle can hold
+(mu, s).  Both kernels visit the feasible candidates in the same
+lexicographic order and break ties by first occurrence, so results are
+bit-comparable.
 """
 
 from __future__ import annotations
@@ -153,30 +154,14 @@ def _enumerate_impl(g, phi, mu, s, p, disp_tol, mass_tol):
     return best_cr, best_rev, cr_sup, cr_mas, rev_sup, rev_mas, n_feasible
 
 
-def _pairs_numpy(g, phi, mu, s, p, disp_tol, mass_tol, J, K):
-    xi, xj = g[J], g[K]
-    wj = (mu - xi) / (xj - xi)
-    wi = 1.0 - wj
-    feas = (wi >= -mass_tol) & (wj >= -mass_tol)
-    feas &= np.abs(phi[J] * wi + phi[K] * wj - s) <= disp_tol
-    if not feas.any():
-        return (np.empty((0, 3)),) * 2 + (np.empty(0),) * 2
-    xi, xj = xi[feas], xj[feas]
-    wi = np.clip(wi[feas], 0.0, None)
-    wj = np.clip(wj[feas], 0.0, None)
-    t_p = np.where(xi >= p, wi, 0.0) + np.where(xj >= p, wj, 0.0)
-    rev = p * t_p
-    opt = np.maximum(rev, np.where(xi > 0, xi * (wi + wj), 0.0))
-    opt = np.maximum(opt, xj * wj)
-    cr = np.where(opt > 0, rev / np.where(opt > 0, opt, 1.0), 1.0)
-    sup = np.column_stack([xi, xj, np.full(xi.size, np.nan)])
-    mas = np.column_stack([wi, wj, np.full(xi.size, np.nan)])
-    return sup, mas, cr, rev
+def _blocks_numpy(g, phi, mu, s, p, disp_tol, mass_tol):
+    """Scored feasible members in blocks, in the loop kernel's order.
 
-
-def _triples_numpy(g, phi, mu, s, p, mass_tol, J, K):
-    """Triples (i, j, k) whose triangle can hold (mu, s), one vectorized
-    block per first index i.
+    Yields (supports, masses, cr, rev): the support and mass columns of a
+    block's members and their two objectives.  Every feasible pair comes
+    as one block, then the triples (i, j, k) whose triangle can hold
+    (mu, s), one block per first index i, whose first support column is
+    the scalar x_i.
 
     (J, K) lists the pairs j < k row by row, so the pairs with i < j form
     the tail of that list starting at row i + 1 and no triple index is
@@ -200,16 +185,29 @@ def _triples_numpy(g, phi, mu, s, p, mass_tol, J, K):
     the crossing can only widen the block.
     """
     n = g.size
-    row_start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    J, K = np.triu_indices(n, 1)
     pairs = np.stack([g[J], g[K], phi[J], phi[K]])
     gJ, gK, fJ, fK = pairs
+    wj = (mu - gJ) / (gK - gJ)
+    wi = 1.0 - wj
+    feas = (wi >= -mass_tol) & (wj >= -mass_tol)
+    feas &= np.abs(fJ * wi + fK * wj - s) <= disp_tol
+    if feas.any():
+        xi, xj = gJ[feas], gK[feas]
+        wi = np.clip(wi[feas], 0.0, None)
+        wj = np.clip(wj[feas], 0.0, None)
+        t_p = np.where(xi >= p, wi, 0.0) + np.where(xj >= p, wj, 0.0)
+        rev = p * t_p
+        opt = np.maximum(rev, np.where(xi > 0, xi * (wi + wj), 0.0))
+        opt = np.maximum(opt, xj * wj)
+        cr = np.where(opt > 0, rev / np.where(opt > 0, opt, 1.0), 1.0)
+        yield (xi, xj), (wi, wj), cr, rev
+
+    row_start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
     span = g[-1] - g[0]
     height = fJ + (fK - fJ) / (gK - gJ) * (mu - gJ)
     slack = 1e-7 * (np.ptp(phi) + np.max(np.abs(np.diff(phi) / np.diff(g))) * span)
     under = height <= s + slack
-    best_cr, best_rev = np.inf, np.inf
-    cr_wit = rev_wit = (None, None)
-    n_feas = 0
     for i in range(n - 2):
         xi, fi = g[i], phi[i]
         if xi > mu + 1e-7 * span:
@@ -238,7 +236,6 @@ def _triples_numpy(g, phi, mu, s, p, mass_tol, J, K):
         nf = int(np.count_nonzero(feas))
         if nf == 0:
             continue
-        n_feas += nf
         if nf < sel.size:
             xj, xk, wi, wj, wk = xj[feas], xk[feas], wi[feas], wj[feas], wk[feas]
         wi, wj, wk = np.maximum(wi, 0.0), np.maximum(wj, 0.0), np.maximum(wk, 0.0)
@@ -250,49 +247,30 @@ def _triples_numpy(g, phi, mu, s, p, mass_tol, J, K):
         opt = np.maximum(opt, xk * wk)
         pos = opt > 0
         cr = rev / opt if pos.all() else np.where(pos, rev / np.where(pos, opt, 1.0), 1.0)
-        # argmin takes the first minimum and only a strictly smaller block
-        # minimum replaces the best, so ties keep lexicographic order.
-        a = int(np.argmin(cr))
-        if cr[a] < best_cr:
-            best_cr = float(cr[a])
-            cr_wit = (np.array([xi, xj[a], xk[a]]),
-                      np.array([wi[a], wj[a], wk[a]]))
-        a = int(np.argmin(rev))
-        if rev[a] < best_rev:
-            best_rev = float(rev[a])
-            rev_wit = (np.array([xi, xj[a], xk[a]]),
-                       np.array([wi[a], wj[a], wk[a]]))
-    return best_cr, best_rev, cr_wit, rev_wit, n_feas
+        yield (xi, xj, xk), (wi, wj, wk), cr, rev
 
 
 def _enumerate_numpy(g, phi, mu, s, p, disp_tol, mass_tol):
-    """Vectorized equivalent of the loop kernel (same enumeration order)."""
-    best_cr, best_rev = np.inf, np.inf
-    cr_sup = np.full(3, np.nan)
-    cr_mas = np.full(3, np.nan)
-    rev_sup = np.full(3, np.nan)
-    rev_mas = np.full(3, np.nan)
+    """Vectorized equivalent of the loop kernel: one running minimum per
+    objective over the blocks of :func:`_blocks_numpy`.
+
+    argmin takes a block's first minimum and only a strictly smaller one
+    replaces the best, so ties keep the loop kernel's first occurrence.
+    A witness is the block's row at the minimum, NaN-padded to length 3.
+    """
+    best = [np.inf, np.inf]
+    wit = [(np.full(3, np.nan), np.full(3, np.nan)) for _ in best]
     n_feasible = 0
-    J, K = np.triu_indices(g.size, 1)
-    sup, mas, cr, rev = _pairs_numpy(g, phi, mu, s, p, disp_tol, mass_tol, J, K)
-    if cr.size:
+    for sup, mas, cr, rev in _blocks_numpy(g, phi, mu, s, p, disp_tol, mass_tol):
         n_feasible += cr.size
-        a = int(np.argmin(cr))
-        best_cr = float(cr[a])
-        cr_sup, cr_mas = sup[a], mas[a]
-        a = int(np.argmin(rev))
-        best_rev = float(rev[a])
-        rev_sup, rev_mas = sup[a], mas[a]
-    t_cr, t_rev, t_cr_wit, t_rev_wit, t_nf = _triples_numpy(g, phi, mu, s, p,
-                                                            mass_tol, J, K)
-    n_feasible += t_nf
-    if t_cr < best_cr:
-        best_cr = t_cr
-        cr_sup, cr_mas = t_cr_wit
-    if t_rev < best_rev:
-        best_rev = t_rev
-        rev_sup, rev_mas = t_rev_wit
-    return best_cr, best_rev, cr_sup, cr_mas, rev_sup, rev_mas, n_feasible
+        for o, obj in enumerate((cr, rev)):
+            a = int(np.argmin(obj))
+            if obj[a] < best[o]:
+                best[o] = float(obj[a])
+                wit[o] = tuple(np.array([c[a] if np.ndim(c) else c for c in cols]
+                                        + [np.nan] * (3 - len(cols)))
+                               for cols in (sup, mas))
+    return (*best, *wit[0], *wit[1], n_feasible)
 
 
 def _build_kernel():
@@ -306,15 +284,17 @@ def _build_kernel():
 _KERNEL, KERNEL_BACKEND = _build_kernel()
 
 
-def enumerate_min(g, phi, mu, s, p, disp_tol=DISP_TOL, mass_tol=MASS_TOL):
+def enumerate_min(g, phi, mu, s, p):
     """Minimum CR and revenue over grid-supported 2-/3-point members.
 
-    Returns (cr_min, rev_min, (cr_supports, cr_masses),
-    (rev_supports, rev_masses), n_feasible); witness arrays carry NaN
-    padding in the third slot for two-point witnesses.
+    A pair's dispersion error scales like phi, so its bound does too:
+    DISP_TOL * (max phi - min phi).  Returns (cr_min, rev_min,
+    (cr_supports, cr_masses), (rev_supports, rev_masses), n_feasible);
+    witness arrays carry NaN padding in the third slot for two-point
+    witnesses.
     """
     g = np.ascontiguousarray(g, dtype=np.float64)
     phi = np.ascontiguousarray(phi, dtype=np.float64)
     cr, rev, cs, cm, rs, rm, nf = _KERNEL(g, phi, float(mu), float(s), float(p),
-                                          float(disp_tol), float(mass_tol))
+                                          float(DISP_TOL * np.ptp(phi)), MASS_TOL)
     return cr, rev, (cs, cm), (rs, rm), nf

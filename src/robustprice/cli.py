@@ -94,10 +94,10 @@ def _finite_arg(text: str) -> float:
     return value
 
 
-def _at_least(minimum: int):
-    """An argparse type: an integer no smaller than minimum."""
-    def count(text: str) -> int:
-        value = int(text)  # argparse reports a ValueError as a flag error
+def _at_least(minimum: int, kind=int):
+    """An argparse type: a kind (int by default) no smaller than minimum."""
+    def count(text: str):
+        value = kind(text)  # argparse reports a ValueError as a flag error
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
         return value
@@ -213,7 +213,7 @@ def cmd_bounds(args) -> int:
 def cmd_dist(args) -> int:
     market = _market(args)
     d = worst_case_distribution(market, args.p,
-                                eps=args.eps if args.eps > 0 else None)
+                                eps=args.eps or None)
     return _emit({
         "supports": [_num(x) for x in d.supports],
         "masses": [_num(w) for w in d.masses],
@@ -299,7 +299,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("dist", help="worst-case distribution at a price")
     _add_market_args(p)
     p.add_argument("--p", type=_finite_arg, required=True)
-    p.add_argument("--eps", type=_finite_arg, default=0.0,
+    p.add_argument("--eps", type=_at_least(0, _finite_arg), default=0.0,
                    help="left-limit offset; 0 selects the default")
     p.set_defaults(func=cmd_dist)
 
@@ -318,7 +318,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run the oracle verification suite")
     p.add_argument("--trials", type=_at_least(1), default=50)
     p.add_argument("--grid", type=_at_least(MIN_GRID_N), default=201)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_at_least(0), default=7)
     p.add_argument("--compat-printed-pl", action="store_true", dest="compat_printed_pl")
     p.set_defaults(func=cmd_verify)
 

@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._kernels import DISP_TOL, MASS_TOL, enumerate_min
+from ._kernels import enumerate_min
 from .ambiguity import (MarketInfo, _check_price, _companion, companion_point,
                         left_threshold, right_threshold, variance_market)
 from .bounds import (REGIME_HIGH, REGIME_LOW, REGIME_MID, tail_prob_max,
@@ -61,18 +61,6 @@ def oracle_grid(market: MarketInfo, p: float, grid_n: int) -> Tuple[np.ndarray, 
     return g, eps
 
 
-def _run_kernel(market: MarketInfo, p: float, grid_n: int):
-    g, _ = oracle_grid(market, p, grid_n)
-    phi = np.asarray(market.measure.value(g), dtype=float)
-    # A pair's dispersion error scales like phi, so its bound does too.
-    cr, rev, cr_wit, rev_wit, n_feas = enumerate_min(
-        g, phi, market.mu, market.s, p, DISP_TOL * np.ptp(phi), MASS_TOL)
-    if n_feas == 0 or not math.isfinite(cr):
-        raise InfeasibleMarketError(
-            f"no feasible grid-supported distribution at grid_n={grid_n}")
-    return cr, rev, cr_wit, rev_wit
-
-
 def _witness(wit) -> DiscreteDistribution:
     sup, mas = wit
     keep = ~np.isnan(sup)
@@ -88,7 +76,12 @@ def oracle_worst_case(market: MarketInfo, p: float,
     distribution is (within clamping tolerance) a member of the market.
     The revenue objective is p*P(X>=p).
     """
-    cr, rev, cr_wit, rev_wit = _run_kernel(market, p, grid_n)
+    g, _ = oracle_grid(market, p, grid_n)
+    cr, rev, cr_wit, rev_wit, n_feas = enumerate_min(
+        g, market.measure.value(g), market.mu, market.s, p)
+    if n_feas == 0 or not math.isfinite(cr):
+        raise InfeasibleMarketError(
+            f"no feasible grid-supported distribution at grid_n={grid_n}")
     return cr, _witness(cr_wit), rev, _witness(rev_wit)
 
 

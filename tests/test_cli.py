@@ -190,8 +190,9 @@ def test_dispersion_flag_errors(capsys, argv, spread, message):
     assert message in err
 
 
-# One argv per numeric flag with a nan (or inf) value swapped in; each must
-# be a flag error naming the flag, not an infeasible market.
+# One argv per numeric flag with a nan (or inf, or non-numeric) value swapped
+# in, plus a negative --eps; each must be a flag error naming the flag, not an
+# infeasible market.
 _MARKET = ["--mu", "0.5", "--sigma", "0.3", "--beta", "1"]
 _NONFINITE_FLAGS = [
     ("--mu", ["price", "--mu", "nan", "--sigma", "0.3", "--beta", "1"]),
@@ -200,12 +201,15 @@ _NONFINITE_FLAGS = [
     ("--s", ["price", "--mu", "0.5", "--s", "nan", "--beta", "1",
              "--phi", "power:q=1.5"]),
     ("--beta", ["price", "--mu", "0.5", "--sigma", "0.3", "--beta", "nan"]),
+    ("--beta", ["price", "--mu", "0.5", "--sigma", "0.3", "--beta", "abc"]),
     ("--p", ["cr", *_MARKET, "--p", "nan"]),
     ("--p", ["bounds", *_MARKET, "--p", "nan"]),
     ("--eps", ["dist", *_MARKET, "--p", "0.3", "--eps", "nan"]),
+    ("--eps", ["dist", *_MARKET, "--p", "0.3", "--eps", "-0.1"]),
     ("--from", ["sweep", *_MARKET, "--vary", "sigma", "--from", "nan", "--to", "0.4"]),
     ("--to", ["sweep", *_MARKET, "--vary", "sigma", "--from", "0.1", "--to", "nan"]),
     ("--values", ["sweep", *_MARKET, "--vary", "beta", "--values", "1,nan"]),
+    ("--values", ["sweep", *_MARKET, "--vary", "beta", "--values", "1,abc"]),
     ("--sigma", ["compare", "--mu", "0.5", "--sigma", "nan", "--beta", "1"]),
 ]
 
@@ -271,6 +275,10 @@ class TestDist:
         assert obj["mean"] == pytest.approx(0.5, abs=1e-9)
         assert obj["dispersion"] == pytest.approx(0.5, abs=1e-6)
         jsonschema.validate(obj, schema("dist"))
+
+    def test_eps_zero_selects_the_default(self, capsys):
+        argv = ["dist", "--mu", "0.5", "--sigma", "0.3", "--beta", "1", "--p", "0.2"]
+        assert run_json(capsys, [*argv, "--eps", "0"]) == run_json(capsys, argv)
 
 
 class TestCompare:
@@ -418,7 +426,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--trials", "-3"),
                                             ("--grid", "5"), ("--grid", "20"),
-                                            ("--grid", "2.5")])
+                                            ("--grid", "2.5"), ("--seed", "-1")])
     def test_too_small_counts_are_flag_errors(self, capsys, flag, value):
         err = usage_error(capsys, ["verify", flag, value])
         assert f"argument {flag}" in err
