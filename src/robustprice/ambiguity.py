@@ -32,7 +32,9 @@ MODE_UPPER = "upper"
 # Relative tolerance used to detect the degenerate point-mass market and
 # the boundary cases p ~ threshold.
 _DEGEN_RTOL = 1e-12
-_BAND = 1e-12   # half-width of the tail pass's threshold bands, relative to beta (mu if inf)
+# Relative slack: t2 >= beta (1 - _BAND) makes {0, beta} the one member (tail
+# pass, variance table), and best_case_revenue takes prices up to t2 (1 + _BAND).
+_BAND = 1e-12
 _PRICE_MAX = float(np.finfo(float).max)   # price bounds are capped here, so inf fails them
 
 # Root-finder tolerances of the companion solver here and of Brent's method
@@ -127,11 +129,9 @@ class MarketInfo:
 
     @cached_property
     def _edges(self) -> np.ndarray:
-        """The tail pass's (6, 1) price edges: 0, t1 -+ band, t2 -+ band, beta."""
-        t1, t2, beta = self.left_threshold, self.right_threshold, self.beta
-        band = _BAND * (beta if math.isfinite(beta) else self.mu)
-        return np.array((0.0, t1 - band, t1 + band, t2 - band, t2 + band,
-                         min(beta, _PRICE_MAX))).reshape(6, 1)
+        """The tail pass's (4, 1) price edges: 0, t1, t2, beta (capped at _PRICE_MAX)."""
+        return np.array((0.0, self.left_threshold, self.right_threshold,
+                         min(self.beta, _PRICE_MAX))).reshape(4, 1)
 
     @property
     def sigma(self) -> float:

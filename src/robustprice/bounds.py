@@ -30,10 +30,6 @@ REGIME_HIGH = "above_right_threshold"
 LOW, MID, HIGH = 0, 1, 2
 REGIMES = np.array([REGIME_LOW, REGIME_MID, REGIME_HIGH], dtype=object)
 
-# Inside a threshold's band (ambiguity._BAND) both adjacent pieces are
-# evaluated and must agree, since continuity at the thresholds is a theorem.
-_BOUNDARY_AGREE = 1e-9
-
 
 @dataclass(frozen=True)
 class TailBounds:
@@ -67,7 +63,8 @@ def _evaluate(market: MarketInfo, p):
     The one regime evaluator and price check: p is a 1-d price array, and a
     price outside (0, beta], NaN and inf included, raises.  The measure
     enters only through phi, evaluated once per mid-regime price, its ends
-    (phi(0), phi(beta)), and the companion points.  The pieces and the
+    (phi(0), phi(beta)), and the companion points.  A price's regime alone
+    decides its piece, the same for every entry point; the pieces and the
     members attaining them:
 
     * low, p <= t1: {p, a} with a = companion(p) > mu; inf (mu-p)/(a-p),
@@ -78,22 +75,15 @@ def _evaluate(market: MarketInfo, p):
     * high, p > t2: {a, p} with a = companion(p) < mu; inf 0 (the {0, t2}
       member sells nothing), sup (a-mu)/(a-p), y = beta.
 
-    Each piece is evaluated only at the prices that need it: one companion
-    solve or one mass solve per price, two in the bands.
-
-    Labelling rule, the same for every entry point: a price within the
-    band _BAND * beta (_BAND * mu when beta = inf) of a threshold is
-    labelled with the regime below it, low at t1 and mid at t2; there both
-    adjacent pieces are evaluated, must agree within _BOUNDARY_AGREE, and
-    are averaged (near maximal dispersion, see :func:`_blend`).  The point
-    mass (inf = sup = 1 up to mu, y = mu; low up to mu, high above) and
-    the maximal-dispersion market {0, beta} (t2 = beta; inf = sup =
-    mu/beta, y = beta, mid) have one member and no bands.
+    Each piece runs once, on the prices it labels: one companion solve or
+    one mass solve per price.  Adjacent pieces meet at their threshold.
+    The point mass (inf = sup = 1 up to mu, y = mu; low up to mu, high
+    above) and the maximal-dispersion market {0, beta} (t2 = beta; inf =
+    sup = mu/beta, y = beta, mid) have one member.  A NaN from a piece
+    raises :class:`InternalConsistencyError`.
     """
     mu, s, beta = market.mu, market.s, market.beta
-    t1, t2 = market.left_threshold, market.right_threshold
     finite = math.isfinite(beta)
-    scale = beta if finite else mu
 
     def low_piece(x):
         a = _companion(market, x)
@@ -109,65 +99,32 @@ def _evaluate(market: MarketInfo, p):
         return np.minimum(np.maximum(wb, 0.0), sup), sup, beta
 
     def high_piece(x):
-        a = np.where(x == mu, 0.0, _companion(market, x))   # the piece's limit at mu
+        a = _companion(market, x)
         return 0.0, (a - mu) / (a - x), beta
 
     # One comparison checks and labels the prices: above[k] is 1 where p > edge
-    # k, the edges 0, t1 -+ band, t2 -+ band and beta.  The two bands may overlap.
+    # k, the edges 0, t1, t2 and beta.
     above = (p > market._edges).view(np.int8)
     n = np.add.reduce(above, 1).tolist()
-    if n[0] != p.size or n[5]:
+    if n[0] != p.size or n[3]:
         _check_price(p, beta)
     point = market.is_degenerate
-    if point or finite and t2 >= beta * (1.0 - _BAND):   # one member: the point mass or {0, beta}
+    if point or finite and market.right_threshold >= beta * (1.0 - _BAND):
+        # One member: the point mass or {0, beta}.
         tail = (p <= mu).astype(float) if point else np.full(p.shape, mu / beta)
         regime = np.where(p <= mu, LOW, HIGH) if point else np.full(p.shape, MID)
         return tail, tail.copy(), np.full(p.shape, mu if point else beta), regime
-    # Each piece runs once, on the prices between edges lo and hi: where it labels and the band
-    # below its threshold; high to low, so a band price ends with the piece below it.
-    out, blends = np.empty((3, p.size)), []
-    inf_tail, sup_tail, cond_exp = out[0], out[1], out[2]   # views, written in place
-    for piece, lo, hi in ((high_piece, 3, 5), (mid_piece, 1, 4), (low_piece, 0, 2)):
-        count = n[lo] - n[hi]
+    out = np.empty((3, p.size))
+    for k, piece in enumerate((low_piece, mid_piece, high_piece)):   # piece k: edges k, k + 1
+        count = n[k] - n[k + 1]
         if count:
-            i = slice(None) if count == p.size else (above[lo] != above[hi]).nonzero()[0]
-            inf_tail[i], sup_tail[i], cond_exp[i] = piece(p[i])   # scalars or arrays over p[i]
-        if lo and n[lo] != n[lo + 1]:
-            at = (above[lo] != above[lo + 1]).nonzero()[0]
-            blends.append((at, out.take(at, axis=1), lo))
-    for at, other, lo in reversed(blends):   # t1 first
-        steep = lo == 3 and beta - t2 < mu * _BAND / _BOUNDARY_AGREE
-        _blend(out, at, other, p[at], scale, steep, t2 if lo == 3 else t1)
-    return inf_tail, sup_tail, cond_exp, above[2] + above[4]
-
-
-def _blend(out, at, piece, p, scale, steep, t) -> None:
-    """Average, in place, the values at the band prices `at` with `piece`, the
-    piece above the threshold t there, after checking that the two tails agree.
-
-    The mass solve divides by about p * beta, so its rounding, and the
-    tolerance, grow like scale / p near p = 0.  The conditional expectation
-    is not compared: with beta = inf it tends to inf at t1 = mu only in the
-    limit.  Near maximal dispersion the mid inf tail, about
-    (mu/beta)(t2 - p)/(beta - p), falls to 0 over beta - t2, so the pieces
-    really differ, by up to mu * _BAND / (beta - t2); where that can pass
-    the tolerance (`steep`), a price whose pieces disagree takes its own
-    side's piece.
-    """
-    cur = out.take(at, axis=1)
-    gap = np.maximum(*np.abs(cur[:2] - piece[:2]))
-    bad = ~(gap <= _BOUNDARY_AGREE * np.maximum(1.0, scale / p))   # a NaN gap disagrees
-    values = 0.5 * (cur + piece)
-    if np.count_nonzero(bad):
-        own = bad & steep
-        if (bad & ~own).any():
-            k = np.flatnonzero(bad & ~own)[0]
-            raise InternalConsistencyError(
-                f"pieces disagree at the threshold band for p={p[k]}: "
-                f"{tuple(cur[:, k])} vs {tuple(piece[:, k])}")
-        values = np.where(own, np.where(p > t, piece, cur), values)
-    for row, v in zip(out, values):
-        row[at] = v
+            i = slice(None) if count == p.size else (above[k] != above[k + 1]).nonzero()[0]
+            out[0][i], out[1][i], out[2][i] = piece(p[i])   # scalars or arrays over p[i]
+    if np.isnan(out).any():
+        k = np.isnan(out).any(0).argmax()
+        raise InternalConsistencyError(f"the tail pass gives NaN at p={p[k].item()!r}: "
+                                       f"{tuple(out[:, k].tolist())}")
+    return out[0], out[1], out[2], above[1] + above[2]
 
 
 def _tails(market: MarketInfo, p: np.ndarray, mode: str = MODE_EXACT, attained=False):

@@ -22,9 +22,9 @@ class RootFindingError(RobustPriceError):
 
 
 class InternalConsistencyError(RobustPriceError):
-    """Two formulas that must agree at a regime boundary disagreed, or a
-    price candidate's value is NaN.
+    """The tail pass gave NaN at a valid price, or a price candidate's value
+    is NaN.
 
-    Continuity of the piecewise bounds is a theorem, so this always
-    signals a bug rather than bad input.
+    Every bound is finite at a price of a feasible market, so this signals
+    a bug or a market beyond the scales the formulas hold, not bad input.
     """

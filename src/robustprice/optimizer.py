@@ -150,7 +150,7 @@ def _variance_threshold(mu: float, beta: float, objective: str) -> float:
             return math.inf
         if gap(lo) <= 0:
             return lo
-    root = _scan_root(gap, lo, hi, mu, _THRESHOLD_SCAN)
+    root = _scan_root(gap, lo, hi, mu)
     if root is None:
         raise RootFindingError(f"no low/high value crossing on (0, {sigma_max})")
     return root
@@ -187,16 +187,16 @@ def delta_star(mu: float, beta: float) -> float:
     return _variance_threshold(mu, beta, "rev")
 
 
-def _scan_root(f, lo: float, hi: float, scale: float, n: int = _ROOT_SCAN,
-               last: bool = False) -> Optional[float]:
-    """The root of :func:`_search` on an n-point scan of [lo, hi], None if it
-    is empty; f maps a point array to residuals and a float to one.  It
-    steps its one search itself: through :func:`_refine`, 1-element arrays
-    made `_variance_table` about 1.5x dearer and variance quotes 15% slower."""
+def _scan_root(f, lo: float, hi: float, scale: float) -> Optional[float]:
+    """The first root of :func:`_search` on a _THRESHOLD_SCAN-point scan of
+    [lo, hi], None if it is empty; f maps a point array to residuals and a
+    float to one.  It steps its one search itself: through :func:`_refine`,
+    1-element arrays made `_variance_table` about 1.5x dearer and variance
+    quotes 15% slower."""
     if not hi > lo:
         return None
-    grid = np.linspace(lo, hi, n)
-    search = _search(grid, f(grid), scale, last)
+    grid = np.linspace(lo, hi, _THRESHOLD_SCAN)
+    search = _search(grid, f(grid), scale)
     try:
         x = next(search)
         while True:   # one float call per Brent step

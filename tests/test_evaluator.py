@@ -1,4 +1,4 @@
-"""The one regime evaluator: threshold bands, modes, and its properties.
+"""The one regime evaluator: prices near the thresholds, modes, and its properties.
 
 Every worst-case quantity (the tail bounds, the ratio, both revenues, the
 worst-case distribution) reads one pass over the prices, so a price near
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from robustprice import bounds
 from robustprice.ambiguity import (MODE_UPPER, MarketInfo, _companion, left_threshold,
                                    power_market, right_threshold, variance_market)
-from robustprice.bounds import (_BAND, REGIME_MID, best_case_revenue,
+from robustprice.bounds import (_BAND, REGIME_HIGH, REGIME_MID, best_case_revenue,
                                 cond_exp_max, tail_bounds, tail_prob_max,
                                 tail_prob_min, tail_prob_min_dispersion_ub)
 from robustprice.dispersion import custom_measure
@@ -29,11 +29,11 @@ from robustprice.ratio import (worst_case_cr, worst_case_cr_dispersion_ub,
                                worst_case_cr_variance,
                                worst_case_revenue)
 
-from test_cli import run_json, usage_error
+from test_cli import run, run_json, usage_error
 from test_extremal import random_market
 
 
-class TestThresholdBands:
+class TestNearThresholds:
     def test_just_below_right_threshold_answers(self, capsys):
         m = variance_market(0.5, 0.1, 1.0)
         p = right_threshold(m) * (1 - 1e-13)
@@ -75,10 +75,9 @@ class TestThresholdBands:
     @pytest.mark.parametrize("family", ["variance", "power", "custom"])
     @pytest.mark.parametrize("gap", [1e-5, 1e-7, 1e-9, 1e-11])
     def test_band_near_maximal_dispersion_is_exact(self, family, gap):
-        # t2 close to beta: the mid inf tail falls to 0 over beta - t2, so the
-        # pieces really differ across the band and each price takes its own
-        # side's piece.  The mass solve keeps about eps * beta / (beta - p);
-        # averaging the pieces would be off by about mu * 5e-13 / (beta - t2).
+        # t2 close to beta: the mid inf tail falls to 0 over beta - t2, so a
+        # price within 1e-12 of t2 must take its own side's piece.  The mass
+        # solve keeps about eps * beta / (beta - p).
         m = _market(family, 0.4, 3.25, 1.0 - gap, 1.5, True)
         t2 = right_threshold(m)
         assert t2 < m.beta
@@ -88,32 +87,75 @@ class TestThresholdBands:
             tol = 1e-15 * m.beta / (m.beta - p)
             assert tb.inf_tail == pytest.approx(inf, abs=tol)
             assert tb.sup_tail == pytest.approx(sup, abs=tol)
-            assert worst_case_cr(m, p).regime == tb.regime == REGIME_MID
+            own = REGIME_MID if p <= t2 else REGIME_HIGH
+            assert worst_case_cr(m, p).regime == tb.regime == own
 
-    def test_band_disagreement_still_raises(self, monkeypatch):
-        # Away from maximal dispersion a wrong piece is still caught: a wrong
-        # companion moves the high piece off the mid one at t2.
+    def test_a_nan_piece_raises(self, monkeypatch):
+        # The pass checks its output for NaN and names the price as a float.
         m = variance_market(0.5, 0.1, 1.0)
-        t2 = right_threshold(m)
-        monkeypatch.setattr(bounds, "_companion", lambda market, x: _companion(market, x) + 0.01)
-        with pytest.raises(InternalConsistencyError):
-            tail_bounds(m, t2)
-
-    def test_a_nan_piece_disagrees(self, monkeypatch):
-        # A NaN gap between the pieces is a disagreement, not averaged in.
-        m = variance_market(0.5, 0.1, 1.0)
-        t2 = right_threshold(m)
+        p = min(1.05 * right_threshold(m), m.beta)
         monkeypatch.setattr(bounds, "_companion", lambda market, x: _companion(market, x) * math.nan)
-        with pytest.raises(InternalConsistencyError):
-            tail_bounds(m, t2)
+        with pytest.raises(InternalConsistencyError, match=f"p={p!r}") as exc:
+            tail_bounds(m, np.array([0.5, p]))
+        assert "np.float64" not in str(exc.value)
 
     def test_one_label_just_above_left_threshold(self, capsys):
         argv = ["--mu", "0.5", "--sigma", "0.3", "--beta", "1", "--p", "0.320000000000032"]
         cr = run_json(capsys, ["cr", *argv])
         bounds = run_json(capsys, ["bounds", *argv])
-        assert cr["regime"] == bounds["regime"] == "low_two_point"
+        assert cr["regime"] == bounds["regime"] == REGIME_MID
         m = variance_market(0.5, 0.3, 1.0)
-        assert worst_case_cr(m, 0.320000000000032).regime == "low_two_point"
+        assert worst_case_cr(m, 0.320000000000032).regime == REGIME_MID
+
+
+class TestNearPointMass:
+    """Variance markets just outside the point-mass rule, where t1 and t2
+    both lie within 1e-12 beta of the mean."""
+
+    @pytest.mark.parametrize("frac", [1.0, 1.0 - 1e-13])
+    def test_ratio_at_left_threshold_is_exact(self, frac):
+        m = variance_market(0.5, 6.5e-7, 1.9173)
+        p = left_threshold(m) * frac
+        assert worst_case_cr(m, p).cr == pytest.approx(_exact_low_cr(m, p), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p", [0.5, 0.5 * (1.0 - 1e-13)])
+    def test_cond_exp_within_support_at_the_mean(self, p):
+        m = variance_market(0.5, 6.5e-7, 2.0)
+        assert tail_bounds(m, p).sup_cond_exp <= m.beta
+
+
+class TestExtremeScale:
+    """Beyond about 1e+-100 in scale the {0, p, beta} mass solve overflows or
+    underflows; every answer is then finite or a RobustPriceError, never NaN."""
+
+    @staticmethod
+    def _finite_or_error(m, p):
+        for f in (worst_case_cr, tail_bounds, worst_case_revenue):
+            try:
+                got = f(m, p)
+            except RobustPriceError:
+                continue
+            values = [got] if isinstance(got, float) else [
+                v for v in vars(got).values() if not isinstance(v, str)]
+            assert all(math.isfinite(v) for v in values), (f.__name__, m, p, got)
+
+    @pytest.mark.parametrize("k", [1e103, 1e-110, 1e150])
+    def test_repros(self, k):
+        self._finite_or_error(variance_market(0.5 * k, 0.45 * k, k), 0.64 * k)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(mu=st.floats(0.3, 1.5), spread=st.floats(1.3, 3.5), u=st.floats(0.1, 0.9),
+           frac=st.floats(1e-3, 1.0), e=st.integers(-400, 400))
+    def test_scaled_variance_markets(self, mu, spread, u, frac, e):
+        k, beta = 2.0 ** e, mu * spread
+        m = variance_market(mu * k, u * math.sqrt(mu * (beta - mu)) * k, beta * k)
+        self._finite_or_error(m, frac * beta * k)
+
+    @pytest.mark.parametrize("sub", ["cr", "bounds"])
+    def test_cli_exits_2(self, capsys, sub):
+        code, out, _ = run(capsys, [sub, "--mu", "5e102", "--sigma", "4.5e102",
+                                    "--beta", "1e103", "--p", "6.4e102"])
+        assert (code, out) == (2, "")
 
 
 class TestModes:
@@ -255,6 +297,17 @@ def _exact_tails(family, m, q, p):
         return 0.0, float((mu - lo) / (x - lo))
 
 
+def _exact_low_cr(m, p):
+    """The ratio of a variance market at a float price p up to t1, in 50-digit
+    decimal arithmetic, from the market's exact sigma**2: the {p, a} member
+    with a = mu + sigma**2 / (mu - p); inf tail (mu - p) / (a - p), sup 1,
+    conditional expectation a."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        mu, x = Decimal(m.mu), Decimal(p)
+        a = mu + Decimal(m.excess) / (mu - x)
+        return float(min((mu - x) / (a - x), x / a))
+
 _markets = st.builds(
     _market, st.sampled_from(["variance", "power", "custom"]), st.floats(0.3, 1.5),
     st.floats(1.3, 3.5), st.floats(0.1, 0.9), st.floats(1.1, 8.0, exclude_min=True),
@@ -284,6 +337,24 @@ def test_evaluator_properties_near_thresholds(m, anchor, offset):
         assert v.cr == pytest.approx(b.cr, abs=1e-12)
         assert (v.regime, v.branch) == (b.regime, b.branch)
 
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(m=_markets, anchor=st.sampled_from(["t1", "t2"]))
+def test_pieces_meet_at_the_thresholds(m, anchor):
+    # Continuity at the thresholds is a theorem: the pieces on either side of
+    # t, each run on its own side 1e-13 t away, give the same tails.  The
+    # mass solve divides by about p * beta, so the tolerance grows like
+    # beta / t near p = 0.
+    t = {"t1": left_threshold(m), "t2": right_threshold(m)}[anchor]
+    p = np.array([t * (1.0 - 1e-13), t * (1.0 + 1e-13)])
+    assume(p[1] <= m.beta)
+    inf, sup, _, regime = bounds._tails(m, p)
+    assert regime[0] < regime[1]
+    scale = m.beta if math.isfinite(m.beta) else m.mu
+    tol = 1e-9 * max(1.0, scale / t)
+    assert abs(inf[1] - inf[0]) <= tol
+    assert abs(sup[1] - sup[0]) <= tol
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(m=_markets)
@@ -340,7 +411,7 @@ def _scalar_or_error(f, m, p):
 
 class TestScalarEqualsArray:
     """A price gets the same bits alone as inside an array, in every regime,
-    within half a band of each threshold, at the mean and at beta."""
+    within 5e-13 beta of each threshold, at the mean and at beta."""
 
     MARKETS = {
         "power_q1.5": power_market(0.5, 0.45, 1.5, 1.0),

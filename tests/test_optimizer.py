@@ -16,8 +16,8 @@ from robustprice.ambiguity import (MODE_EXACT, MODE_UPPER, MarketInfo, _solve_ri
 from robustprice.bounds import tail_bounds
 from robustprice.dispersion import custom_measure
 from robustprice.errors import InfeasibleMarketError, ModeError, RobustPriceError
-from robustprice.optimizer import (_ROOT_SCAN, _THRESHOLD_SCAN, _condition_optimal,
-                                   _scan_root, _variance_table, compare_prices, delta_star,
+from robustprice.optimizer import (_ROOT_SCAN, _THRESHOLD_SCAN, _condition_optimal, _refine,
+                                   _search, _variance_table, compare_prices, delta_star,
                                    optimal_price_general, optimal_price_power,
                                    optimal_price_revenue_variance,
                                    optimal_price_variance, sigma_star)
@@ -733,8 +733,10 @@ class TestArrayScans:
             scalar = lambda x, f=f: float(f(np.array([x]))[0])  # noqa: E731
             ref = _scan_roots_loop(scalar, lo, hi, _ROOT_SCAN, 0.5)
             assert ref
-            assert _scan_root(f, lo, hi, 0.5) == ref[0]
-            assert _scan_root(f, lo, hi, 0.5, last=True) == ref[-1]
+            grid = np.linspace(lo, hi, _ROOT_SCAN)
+            fx = f(grid)
+            searches = [_search(grid, fx, 0.5), _search(grid, fx, 0.5, last=True)]
+            assert _refine(lambda x, f=f: [f(x)] * 2, searches) == [ref[0], ref[-1]]
 
     @pytest.mark.parametrize("mu,beta", _MU_BETA)
     def test_sigma_star_matches_scalar_loop(self, mu, beta):

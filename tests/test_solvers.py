@@ -18,7 +18,7 @@ from robustprice import optimizer
 from robustprice.ambiguity import MarketInfo, left_threshold, right_threshold
 from robustprice.dispersion import custom_measure, power_moment
 from robustprice.errors import RootFindingError
-from robustprice.optimizer import (_ROOT_SCAN, _brent, _scan_root, _select,
+from robustprice.optimizer import (_ROOT_SCAN, _brent, _refine, _scan_root, _search, _select,
                                    optimal_price_general, optimal_price_power, sigma_star)
 from robustprice.ratio import worst_case_cr, worst_case_revenue
 
@@ -110,8 +110,9 @@ class TestScanRoot:
     def test_nan_residual_raises(self):
         # A two-point scan brackets the root; the first step lands in the NaN.
         f = lambda x: np.where((x > 0.0) & (x < 1.0), np.nan, x - 0.5)  # noqa: E731
+        grid = np.array([0.0, 1.0])
         with pytest.raises(RootFindingError, match="NaN"):
-            _scan_root(f, 0.0, 1.0, 1.0, n=2)
+            _refine(lambda x: [f(x)], [_search(grid, f(grid), 1.0)])
 
     def test_no_root_is_none(self):
         assert _scan_root(lambda x: np.exp(x), -1.0, 1.0, 1.0) is None
