@@ -43,53 +43,64 @@ class TailBounds:
     regime: str
 
 
-def _member_masses(mu: float, s, beta: float, p, phi_p, phi0: float, phib: float):
+def _member_masses(mu: float, s: float, beta: float, p, phi_p, phi0: float, phib: float):
     """(w_p, w_beta) of the {0, p, beta} member with mean mu and dispersion s.
 
     phi_p, phi0, phib: the measure at p, 0 and beta.  No checks: outside
-    0 < p < beta the masses are meaningless.
+    0 < p < beta the masses are meaningless.  Both masses are NaN where the
+    solve overflows (its denominator or a numerator is not finite).
     """
     dp, ds, db = phi0 - phi_p, phi0 - s, phib - phi0
-    denom = beta * dp + p * db
-    wp = (beta * ds + mu * db) / denom
-    wb = (mu * dp - p * ds) / denom
-    return wp, wb
+    denom, nump, numb = beta * dp + p * db, beta * ds + mu * db, mu * dp - p * ds
+    ok = math.isfinite(nump) and np.isfinite(denom) & np.isfinite(numb)   # nump: a float
+    denom = np.where(ok, denom, math.nan)
+    return nump / denom, numb / denom
 
 
 @np.errstate(all="ignore")
-def _evaluate(market: MarketInfo, p):
+def _tails(market: MarketInfo, p: np.ndarray, mode: str = MODE_EXACT, attained=False):
     """(inf tail, sup tail, sup conditional expectation, regime code) per price.
 
-    The one regime evaluator and price check: p is a 1-d price array, and a
-    price outside (0, beta], NaN and inf included, raises.  The measure
-    enters only through phi, evaluated once per mid-regime price, its ends
-    (phi(0), phi(beta)), and the companion points.  A price's regime alone
-    decides its piece, the same for every entry point; the pieces and the
-    members attaining them:
+    The one tail pass and price check, for both modes: p is a 1-d price
+    array, and a price outside (0, beta], NaN and inf included, raises.
+    ``mode`` is the mode the caller's answer is for; a market in the other
+    mode raises :class:`ModeError` here, the one place it is checked.  The
+    measure enters only through phi, evaluated once per mid-regime price,
+    its ends (phi(0), phi(beta)), and the companion points.  A price's
+    regime alone decides its piece, the same for every entry point; the
+    pieces and the members attaining them:
 
     * low, p <= t1: {p, a} with a = companion(p) > mu; inf (mu-p)/(a-p),
-      sup 1, y = a;
+      sup 1, y = a, capped at beta (a float t1 can round past the threshold);
     * mid, t1 < p <= t2: {0, p, beta}; inf w_beta, sup w_p + w_beta,
       y = beta.  With beta = inf these are the limits 0, mu/p and inf,
       which no member attains;
     * high, p > t2: {a, p} with a = companion(p) < mu; inf 0 (the {0, t2}
-      member sells nothing), sup (a-mu)/(a-p), y = beta.
+      member sells nothing), sup (a-mu)/(a-p), y = beta;
+    * upper mode, p > t1, where s only bounds the dispersion: the
+      mean/maximum-only piece, inf (mu-p)/(beta-p) below the mean and 0 from
+      it on (the point mass at mu), sup 1, y = beta.
 
     Each piece runs once, on the prices it labels: one companion solve or
     one mass solve per price.  Adjacent pieces meet at their threshold.
     The point mass (inf = sup = 1 up to mu, y = mu; low up to mu, high
-    above) and the maximal-dispersion market {0, beta} (t2 = beta; inf =
-    sup = mu/beta, y = beta, mid) have one member.  A NaN from a piece
-    raises :class:`InternalConsistencyError`.
+    above) has one member; so, in exact mode, has the maximal-dispersion
+    market {0, beta} (t2 = beta; inf = sup = mu/beta, y = beta, mid).  A
+    NaN raises :class:`InternalConsistencyError`.  With ``attained`` each
+    bound must be attained by a member, which with beta = inf fails in the
+    mid regime between the mean and t2.
     """
+    if market.mode != mode:
+        raise ModeError(f"this bound requires mode={mode!r}, the market has mode="
+                        f"{market.mode!r}")
     mu, s, beta = market.mu, market.s, market.beta
-    finite = math.isfinite(beta)
+    finite, exact = math.isfinite(beta), mode == MODE_EXACT
 
     def low_piece(x):
         a = _companion(market, x)
         if not finite:
             a = np.where(x >= mu, math.inf, a)   # the piece's limit at mu
-        return (mu - x) / (a - x), 1.0, a
+        return (mu - x) / (a - x), 1.0, np.minimum(a, beta)
 
     def mid_piece(x):
         if not finite:
@@ -102,6 +113,9 @@ def _evaluate(market: MarketInfo, p):
         a = _companion(market, x)
         return 0.0, (a - mu) / (a - x), beta
 
+    def upper_piece(x):
+        return np.where(x < mu, (mu - x) / (beta - x), 0.0), 1.0, beta
+
     # One comparison checks and labels the prices: above[k] is 1 where p > edge
     # k, the edges 0, t1, t2 and beta.
     above = (p > market._edges).view(np.int8)
@@ -109,13 +123,14 @@ def _evaluate(market: MarketInfo, p):
     if n[0] != p.size or n[3]:
         _check_price(p, beta)
     point = market.is_degenerate
-    if point or finite and market.right_threshold >= beta * (1.0 - _BAND):
+    if point or exact and finite and market.right_threshold >= beta * (1.0 - _BAND):
         # One member: the point mass or {0, beta}.
         tail = (p <= mu).astype(float) if point else np.full(p.shape, mu / beta)
         regime = np.where(p <= mu, LOW, HIGH) if point else np.full(p.shape, MID)
         return tail, tail.copy(), np.full(p.shape, mu if point else beta), regime
     out = np.empty((3, p.size))
-    for k, piece in enumerate((low_piece, mid_piece, high_piece)):   # piece k: edges k, k + 1
+    pieces = (low_piece, mid_piece, high_piece) if exact else (low_piece, upper_piece, upper_piece)
+    for k, piece in enumerate(pieces):   # piece k: edges k, k + 1
         count = n[k] - n[k + 1]
         if count:
             i = slice(None) if count == p.size else (above[k] != above[k + 1]).nonzero()[0]
@@ -124,25 +139,10 @@ def _evaluate(market: MarketInfo, p):
         k = np.isnan(out).any(0).argmax()
         raise InternalConsistencyError(f"the tail pass gives NaN at p={p[k].item()!r}: "
                                        f"{tuple(out[:, k].tolist())}")
-    return out[0], out[1], out[2], above[1] + above[2]
-
-
-def _tails(market: MarketInfo, p: np.ndarray, mode: str = MODE_EXACT, attained=False):
-    """The one pass over a 1-d price array: :func:`_evaluate` on the market.
-
-    ``mode`` is the mode the caller's answer is for; a market in the other
-    mode raises :class:`ModeError` here, the one place it is checked.  With
-    ``attained`` each bound must be attained by a member of the market, which
-    with beta = inf fails in the mid regime between the mean and t2.
-    """
-    if market.mode != mode:
-        raise ModeError(f"this bound requires mode={mode!r}, the market has mode="
-                        f"{market.mode!r}")
-    out = _evaluate(market, p)
-    if attained and not math.isfinite(market.beta) and (
-            (out[3] == MID) & (p < market.right_threshold)).any():
+    regime = above[1] + above[2]
+    if attained and not finite and ((regime == MID) & (p < market.right_threshold)).any():
         raise UnboundedSupportError("three-point regime needs a finite maximum valuation")
-    return out
+    return out[0], out[1], out[2], regime
 
 
 def tail_prob_max(market: MarketInfo, p):
@@ -185,19 +185,14 @@ def tail_bounds(market: MarketInfo, p) -> TailBounds:
 def tail_prob_min_dispersion_ub(market: MarketInfo, p):
     """Worst-case conversion rate when s is only an upper bound.
 
-    With an upper-bound dispersion constraint the adversary may also use
-    less-dispersed members, so between the left threshold and the mean the
-    bound relaxes to the mean/maximum value, and above the mean the point
-    mass at the mean drives it to zero.  Stated without full proof in the
-    source analysis, and no oracle checks it (the enumeration oracle admits
-    only members with E[phi(X)] = s): the tests pin it at two prices of one
-    market (0.3902 below the left threshold, 0.2222 between it and the
-    mean) and check that it never exceeds the exact-mode bound, that it is 0
-    from the mean on, and that an exact-mode market is refused.
+    Less-dispersed members count too, so above the left threshold the bound
+    relaxes to the mean/maximum value, and from the mean on the point mass
+    at the mean drives it to 0: the tail pass's upper-mode pieces.  Stated
+    without full proof in the source analysis, and no oracle checks it (the
+    enumeration oracle admits only members with E[phi(X)] = s): the tests
+    pin 0.3902 and 0.2222 on one market, hold it bit for bit to the
+    exact-mode bound up to the left threshold and to the mean/maximum value
+    above it, and check that an exact-mode market is refused.
     """
     p, restore = as_price_array(p)
-    lo, _, _, regime = _tails(market, p, MODE_UPPER)
-    mu = market.mu
-    with np.errstate(divide="ignore", invalid="ignore"):
-        relaxed = np.where(p < mu, (mu - p) / (market.beta - p), 0.0)
-    return restore(np.where(regime == LOW, lo, relaxed))
+    return restore(_tails(market, p, MODE_UPPER)[0])

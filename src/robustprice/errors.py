@@ -26,5 +26,6 @@ class InternalConsistencyError(RobustPriceError):
     is NaN.
 
     Every bound is finite at a price of a feasible market, so this signals
-    a bug or a market beyond the scales the formulas hold, not bad input.
+    a bug or a market beyond the scales the formulas hold, not bad input:
+    an overflowing {0, p, beta} mass solve gives NaN masses.
     """

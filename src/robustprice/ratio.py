@@ -3,8 +3,8 @@
 The worst-case ratio decomposes as the minimum of two branches: the ratio
 of the worst-case to the best-case conversion rate, and the price over the
 best-case conditional expectation.  All three come from the one tail pass
-of :mod:`robustprice.bounds`; the mean/maximum-only and upper-bound
-information sets replace its pieces above the left threshold.
+of :mod:`robustprice.bounds`, in exact or upper-bound mode; the
+mean/maximum-only ratio is the upper-bound mode's above the left threshold.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import MODE_UPPER, MarketInfo, _check_price, as_price_array, variance_market
-from .bounds import HIGH, LOW, REGIMES, _tails
+from .bounds import HIGH, REGIMES, _tails
 
 BRANCH_TAIL = "tail_ratio"
 BRANCH_PRICE = "price_over_cond_exp"
@@ -39,24 +39,18 @@ class RatioBreakdown:
     regime: str
 
 
-def _branches(p, lo, hi, y, regime):
-    """(inf/sup, p/y) from the tail pass, both 0 above t2; the worst-case
-    ratio is the smaller of the two."""
-    below = regime != HIGH   # above t2 the sup tail can be 0 (the point mass)
-    return np.divide(lo, hi, out=np.zeros(p.shape), where=below), np.where(below, p / y, 0.0)
-
-
 def _breakdown(p, lo, hi, y, regime, restore) -> RatioBreakdown:
-    """The ratio and its branches from the tail pass.
+    """The ratio and its branches from the tail pass: inf/sup and p/y, both
+    0 above t2, and the ratio the smaller of the two.
 
     Arguments are 1-d arrays (regime as codes), restored to the caller's
     shape, or to scalars, by ``restore``.
     """
-    high = regime == HIGH
-    tail_ratio, poy = _branches(p, lo, hi, y, regime)
+    high = regime == HIGH   # above t2 the sup tail can be 0 (the point mass)
+    tail_ratio = np.divide(lo, hi, out=np.zeros(p.shape), where=~high)
+    poy = np.where(high, 0.0, p / y)
     # Branch ties are labeled as the tail branch for deterministic output.
-    tail = tail_ratio <= poy
-    branch = np.where(high, 2, np.where(tail, 0, 1))
+    branch = np.where(high, 2, np.where(tail_ratio <= poy, 0, 1))
     return RatioBreakdown(restore(p), restore(np.minimum(tail_ratio, poy)),
                           restore(_BRANCHES[branch]), restore(tail_ratio),
                           restore(poy), restore(REGIMES[regime]))
@@ -79,8 +73,9 @@ def worst_case_cr_variance(mu: float, sigma: float, beta: float, p) -> RatioBrea
 
 
 def worst_case_cr_mean_range(mu: float, beta: float, p):
-    """Worst-case ratio with mean and maximum knowledge only; p may be a
-    float or an array of prices."""
+    """Worst-case ratio with mean and maximum knowledge only, which needs no
+    market; p may be a float or an array of prices.  The upper-bound mode's
+    ratio equals it above the left threshold."""
     p, restore = as_price_array(p)
     _check_price(p, beta)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -91,13 +86,11 @@ def worst_case_cr_dispersion_ub(market: MarketInfo, p):
     """Worst-case ratio when the dispersion statistic is an upper bound.
 
     The exact-mode ratio up to the left threshold, the mean/maximum-only
-    ratio above it.  p may be a float or an array of prices.
+    ratio (:func:`worst_case_cr_mean_range`) above it, from the tail pass's
+    upper mode.  p may be a float or an array of prices.
     """
     p, restore = as_price_array(p)
-    lo, hi, y, regime = _tails(market, p, MODE_UPPER)
-    exact = np.minimum(*_branches(p, lo, hi, y, regime))
-    return restore(np.where(regime == LOW, exact,
-                            worst_case_cr_mean_range(market.mu, market.beta, p)))
+    return _breakdown(p, *_tails(market, p, MODE_UPPER), restore).cr
 
 
 def worst_case_revenue(market: MarketInfo, p):

@@ -8,6 +8,7 @@ a threshold gets one answer and one regime label whatever the entry point.
 import math
 import warnings
 from decimal import Decimal, localcontext
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from robustprice import bounds
-from robustprice.ambiguity import (MODE_UPPER, MarketInfo, _companion, left_threshold,
-                                   power_market, right_threshold, variance_market)
+from robustprice.ambiguity import (MODE_EXACT, MODE_UPPER, MarketInfo, _companion,
+                                   left_threshold, power_market, right_threshold,
+                                   variance_market)
 from robustprice.bounds import (_BAND, REGIME_HIGH, REGIME_MID, best_case_revenue,
                                 cond_exp_max, tail_bounds, tail_prob_max,
                                 tail_prob_min, tail_prob_min_dispersion_ub)
@@ -26,7 +28,7 @@ from robustprice.errors import (InternalConsistencyError, ModeError, RobustPrice
 from robustprice.extremal import worst_case_distribution
 from robustprice.optimizer import optimal_price_power
 from robustprice.ratio import (worst_case_cr, worst_case_cr_dispersion_ub,
-                               worst_case_cr_variance,
+                               worst_case_cr_mean_range, worst_case_cr_variance,
                                worst_case_revenue)
 
 from test_cli import run, run_json, usage_error
@@ -123,39 +125,112 @@ class TestNearPointMass:
         m = variance_market(0.5, 6.5e-7, 2.0)
         assert tail_bounds(m, p).sup_cond_exp <= m.beta
 
+    @pytest.mark.parametrize("beta", [2.0, 1.9173])
+    def test_cond_exp_within_support_at_left_threshold(self, beta):
+        # The float t1 rounds above the true threshold, so its companion lies
+        # past beta; the low piece's conditional expectation stops at beta.
+        m = variance_market(0.5, 6.5e-7, beta)
+        assert tail_bounds(m, left_threshold(m)).sup_cond_exp <= m.beta
+
 
 class TestExtremeScale:
     """Beyond about 1e+-100 in scale the {0, p, beta} mass solve overflows or
-    underflows; every answer is then finite or a RobustPriceError, never NaN."""
+    underflows.  Every exact-mode answer is then that of the unit-scale market
+    or a RobustPriceError, never NaN and never a wrong number; the upper mode,
+    which runs no mass solve, answers as the unit-scale market."""
 
     @staticmethod
-    def _finite_or_error(m, p):
-        for f in (worst_case_cr, tail_bounds, worst_case_revenue):
+    def _as_unit_or_error(m, p, unit, unit_p):
+        # Each entry point's outputs that do not scale with the market are the
+        # unit-scale market's, or it raises: "finite" alone passes an answer 20% off.
+        for f in (lambda m, p: attrgetter("cr", "tail_ratio", "price_over_y")(worst_case_cr(m, p)),
+                  lambda m, p: attrgetter("inf_tail", "sup_tail")(tail_bounds(m, p)),
+                  lambda m, p: worst_case_revenue(m, p) / p):
             try:
                 got = f(m, p)
             except RobustPriceError:
                 continue
-            values = [got] if isinstance(got, float) else [
-                v for v in vars(got).values() if not isinstance(v, str)]
-            assert all(math.isfinite(v) for v in values), (f.__name__, m, p, got)
+            assert got == pytest.approx(f(unit, unit_p), rel=1e-12, abs=0.0), (m, p)
 
     @pytest.mark.parametrize("k", [1e103, 1e-110, 1e150])
     def test_repros(self, k):
-        self._finite_or_error(variance_market(0.5 * k, 0.45 * k, k), 0.64 * k)
+        self._as_unit_or_error(variance_market(0.5 * k, 0.45 * k, k), 0.64 * k,
+                               variance_market(0.5, 0.45, 1.0), 0.64)
+
+    # In the first the mass solve's denominator overflows, which must not read as
+    # masses of 0; in the second a numerator, which the mid piece's clip to
+    # [0, 1] must not hide (the unit-scale ratio is 0.2612).
+    OVERFLOW_REPROS = [
+        (2.4677259612567147e102, 3.3281609872141574e102, 8.01115883693618e102,
+         4.3414452273498397e102),
+        (2.935271635327524e102, 3.0659204400989813e102, 8.620346703126592e102,
+         2.251786646033724e102)]
+
+    @pytest.mark.parametrize("mu,sigma,beta,p", OVERFLOW_REPROS)
+    def test_overflowing_mass_solve_repros(self, mu, sigma, beta, p):
+        unit = variance_market(mu / 1e102, sigma / 1e102, beta / 1e102)
+        self._as_unit_or_error(variance_market(mu, sigma, beta), p, unit, p / 1e102)
+
+    @classmethod
+    def _check_scaled(cls, mu, spread, u, frac, e):
+        k, beta = 2.0 ** e, mu * spread
+        sigma = u * math.sqrt(mu * (beta - mu))
+        cls._as_unit_or_error(variance_market(mu * k, sigma * k, beta * k), frac * beta * k,
+                              variance_market(mu, sigma, beta), frac * beta)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(mu=st.floats(0.3, 1.5), spread=st.floats(1.3, 3.5), u=st.floats(0.1, 0.9),
            frac=st.floats(1e-3, 1.0), e=st.integers(-400, 400))
     def test_scaled_variance_markets(self, mu, spread, u, frac, e):
-        k, beta = 2.0 ** e, mu * spread
-        m = variance_market(mu * k, u * math.sqrt(mu * (beta - mu)) * k, beta * k)
-        self._finite_or_error(m, frac * beta * k)
+        self._check_scaled(mu, spread, u, frac, e)
+
+    @pytest.mark.parametrize("e", range(338, 343))
+    def test_scales_where_the_mass_solve_starts_to_overflow(self, e):
+        # The draws above never land here; at 2**340 some denominators overflow
+        # and some do not.
+        rng = np.random.default_rng(e)
+        for _ in range(40):
+            mu, spread, u = rng.uniform((0.3, 1.3, 0.1), (1.5, 3.5, 0.9)).tolist()
+            for frac in rng.uniform(1e-3, 1.0, 8).tolist():
+                self._check_scaled(mu, spread, u, frac, e)
 
     @pytest.mark.parametrize("sub", ["cr", "bounds"])
     def test_cli_exits_2(self, capsys, sub):
         code, out, _ = run(capsys, [sub, "--mu", "5e102", "--sigma", "4.5e102",
                                     "--beta", "1e103", "--p", "6.4e102"])
         assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("sub", ["cr", "bounds"])
+    def test_cli_exits_2_where_the_mass_solve_overflows(self, capsys, sub):
+        mu, sigma, beta, p = map(repr, self.OVERFLOW_REPROS[0])
+        code, out, _ = run(capsys, [sub, "--mu", mu, "--sigma", sigma, "--beta", beta, "--p", p])
+        assert (code, out) == (2, "")
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(mu=st.floats(0.3, 1.5), spread=st.floats(1.3, 3.5), u=st.floats(0.1, 0.9),
+           fracs=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=8),
+           e=st.integers(-400, 400))
+    def test_upper_mode_is_exact_under_binary_scaling(self, mu, spread, u, fracs, e):
+        k, beta = 2.0 ** e, mu * spread
+        sigma = u * math.sqrt(mu * (beta - mu))
+        unit = variance_market(mu, sigma, beta, mode=MODE_UPPER)
+        big = variance_market(mu * k, sigma * k, beta * k, mode=MODE_UPPER)
+        for f in (tail_prob_min_dispersion_ub, worst_case_cr_dispersion_ub):
+            for frac in fracs:
+                assert f(big, frac * beta * k) == f(unit, frac * beta)
+
+    @pytest.mark.parametrize("k", [1e103, 1e-110, 1e150])
+    @pytest.mark.parametrize("x", [0.1, 0.3, 0.64])
+    def test_upper_mode_repros(self, k, x):
+        # Decimal scaling is not exact: within 1e-12 of the unit-scale market.
+        unit, big = (variance_market(0.5 * c, 0.45 * c, c, mode=MODE_UPPER) for c in (1.0, k))
+        for f in (tail_prob_min_dispersion_ub, worst_case_cr_dispersion_ub):
+            assert f(big, x * k) == pytest.approx(f(unit, x), rel=1e-12, abs=0.0)
+
+    def test_cli_upper_mode_answers(self, capsys):
+        obj = run_json(capsys, ["cr", "--mode", "upper", "--mu", "5e102", "--sigma", "4.5e102",
+                                "--beta", "1e103", "--p", "3e102"])
+        assert obj["cr"] == 0.285714285714
 
 
 class TestModes:
@@ -256,18 +331,18 @@ def _exp_measure(mu):
                           lambda x: np.exp(np.asarray(x, dtype=float) / mu) / mu)
 
 
-def _market(family, mu, spread, u, q, bounded):
+def _market(family, mu, spread, u, q, bounded, mode=MODE_EXACT):
     beta = mu * spread if bounded else math.inf
     if family == "variance":
         smax = math.sqrt(mu * (beta - mu)) if bounded else 2.0 * mu
-        return variance_market(mu, u * smax, beta)
+        return variance_market(mu, u * smax, beta, mode=mode)
     if family == "power":
         lo = mu ** q
         hi = mu * beta ** (q - 1.0) if bounded else 4.0 * lo
-        return power_market(mu, lo + u * (hi - lo), q, beta)
+        return power_market(mu, lo + u * (hi - lo), q, beta, mode=mode)
     lo = math.e
     hi = (1 - 1 / spread) + math.exp(spread) / spread if bounded else 4.0 * lo
-    return MarketInfo(mu, lo + u * (hi - lo), beta, _exp_measure(mu))
+    return MarketInfo(mu, lo + u * (hi - lo), beta, _exp_measure(mu), mode)
 
 
 def _exact_tails(family, m, q, p):
@@ -308,10 +383,13 @@ def _exact_low_cr(m, p):
         a = mu + Decimal(m.excess) / (mu - x)
         return float(min((mu - x) / (a - x), x / a))
 
-_markets = st.builds(
-    _market, st.sampled_from(["variance", "power", "custom"]), st.floats(0.3, 1.5),
-    st.floats(1.3, 3.5), st.floats(0.1, 0.9), st.floats(1.1, 8.0, exclude_min=True),
-    st.booleans())
+_MARKET_ARGS = (st.sampled_from(["variance", "power", "custom"]), st.floats(0.3, 1.5),
+                st.floats(1.3, 3.5), st.floats(0.1, 0.9),
+                st.floats(1.1, 8.0, exclude_min=True))
+_markets = st.builds(_market, *_MARKET_ARGS, st.booleans())
+# The same market in exact and in upper mode.
+_market_pairs = st.builds(lambda *args: (_market(*args), _market(*args, mode=MODE_UPPER)),
+                          *_MARKET_ARGS, st.booleans())
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -356,6 +434,29 @@ def test_pieces_meet_at_the_thresholds(m, anchor):
     assert abs(inf[1] - inf[0]) <= tol
     assert abs(sup[1] - sup[0]) <= tol
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pair=_market_pairs, fracs=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=6))
+def test_upper_mode_pieces(pair, fracs):
+    # The upper mode's rule, which only the pass's pieces spell out: up to t1
+    # the exact-mode tail and ratio, above it the mean/maximum-only ones; bit
+    # for bit, a price alone and inside an array.
+    exact, upper = pair
+    mu, beta = exact.mu, exact.beta
+    t1, t2 = left_threshold(exact), right_threshold(exact)
+    top = beta if math.isfinite(beta) else 3.0 * t2
+    ps = [t1 * (1.0 - 1e-13), t1, t1 * (1.0 + 1e-13), mu * (1.0 - 1e-13), mu, t2, top,
+          *(frac * top for frac in fracs)]
+    ps = [p for p in ps if 0 < p <= top]
+    want = [(tail_prob_min(exact, p), worst_case_cr(exact, p).cr) if p <= t1 else
+            ((mu - p) / (beta - p) if p < mu else 0.0, worst_case_cr_mean_range(mu, beta, p))
+            for p in ps]
+    assert [(tail_prob_min_dispersion_ub(upper, p), worst_case_cr_dispersion_ub(upper, p))
+            for p in ps] == want
+    arr = np.array(ps)
+    assert list(zip(tail_prob_min_dispersion_ub(upper, arr).tolist(),
+                    worst_case_cr_dispersion_ub(upper, arr).tolist())) == want
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(m=_markets)
 def test_thresholds_are_the_two_point_members(m):
@@ -370,10 +471,7 @@ def test_thresholds_are_the_two_point_members(m):
         assert (1.0 - w) * phi(t1) + w * phi(beta) == pytest.approx(m.s, rel=1e-12)
 
 
-_bounded_markets = st.builds(
-    _market, st.sampled_from(["variance", "power", "custom"]), st.floats(0.3, 1.5),
-    st.floats(1.3, 3.5), st.floats(0.1, 0.9), st.floats(1.1, 8.0, exclude_min=True),
-    st.just(True))
+_bounded_markets = st.builds(_market, *_MARKET_ARGS, st.just(True))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -831,7 +831,7 @@ class TestThresholdCost:
     @pytest.mark.parametrize("threshold", [sigma_star, delta_star])
     def test_one_threshold_computation_and_no_pass_per_gap(self, monkeypatch, threshold):
         originals = {"variance_thresholds": ambiguity.variance_thresholds,
-                     "_evaluate": bounds._evaluate}
+                     "_tails": bounds._tails}
         counts = dict.fromkeys(originals, 0)
 
         def counted(name, f):
@@ -858,7 +858,7 @@ class TestThresholdCost:
 
         monkeypatch.setattr(optimizer, "_scan_root", recording_scan)
         threshold(0.5, 1.0)
-        assert [d for _, d in gaps] == [{"variance_thresholds": 1, "_evaluate": 0}] * len(gaps)
+        assert [d for _, d in gaps] == [{"variance_thresholds": 1, "_tails": 0}] * len(gaps)
         (grid, _), *steps = gaps
         assert isinstance(grid, np.ndarray) and grid.size == _THRESHOLD_SCAN
         assert steps and all(type(x) is float for x, _ in steps)   # Brent passes floats
