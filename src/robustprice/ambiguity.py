@@ -86,6 +86,14 @@ class MarketInfo:
         if self.mode not in (MODE_EXACT, MODE_UPPER):
             raise RobustPriceError(f"mode must be 'exact' or 'upper', got {self.mode!r}")
         phi_mu = self.measure.value(self.mu)
+        m, x = self.measure, np.array([self.mu])
+        try:   # the solvers call a custom pair on 1-d arrays
+            ok = m.is_power or np.shape(m._value(x)) == np.shape(m._derivative(x)) == (1,)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise RobustPriceError("a custom measure's value and derivative must take a "
+                                   "float array and return an array of its shape")
         if self.s < phi_mu and not is_point_mass(self.s - phi_mu, self.s, phi_mu):
             raise InfeasibleMarketError(
                 f"dispersion s={self.s} below the point-mass minimum phi(mu)={phi_mu}")
@@ -285,12 +293,6 @@ def as_price_array(p):
     return arr.reshape(-1), lambda v: v.reshape(shape) if shape else v.item()
 
 
-def _no_companion(p) -> RobustPriceError:
-    return RobustPriceError(
-        f"no companion point in [0, mu) for p={p}: price lies strictly "
-        "between the mean and the right threshold")
-
-
 def companion_point(market: MarketInfo, p):
     """Second support point of the two-point distribution containing price p.
 
@@ -318,7 +320,8 @@ def companion_point(market: MarketInfo, p):
         if above.any():
             gap = above & (p < market.right_threshold * (1.0 - _DEGEN_RTOL))
             if gap.any():
-                raise _no_companion(p[gap][0])
+                raise RobustPriceError(f"no companion point in [0, mu) for p={p[gap][0]}: price "
+                                       "lies strictly between the mean and the right threshold")
     return restore(_companion(market, p))
 
 
@@ -355,21 +358,21 @@ def _solve_companion(market: MarketInfo, p: np.ndarray) -> np.ndarray:
     out = np.zeros_like(p)
     below = p < mu
     # g(a) = phi(a) w + c a + c0, grouped so that no terms of size s*a cancel.
-    phi_p = phi(p)
-    if np.count_nonzero(np.isfinite(phi_p)) < p.size:
-        raise RobustPriceError(f"phi(p) is not finite at p = {p[~np.isfinite(phi_p)][0]}")
-    w, c, c0 = mu - p, phi_p - s, s * p - phi_p * mu
-    # Above the mean: a root in [0, mu) exists iff g(0) <= 0, which holds
-    # exactly for p >= right_threshold (at the threshold the companion is 0);
-    # the other prices keep 0.
-    pos = (below | (market._phi0 * w + c0 < 0)).nonzero()[0]
-    n = pos.size
-    if n == 0:
-        return out
-    if n < p.size:
-        below, w, c, c0 = below[pos], w[pos], c[pos], c0[pos]
-
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        phi_p = phi(p)
+        if np.count_nonzero(np.isfinite(phi_p)) < p.size:
+            raise RobustPriceError(f"phi(p) is not finite at p = {p[~np.isfinite(phi_p)][0]}")
+        w, c, c0 = mu - p, phi_p - s, s * p - phi_p * mu
+        # Above the mean: a root in [0, mu) exists iff g(0) <= 0, which holds
+        # exactly for p >= right_threshold (at the threshold the companion is 0);
+        # the other prices keep 0.
+        pos = (below | (market._phi0 * w + c0 < 0)).nonzero()[0]
+        n = pos.size
+        if n == 0:
+            return out
+        if n < p.size:
+            below, w, c, c0 = below[pos], w[pos], c[pos], c0[pos]
+
         # Below the mean: walk hi = mu + mu * 2**k up until g(hi) > 0,
         # raising lo to each hi passed.
         lo = np.where(below, mu, 0.0)

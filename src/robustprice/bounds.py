@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import (_BAND, MODE_EXACT, MODE_UPPER, MarketInfo, _check_price,
+from .ambiguity import (_BAND, _PRICE_MAX, MODE_EXACT, MODE_UPPER, MarketInfo, _check_price,
                         _companion, as_price_array)
 from .errors import (InternalConsistencyError, ModeError, RobustPriceError,
                      UnboundedSupportError)
@@ -88,13 +88,16 @@ def _tails(market: MarketInfo, p: np.ndarray, mode: str = MODE_EXACT, attained=F
     market {0, beta} (t2 = beta; inf = sup = mu/beta, y = beta, mid).  A
     NaN raises :class:`InternalConsistencyError`.  With ``attained`` each
     bound must be attained by a member, which with beta = inf fails in the
-    mid regime between the mean and t2.
+    mid regime between the mean and t2.  A single price runs the same pieces
+    on Python floats, bit for bit (:func:`_one_price`).
     """
     if market.mode != mode:
         raise ModeError(f"this bound requires mode={mode!r}, the market has mode="
                         f"{market.mode!r}")
     mu, s, beta = market.mu, market.s, market.beta
     finite, exact = math.isfinite(beta), mode == MODE_EXACT
+    if p.size == 1 and (one := _one_price(market, p, exact, attained)):
+        return one
 
     def low_piece(x):
         a = _companion(market, x)
@@ -145,6 +148,47 @@ def _tails(market: MarketInfo, p: np.ndarray, mode: str = MODE_EXACT, attained=F
     return out[0], out[1], out[2], regime
 
 
+def _one_price(market: MarketInfo, p: np.ndarray, exact: bool, attained: bool):
+    """:func:`_tails` at the one price of p on Python floats, or None for the array pass.
+
+    Each piece repeats its array operations in order, so the bits are the
+    same; the one-member markets, and a piece that divides by zero or meets
+    a NaN (no piece gives -inf, so lo + hi + y shows it) or a non-finite
+    mass, where numpy's rules decide, go to the array.
+    """
+    mu, s, beta, x, t2 = market.mu, market.s, market.beta, p.item(), market.right_threshold
+    if not 0.0 < x <= min(beta, _PRICE_MAX):
+        _check_price(p, beta)
+    if market.is_degenerate or exact and math.isfinite(beta) and t2 >= beta * (1.0 - _BAND):
+        return None
+    k = (x > market.left_threshold) + (x > t2)
+    try:
+        if k == LOW or exact and k == HIGH:
+            a = (math.inf if k == LOW and x >= mu and beta == math.inf else   # the limit at mu
+                 max(mu + market.excess / (mu - x), 0.0) if market.measure.is_variance
+                 else _companion(market, p).item())
+            lo, hi, y = ((mu - x) / (a - x), 1.0, min(a, beta)) if k == LOW else \
+                (0.0, (a - mu) / (a - x), beta)
+        elif not exact:
+            lo, hi, y = (mu - x) / (beta - x) if x < mu else 0.0, 1.0, beta
+        elif beta == math.inf:
+            if attained and x < t2:   # no member attains the limits: the array pass raises
+                return None
+            lo, hi, y = 0.0, min(mu / x, 1.0), beta
+        else:   # _member_masses on floats; max(0.0, v) ties as np.maximum(v, 0.0)
+            phi0, phib = market.phi_ends
+            dp, ds, db = phi0 - market.measure._value(p).item(), phi0 - s, phib - phi0
+            denom, nump, numb = beta * dp + x * db, beta * ds + mu * db, mu * dp - x * ds
+            wp, wb = nump / denom, numb / denom
+            if not math.isfinite(denom + nump + numb + wp + wb):
+                return None
+            hi = min(max(0.0, wp + wb), 1.0)
+            lo, y = min(max(0.0, wb), hi), beta
+    except ZeroDivisionError:
+        return None
+    return None if math.isnan(lo + hi + y) else tuple(np.array([v]) for v in (lo, hi, y, k))
+
+
 def tail_prob_max(market: MarketInfo, p):
     """Best-case conversion rate sup P(X >= p) over the market (p: float or array)."""
     p, restore = as_price_array(p)
@@ -166,6 +210,8 @@ def cond_exp_max(market: MarketInfo, p):
 def best_case_revenue(market: MarketInfo, p):
     """p * sup P(X >= p); non-decreasing up to the right threshold."""
     t2 = market.right_threshold
+    if isinstance(p, float) and not p > t2 * (1.0 + _BAND):   # one price: floats around the pass
+        return float(p) * _tails(market, np.array([min(p, t2)]), attained=True)[1].item()
     p, restore = as_price_array(p)
     bad = p > t2 * (1.0 + _BAND)   # inf too; the pass checks the rest
     if np.count_nonzero(bad):

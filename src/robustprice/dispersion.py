@@ -94,5 +94,6 @@ def variance_measure() -> DispersionMeasure:
 
 
 def custom_measure(value_fn, deriv_fn) -> DispersionMeasure:
-    """Wrap a user-supplied strictly convex measure given as (value, derivative)."""
+    """Wrap a user-supplied strictly convex measure given as (value, derivative);
+    both must map a float array to an array of its shape, as numpy ufuncs do."""
     return DispersionMeasure(family="custom", value_fn=value_fn, deriv_fn=deriv_fn)

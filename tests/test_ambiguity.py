@@ -29,6 +29,18 @@ class TestConstruction:
         with pytest.raises(InfeasibleMarketError):
             power_market(mu=0.5, s=0.2, q=2.0, beta=1.0)
 
+    @pytest.mark.parametrize("value,deriv", [
+        (lambda x: float(x) ** 2, lambda x: 2.0 * float(x)),   # scalars only
+        (np.square, lambda x: 2.0 * float(x)),                  # the derivative scalars only
+        (lambda x: float(np.sum(np.square(x))), lambda x: 2.0 * x)])   # not elementwise
+    def test_custom_measure_must_map_arrays(self, value, deriv):
+        # Such a pair passes a scalar probe, but the solvers call it on 1-d
+        # arrays: the constructor says so instead of a builtin TypeError later.
+        with pytest.raises(RobustPriceError, match="float array"):
+            MarketInfo(0.5, 0.34, 1.0, custom_measure(value, deriv))
+        m = MarketInfo(0.5, 0.34, 1.0, custom_measure(np.square, lambda x: 2.0 * x))
+        assert left_threshold(m) == pytest.approx(0.32, rel=1e-12)
+
     @pytest.mark.parametrize("shift", [-10.0, 10.0])   # phi(mu) = -9.75 and 10.25
     def test_point_mass_of_a_measure_of_either_sign_at_the_mean(self, shift):
         measure = custom_measure(lambda x: np.square(np.asarray(x, dtype=float)) + shift,

@@ -19,7 +19,7 @@ from robustprice import bounds
 from robustprice.ambiguity import (MODE_EXACT, MODE_UPPER, MarketInfo, _companion,
                                    left_threshold, power_market, right_threshold,
                                    variance_market)
-from robustprice.bounds import (_BAND, REGIME_HIGH, REGIME_MID, best_case_revenue,
+from robustprice.bounds import (_BAND, REGIME_HIGH, REGIME_LOW, REGIME_MID, best_case_revenue,
                                 cond_exp_max, tail_bounds, tail_prob_max,
                                 tail_prob_min, tail_prob_min_dispersion_ub)
 from robustprice.dispersion import custom_measure
@@ -193,6 +193,17 @@ class TestExtremeScale:
             mu, spread, u = rng.uniform((0.3, 1.3, 0.1), (1.5, 3.5, 0.9)).tolist()
             for frac in rng.uniform(1e-3, 1.0, 8).tolist():
                 self._check_scaled(mu, spread, u, frac, e)
+
+    def test_power_repro_raises_without_warnings(self):
+        # The companion solve's coefficients overflow at 1e150 silently (the
+        # suite turns a RuntimeWarning into an error); the mass solve then
+        # overflows and the optimizer raises.  At 1e103 it prices as the unit market.
+        k = 1e150
+        with pytest.raises(InternalConsistencyError):
+            optimal_price_power(0.5 * k, 0.45 * k ** 1.5, 1.5, k)
+        k, unit = 1e103, optimal_price_power(0.5, 0.45, 1.5, 1.0).price
+        assert optimal_price_power(0.5 * k, 0.45 * k ** 1.5, 1.5, k).price / k == \
+            pytest.approx(unit, rel=1e-12)
 
     @pytest.mark.parametrize("sub", ["cr", "bounds"])
     def test_cli_exits_2(self, capsys, sub):
@@ -500,24 +511,71 @@ def test_worst_case_member_attains_ratio_and_revenue(m, anchor, frac):
 # --------------------------------------------------------------------------
 # One price alone and inside an array.
 
-def _scalar_or_error(f, m, p):
+def _outcome(f, m, p):
+    """f(m, p) with every float as its repr, so -0.0 is not 0.0, or the error's
+    class and message."""
     try:
-        return f(m, p)
+        v = f(m, p)
     except RobustPriceError as e:
-        return type(e)
+        return type(e), str(e)
+    if isinstance(v, np.ndarray):
+        return [repr(x) for x in v.tolist()]
+    fields = vars(v) if hasattr(v, "__dataclass_fields__") else {"": v}
+    return {k: [repr(x) for x in x.tolist()] if isinstance(x, np.ndarray) else
+            (type(x), repr(x)) for k, x in fields.items()}
+
+
+def _as_array_entries(f, m, ps):
+    """f on the price array ps, as a list of per-price outcomes like _outcome's
+    on a scalar: each price's floats are Python floats, its labels str."""
+    got = _outcome(f, m, np.array(ps))
+    if isinstance(got, list):
+        return [{"": (float, x)} for x in got]
+    return [{k: (str if k in ("branch", "regime") else float, v[i]) for k, v in got.items()}
+            for i in range(len(ps))]
+
+
+# The entry points of the tail pass, exact mode and upper mode.
+_EXACT_FS = [tail_bounds, worst_case_cr, worst_case_revenue, cond_exp_max, best_case_revenue,
+             tail_prob_min, tail_prob_max]
+_UPPER_FS = [tail_prob_min_dispersion_ub, worst_case_cr_dispersion_ub]
+
+
+def _check_alone_as_in_array(m, f, prices):
+    """Each price's outcome alone is its entry in an array of the prices that
+    answer, in both orders, and a price that raises alone raises the same class
+    and message beside one that answers.  Arrays of two or more prices run the
+    numpy pieces; a price alone runs the pass's float path."""
+    alone = [(p, _outcome(f, m, p)) for p in prices]
+    ok = [(p, got) for p, got in alone if not isinstance(got, tuple)]
+    for pairs in (ok, ok[::-1]):
+        if len(pairs) >= 2:
+            ps, want = zip(*pairs)
+            assert _as_array_entries(f, m, ps) == list(want), (m, f.__name__)
+    for p, got in alone:
+        if isinstance(got, tuple) and ok:
+            assert _outcome(f, m, np.array([ok[0][0], p])) == got, (m, f.__name__, p)
+    return ok
 
 
 class TestScalarEqualsArray:
     """A price gets the same bits alone as inside an array, in every regime,
-    within 5e-13 beta of each threshold, at the mean and at beta."""
+    within 5e-13 beta of each threshold, at the mean and at beta, and a bad
+    price the same error.  One price takes the tail pass's float path and an
+    array its numpy pieces, so this holds the two paths to each other."""
 
     MARKETS = {
-        "power_q1.5": power_market(0.5, 0.45, 1.5, 1.0),
-        "custom_exp": MarketInfo(0.5, 3.0, 1.0, _exp_measure(0.5)),
-        "beta_inf": variance_market(0.5, 0.3, math.inf),
-        "point_mass": variance_market(0.5, 0.0, 1.0),
-        "maximal_dispersion": variance_market(0.5, 0.5, 1.0),
+        "power_q1.5": lambda mode: power_market(0.5, 0.45, 1.5, 1.0, mode=mode),
+        "custom_exp": lambda mode: MarketInfo(0.5, 3.0, 1.0, _exp_measure(0.5), mode),
+        "beta_inf": lambda mode: variance_market(0.5, 0.3, math.inf, mode=mode),
+        "point_mass": lambda mode: variance_market(0.5, 0.0, 1.0, mode=mode),
+        "maximal_dispersion": lambda mode: variance_market(0.5, 0.5, 1.0, mode=mode),
+        "variance": lambda mode: variance_market(0.5, 0.3, 1.0, mode=mode),
     }
+
+    @classmethod
+    def _market(cls, name, f):
+        return cls.MARKETS[name](MODE_UPPER if f in _UPPER_FS else MODE_EXACT)
 
     @staticmethod
     def _prices(m):
@@ -528,21 +586,71 @@ class TestScalarEqualsArray:
         return [p for p in ps if 0 < p < math.inf]
 
     @pytest.mark.parametrize("name", list(MARKETS))
-    @pytest.mark.parametrize("f", [tail_bounds, worst_case_cr, worst_case_revenue,
-                                   cond_exp_max, best_case_revenue])
+    @pytest.mark.parametrize("f", _EXACT_FS[:5] + _UPPER_FS + _EXACT_FS[5:])
     def test_array_entries_equal_scalar_calls(self, name, f):
-        m = self.MARKETS[name]
-        prices = self._prices(m)
-        ok = [p for p in prices if not isinstance(_scalar_or_error(f, m, p), type)]
-        assert len(ok) >= 4
-        for ps in (ok, ok[::-1]):
-            scalars = [f(m, p) for p in ps]
-            got = f(m, np.array(ps))
-            if isinstance(got, np.ndarray):
-                assert got.tolist() == scalars
-            else:   # a dataclass of arrays
-                for field in vars(got):
-                    assert getattr(got, field).tolist() == [getattr(v, field) for v in scalars]
-        for p in set(prices) - set(ok):   # a price that raises alone raises in an array
-            with pytest.raises(_scalar_or_error(f, m, p)):
-                f(m, np.array([ok[0], p]))
+        m = self._market(name, f)
+        assert len(_check_alone_as_in_array(m, f, self._prices(m))) >= 4
+
+    @pytest.mark.parametrize("name", list(MARKETS))
+    @pytest.mark.parametrize("f", _EXACT_FS + _UPPER_FS)
+    def test_bad_prices_raise_alike(self, name, f):
+        m = self._market(name, f)
+        bad = [0.0, -1.0, math.nan, math.inf, 1.5 * m.beta, -0.0]
+        if f is best_case_revenue and right_threshold(m) < m.beta:
+            bad.append(0.5 * (right_threshold(m) + m.beta))   # defined up to t2 only
+        for p in bad:
+            assert isinstance(_outcome(f, m, p), tuple), p
+        _check_alone_as_in_array(m, f, bad + [0.3 * m.mu])
+
+    @pytest.mark.parametrize("name", list(MARKETS))
+    @pytest.mark.parametrize("f", _EXACT_FS + _UPPER_FS)
+    def test_scalar_results_are_python_floats_and_str(self, name, f):
+        m = self._market(name, f)
+        for p in self._prices(m):
+            for x in (p, np.float64(p)):
+                got = _outcome(f, m, x)
+                if not isinstance(got, tuple):
+                    assert {t for t, _ in got.values()} <= {float, str}
+                    assert {k for k, (t, _) in got.items() if t is str} <= {"branch", "regime"}
+
+    def test_infinite_beta_at_the_mean(self):
+        # The low piece's limit at mu, where mu - p is 0: a float path that
+        # divided by it would raise ZeroDivisionError, numpy gives inf.
+        m = variance_market(0.5, 0.3, math.inf)
+        tb = tail_bounds(m, 0.5)
+        assert (tb.inf_tail, tb.sup_tail, tb.sup_cond_exp, tb.regime) == \
+            (0.0, 1.0, math.inf, REGIME_LOW)
+        assert _outcome(tail_bounds, m, 0.5) == _as_array_entries(tail_bounds, m, [0.5, 0.4])[0]
+
+    def test_variance_companion_clipped_above_t2(self):
+        # At the first float above this market's t2 the companion
+        # mu + sigma**2 / (mu - p) rounds below 0; both paths clip it to 0,
+        # which moves the last bit of the sup tail.
+        m = variance_market(0.40276056288760104, 0.47507602817276334, 1.1661986016348287)
+        p = math.nextafter(right_threshold(m), math.inf)
+        assert m.mu + m.excess / (m.mu - p) < 0
+        for f in (tail_bounds, tail_prob_max):
+            _check_alone_as_in_array(m, f, [p, 0.5 * (p + m.beta)])
+        assert tail_prob_max(m, p) == m.mu / p
+
+
+def _edge_prices(m, fracs):
+    """Prices in every regime, at t1, t2, mu and beta and 1e-13 either side of
+    them, and the first floats above t2."""
+    t1, t2, mu, beta = left_threshold(m), right_threshold(m), m.mu, m.beta
+    top = beta if math.isfinite(beta) else 3.0 * t2
+    ups = [math.nextafter(t2, math.inf)]
+    for _ in range(3):
+        ups.append(math.nextafter(ups[-1], math.inf))
+    ps = [0.5 * t1, 0.5 * (t1 + t2), 0.5 * (t2 + top), *ups, *(f * top for f in fracs)]
+    for t in (t1, t2, mu, beta):
+        ps += [t * (1.0 - 1e-13), t, t * (1.0 + 1e-13)]
+    return [p for p in ps if 0 < p <= top]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(pair=_market_pairs, fracs=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4))
+def test_scalar_equals_array_near_every_edge(pair, fracs):
+    for m, fs in zip(pair, (_EXACT_FS, _UPPER_FS)):
+        for f in fs:
+            _check_alone_as_in_array(m, f, _edge_prices(m, fracs))
