@@ -57,8 +57,10 @@ class MarketInfo:
     standing assumption) or an upper bound ("upper").
 
     The support thresholds, the degeneracy flag and the dispersion excess
-    are computed on first use and kept on the instance; a failed
+    are computed on first use and kept on the instance, as is the oracle's
+    last answer (:func:`~robustprice.oracle.oracle_worst_case`); a failed
     computation is not kept, so an infeasible market raises on every access.
+    None of them enters equality, hash or repr.
     ``dataclasses.replace`` computes them again: its excess is s - phi(mu),
     which loses a variance market's exact sigma**2 (see :func:`variance_market`).
     """

@@ -42,7 +42,12 @@ def oracle_grid(market: MarketInfo, p: float, grid_n: int) -> Tuple[np.ndarray, 
     [0, beta] (p <= t1 or p >= t2): the worst members below t1 and above
     t2 are two-point members on a price and its companion.  Returns
     (grid, eps) where eps is the left-limit offset, (beta/grid_n)/1000.
+    A non-scalar p or a non-integer grid_n (bools too) raises first.
     """
+    if np.ndim(p) != 0:
+        raise RobustPriceError(f"the oracle takes one price, got {p!r}")
+    if isinstance(grid_n, bool) or not isinstance(grid_n, (int, np.integer)):
+        raise RobustPriceError(f"grid_n must be an integer, got {grid_n!r}")
     _check_price(p, market.beta)
     if grid_n < MIN_GRID_N:
         raise RobustPriceError(f"grid_n must be at least {MIN_GRID_N}, got {grid_n}")
@@ -75,26 +80,35 @@ def oracle_worst_case(market: MarketInfo, p: float,
     so each is an upper bound on the true infimum: every enumerated
     distribution is (within clamping tolerance) a member of the market.
     The revenue objective is p*P(X>=p).
+
+    One enumeration per market, price and grid: the last answer is kept on
+    the market, keyed on the checked (p, grid_n), and a repeated call reads
+    it.  The checks run first on every call, an infeasible grid is not kept,
+    and each call builds its own witnesses.
     """
     g, _ = oracle_grid(market, p, grid_n)
-    cr, rev, cr_wit, rev_wit, n_feas = enumerate_min(
-        g, market.measure.value(g), market.mu, market.s, p)
-    if n_feas == 0 or not math.isfinite(cr):
-        raise InfeasibleMarketError(
-            f"no feasible grid-supported distribution at grid_n={grid_n}")
+    key = float(p), int(grid_n)
+    last = vars(market).get("_oracle_last")
+    if last is None or last[0] != key:
+        found = enumerate_min(g, market.measure.value(g), market.mu, market.s, p)
+        if found[4] == 0 or not math.isfinite(found[0]):   # n_feasible, min CR
+            raise InfeasibleMarketError(
+                f"no feasible grid-supported distribution at grid_n={grid_n}")
+        last = vars(market)["_oracle_last"] = key, found
+    cr, rev, cr_wit, rev_wit, _ = last[1]
     return cr, _witness(cr_wit), rev, _witness(rev_wit)
 
 
 def oracle_worst_case_cr(market: MarketInfo, p: float,
                          grid_n: int = DEFAULT_GRID_N):
-    """(min CR, witness); the ratio half of :func:`oracle_worst_case`."""
+    """(min CR, witness); the ratio half of the one :func:`oracle_worst_case` enumeration."""
     cr, cr_wit, _, _ = oracle_worst_case(market, p, grid_n)
     return cr, cr_wit
 
 
 def oracle_worst_case_rev(market: MarketInfo, p: float,
                           grid_n: int = DEFAULT_GRID_N):
-    """(min revenue, witness); the revenue half of :func:`oracle_worst_case`."""
+    """(min revenue, witness); the revenue half of the one :func:`oracle_worst_case` enumeration."""
     _, _, rev, rev_wit = oracle_worst_case(market, p, grid_n)
     return rev, rev_wit
 

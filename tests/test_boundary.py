@@ -207,6 +207,36 @@ def test_repeated_support_certificate_is_skipped():
     assert rp.verify_dual_certificate(m, BETA, "sup_tail").certificate is not None
 
 
+ORACLE_CALLS = ("oracle_worst_case", "oracle_worst_case_cr", "oracle_worst_case_rev")
+
+
+@pytest.mark.parametrize("call", ORACLE_CALLS)
+@pytest.mark.parametrize("grid_n", [121.0, 61.5, np.float64(121), True, np.True_, "121", None],
+                         ids=["float", "fraction", "float64", "bool", "np_bool", "str", "none"])
+def test_the_oracle_rejects_a_grid_that_is_not_an_integer(call, grid_n):
+    # numpy's linspace raised a builtin TypeError on 121.0 and 61.5.
+    with pytest.raises(RobustPriceError, match="grid_n must be an integer"):
+        getattr(rp, call)(EXACT["variance"], 0.4, grid_n)
+
+
+@pytest.mark.parametrize("call", ORACLE_CALLS)
+@pytest.mark.parametrize("p", [np.array([0.4]), np.array([[0.4]]), np.array([0.2, 0.4]), [0.4]],
+                         ids=["one_element", "2d", "two_prices", "list"])
+def test_the_oracle_rejects_a_price_that_is_not_a_scalar(call, p):
+    # A one-element array raised numpy's ValueError from the grid build.
+    with pytest.raises(RobustPriceError, match="one price"):
+        getattr(rp, call)(EXACT["variance"], p, MIN_GRID_N)
+
+
+@pytest.mark.parametrize("grid_n", [np.int64(61), np.int32(61), np.uint16(61)],
+                         ids=["int64", "int32", "uint16"])
+def test_the_oracle_takes_a_numpy_integer_grid(grid_n):
+    # Fresh markets, so neither answer is one kept from an earlier call.
+    a = rp.oracle_worst_case(MARKETS["variance"](rp.MODE_EXACT), np.float64(0.4), grid_n)
+    b = rp.oracle_worst_case(MARKETS["variance"](rp.MODE_EXACT), 0.4, 61)
+    assert _numbers(a) == _numbers(b)
+
+
 # --------------------------------------------------------------------------
 # Market parameters: every constructor stores its fields as floats, so an
 # int, a numpy integer or a float32 field answers as the float market does.

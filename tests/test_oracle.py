@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+
+import robustprice.oracle as oracle_module
 
 from robustprice._kernels import (DISP_TOL, KERNEL_BACKEND, MASS_TOL, _KERNEL,
                                   _enumerate_impl, _enumerate_numpy,
@@ -11,7 +14,8 @@ from robustprice.ambiguity import (MarketInfo, companion_point, left_threshold,
                                    variance_market)
 from robustprice.bounds import (REGIME_HIGH, REGIME_LOW, REGIME_MID,
                                 tail_prob_max, tail_prob_min)
-from robustprice.errors import RobustPriceError, UnboundedSupportError
+from robustprice.errors import (InfeasibleMarketError, RobustPriceError,
+                                UnboundedSupportError)
 from robustprice.oracle import (CERT_TOL, TARGET_INF_TAIL, TARGET_SUP_TAIL,
                                 oracle_grid, oracle_worst_case,
                                 oracle_worst_case_cr,
@@ -146,11 +150,24 @@ class TestOracleRev:
             assert rev_wit.ratio(p) <= cr_min + 0.02
 
 
+def _same_answer(a, b):
+    """Two oracle_worst_case answers agree bit for bit, witnesses included."""
+    assert a[0] == b[0] and a[2] == b[2]
+    for wa, wb in ((a[1], b[1]), (a[3], b[3])):
+        assert np.array_equal(wa.supports, wb.supports)
+        assert np.array_equal(wa.masses, wb.masses)
+
+
 class TestOracleWorstCase:
     def test_equals_separate_calls(self):
-        rng = np.random.default_rng(59)
+        # The halves read the answer kept on the market, so each instance is
+        # also drawn again from the same seed: an equal market with nothing
+        # kept, whose one enumeration must give the same bits.
+        rng, again = np.random.default_rng(59), np.random.default_rng(59)
         for _ in range(3):
             market, p = random_feasible_instance(rng)
+            fresh, p_fresh = random_feasible_instance(again)
+            assert fresh == market and p_fresh == p
             cr, cw, rev, rw = oracle_worst_case(market, p, grid_n=61)
             cr1, cw1 = oracle_worst_case_cr(market, p, grid_n=61)
             rev1, rw1 = oracle_worst_case_rev(market, p, grid_n=61)
@@ -158,6 +175,111 @@ class TestOracleWorstCase:
             for a, b in ((cw, cw1), (rw, rw1)):
                 assert np.array_equal(a.supports, b.supports)
                 assert np.array_equal(a.masses, b.masses)
+            _same_answer((cr, cw, rev, rw), oracle_worst_case(fresh, p, grid_n=61))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The oracle's enumerate_min calls, recorded; each still runs the kernel."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_min(*args)
+
+    monkeypatch.setattr(oracle_module, "enumerate_min", counted)
+    return calls
+
+
+class TestOracleKeepsItsLastAnswer:
+    @staticmethod
+    def market():
+        return variance_market(0.5, 0.5, 1.2)
+
+    def test_one_enumeration_per_market_price_and_grid(self, kernel_calls):
+        m = self.market()
+        first = oracle_worst_case(m, 0.6, 61)
+        cr, cw = oracle_worst_case_cr(m, 0.6, 61)
+        rev, rw = oracle_worst_case_rev(m, 0.6, 61)
+        _same_answer(first, (cr, cw, rev, rw))
+        _same_answer(first, oracle_worst_case(m, 0.6, np.int64(61)))
+        assert len(kernel_calls) == 1
+
+    def test_a_new_key_or_market_enumerates_again(self, kernel_calls):
+        m = self.market()
+        first = oracle_worst_case(m, 0.6, 61)
+        oracle_worst_case(m, 0.7, 61)        # new price
+        oracle_worst_case(m, 0.7, 81)        # new grid
+        assert len(kernel_calls) == 3
+        _same_answer(first, oracle_worst_case(m, 0.6, 61))   # one entry: the first key is gone
+        assert len(kernel_calls) == 4
+        for other in (self.market(), dataclasses.replace(m)):   # equal, built anew
+            assert other == m
+            _same_answer(first, oracle_worst_case(other, 0.6, 61))
+        assert len(kernel_calls) == 6
+
+    def test_editing_a_witness_leaves_the_next_answer(self):
+        m = self.market()
+        first = oracle_worst_case(m, 0.6, 61)
+        kept = [(w.supports.copy(), w.masses.copy()) for w in (first[1], first[3])]
+        for w in (first[1], first[3]):
+            w.supports[:] = -1.0
+            w.masses[:] = 7.0
+        again = oracle_worst_case(m, 0.6, 61)
+        for w, (supports, masses) in zip((again[1], again[3]), kept):
+            assert np.array_equal(w.supports, supports)
+            assert np.array_equal(w.masses, masses)
+
+    @pytest.mark.parametrize("p,grid_n", [
+        (0.0, 61), (math.nan, 61), (1.3, 61), (np.array([0.6]), 61),
+        (0.6, 11), (0.6, 61.0), (0.6, True),
+    ], ids=["zero", "nan", "above_beta", "array_price", "small_grid",
+            "float_grid", "bool_grid"])
+    def test_a_bad_input_raises_after_an_answer(self, kernel_calls, p, grid_n):
+        m = self.market()
+        oracle_worst_case(m, 0.6, 61)
+        for _ in range(2):
+            for f in (oracle_worst_case, oracle_worst_case_cr, oracle_worst_case_rev):
+                with pytest.raises(RobustPriceError):
+                    f(m, p, grid_n)
+        oracle_worst_case(m, 0.6, 61)
+        assert len(kernel_calls) == 1
+
+    def test_an_infeasible_grid_is_not_kept(self, monkeypatch):
+        # A grid with no feasible member raises on every call, before and
+        # after an answer on the same market and key.
+        calls, infeasible = [], [True]
+
+        def kernel(*args):
+            calls.append(args)
+            cr, rev, cw, rw, nf = enumerate_min(*args)
+            return (math.inf, math.inf, cw, rw, 0) if infeasible[0] else (cr, rev, cw, rw, nf)
+
+        monkeypatch.setattr(oracle_module, "enumerate_min", kernel)
+        m = self.market()
+        for _ in range(2):
+            with pytest.raises(InfeasibleMarketError, match="no feasible"):
+                oracle_worst_case(m, 0.6, 61)
+        infeasible[0] = False
+        _same_answer(oracle_worst_case(m, 0.6, 61), oracle_worst_case(self.market(), 0.6, 61))
+        infeasible[0] = True
+        for _ in range(2):
+            with pytest.raises(InfeasibleMarketError, match="no feasible"):
+                oracle_worst_case(m, 0.6, 81)
+        assert len(calls) == 6
+
+    def test_an_infeasible_market_raises_on_every_call(self):
+        m = MarketInfo(0.5, 0.6, 1.0, variance_market(0.5, 0.1, 1.0).measure)   # t2 > beta
+        for _ in range(2):
+            with pytest.raises(InfeasibleMarketError):
+                oracle_worst_case(m, 0.6, 61)
+
+    def test_equality_hash_and_repr_are_unchanged(self):
+        m, twin = self.market(), self.market()
+        before = repr(m), hash(m)
+        oracle_worst_case(m, 0.6, 61)
+        assert (repr(m), hash(m)) == before == (repr(twin), hash(twin))
+        assert m == twin and len({m, twin}) == 1
 
 
 class TestFourPointControl:
