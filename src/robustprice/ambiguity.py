@@ -166,9 +166,9 @@ def variance_market(mu: float, sigma: float, beta: float, mode: str = MODE_EXACT
 
 
 def _as_float(name: str, value) -> float:
-    """A market parameter as a Python float; a bool is not a number here."""
-    if isinstance(value, (bool, np.bool_)):
-        raise RobustPriceError(f"{name} must be a number, got {value!r}")
+    """A market parameter as a Python float; a bool, complex or string is not a number here."""
+    if type(value) is not float:
+        as_price_array(value, name)
     return float(value)
 
 
@@ -276,7 +276,7 @@ def require_feasible(market: MarketInfo) -> None:
 
 def _check_price(p, hi: float) -> None:
     """The one price rule: raise unless each price in p (float or array) is in (0, hi], finite."""
-    p = np.asarray(p, dtype=float).reshape(-1)
+    p = as_price_array(p)[0]
     ok = (p > 0) & (p <= min(hi, _PRICE_MAX))
     if np.count_nonzero(ok) < p.size:
         x = p[~ok][0]
@@ -284,13 +284,17 @@ def _check_price(p, hi: float) -> None:
                                else f"price must be nonnegative and finite, and nonzero, got {x}")
 
 
-def as_price_array(p):
+def as_price_array(p, name: str = "price"):
     """(prices as a 1-d float array, function giving a result p's shape).
 
     The restoring function turns a result array of p's size back into a Python
     scalar when p was a scalar, so scalar callers keep getting floats and strings.
+    A bool, complex or string p raises, named ``name``: numpy would read "0.4" and True.
     """
-    arr = np.asarray(p, dtype=float)
+    arr = np.asarray(p)
+    if arr.dtype.kind not in "fiuO":
+        raise RobustPriceError(f"{name} must be a number, got {p!r}")
+    arr = arr.astype(float, copy=False)
     shape = arr.shape
     return arr.reshape(-1), lambda v: v.reshape(shape) if shape else v.item()
 

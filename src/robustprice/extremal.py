@@ -15,7 +15,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .ambiguity import MarketInfo, _check_price, companion_point, left_threshold, right_threshold
+from .ambiguity import (MarketInfo, _check_price, as_price_array, companion_point,
+                        left_threshold, right_threshold)
 from .bounds import _member_masses, _tails
 from .dispersion import DispersionMeasure
 from .errors import RobustPriceError, UnboundedSupportError
@@ -100,7 +101,7 @@ def two_point(market: MarketInfo, p: float) -> DiscreteDistribution:
     Admissible for p in [0, left_threshold] or p in [right_threshold, beta],
     where both support points stay inside [0, beta].
     """
-    if p != 0:   # NaN included
+    if as_price_array(p)[0] != 0:   # NaN included; False and 0j raise
         _check_price(p, market.beta)
     if market.is_degenerate:
         return point_mass(market.mu)
@@ -146,7 +147,8 @@ def three_point_masses(market: MarketInfo, p: float) -> Tuple[float, float, floa
     """
     if not math.isfinite(market.beta):
         raise UnboundedSupportError("three-point masses need a finite maximum valuation")
-    bad = ~((np.asarray(p) > 0) & (np.asarray(p) < market.beta))
+    x = as_price_array(p)[0]
+    bad = ~((x > 0) & (x < market.beta))
     if np.any(bad):
         raise RobustPriceError(f"degenerate three-point system at p={p}: needs 0 < p < beta")
     wp, wb = _member_masses(market.mu, market.s, market.beta, p, market.measure.value(p),

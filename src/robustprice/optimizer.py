@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .ambiguity import (_BAND, _BRENTQ_RTOL, _BRENTQ_XTOL, _DEGEN_RTOL, MODE_EXACT,
-                        MarketInfo, _companion, left_threshold, power_market,
+                        MarketInfo, _as_float, _companion, left_threshold, power_market,
                         require_feasible, right_threshold, variance_market,
                         variance_thresholds)
 from .errors import InternalConsistencyError, ModeError, RobustPriceError, RootFindingError
@@ -74,12 +74,12 @@ def _low_price(mu: float, sigma, cr: bool, compat_printed_pl: bool = False):
     return mu - sigma * (np.cbrt(y + r) + np.cbrt(y - r))
 
 
-def _high_prices(t2, beta: float, cr: bool):
-    """The unclipped high candidates from t2: (p_h1, p_h2) of the ratio, (pi_h,) of revenue."""
+def _high_prices(t2, beta: float, cr: bool, sqrt=np.sqrt, maximum=np.maximum):
+    """Unclipped high candidates from t2, (p_h1, p_h2) or (pi_h,); floats take math.sqrt, _fmax."""
     if not cr:
-        return beta - np.sqrt(beta * np.maximum(beta - t2, 0.0)),
-    disc = np.square(3.0 * beta - t2) - 4.0 * beta * beta   # ** on a numpy float is pow()
-    return 0.5 * (beta + t2 - np.sqrt(np.maximum(disc, 0.0))), 0.5 * t2
+        return beta - sqrt(beta * maximum(beta - t2, 0.0)),
+    w = 3.0 * beta - t2   # squared as w * w: ** on a float is pow()
+    return 0.5 * (beta + t2 - sqrt(maximum(w * w - 4.0 * beta * beta, 0.0))), 0.5 * t2
 
 
 def _variance_table(mu: float, sigma, beta: float, objective: str,
@@ -93,7 +93,8 @@ def _variance_table(mu: float, sigma, beta: float, objective: str,
     (len(labels), *sigma.shape), one row per candidate.  A candidate is
     present where it is admissible: the low price needs t1 > 0, the high
     prices a finite beta and a positive clipped price.  An absent entry
-    keeps its clipped price, but its value is to be ignored.
+    keeps its clipped price, but its value is to be ignored.  A float sigma
+    takes :func:`_one_sigma`, and the array code where that returns None.
 
     The values are the worst-case members' closed forms.  With
     a = mu + sigma**2 / (mu - p) and T = p (t2 - p) / (p (t2 - p) + beta (beta - t2)),
@@ -102,9 +103,12 @@ def _variance_table(mu: float, sigma, beta: float, objective: str,
     p mu (t2 - p) / (beta (beta - p)); {0, beta} (t2 in the band below beta)
     tails mu/beta and T = 1.
     """
-    sigma = np.asarray(sigma, dtype=float)
     cr = objective == "cr"
     labels = ("p_l", "p_h1", "p_h2") if cr else ("pi_l", "pi_h")
+    one = type(sigma) is float and _one_sigma(mu, sigma, beta, cr, compat_printed_pl)
+    if one:
+        return (labels[:len(one[0])], *map(np.array, one))
+    sigma = np.asarray(sigma, dtype=float)
     s2 = sigma * sigma
     t1, t2 = variance_thresholds(mu, s2, beta)
     high = np.minimum(np.maximum(_high_prices(t2, beta, cr), t1), t2) \
@@ -126,18 +130,62 @@ def _variance_table(mu: float, sigma, beta: float, objective: str,
     return labels, p, values, present
 
 
+# np.maximum and np.minimum on floats: a NaN propagates, a tie (0.0, -0.0) keeps b.
+def _fmax(a: float, b: float) -> float:
+    return b if a <= b or b != b else a
+
+
+def _fmin(a: float, b: float) -> float:
+    return b if a >= b or b != b else a
+
+
+def _one_sigma(mu: float, sigma: float, beta: float, cr: bool, compat_printed_pl: bool):
+    """:func:`_variance_table`'s (prices, values, present) as lists, on the Python floats
+    mu, sigma and beta, or None where numpy's rules decide (a division by zero, a NaN).
+    It repeats the array operations in order, each value in the branch np.where keeps;
+    the cube roots stay np.cbrt, since math.cbrt rounds otherwise."""
+    try:
+        s2 = sigma * sigma
+        t1 = _fmax(mu + s2 / (mu - beta), 0.0)
+        t2 = _fmin(_fmax(mu + s2 / mu, 0.0), beta)
+        high = _high_prices(t2, beta, cr, math.sqrt, _fmax) if math.isfinite(beta) else ()
+        p = [_fmin(float(_low_price(mu, sigma, cr, compat_printed_pl)), t1),
+             *(_fmin(_fmax(h, t1), t2) for h in high)]
+        single, values = t2 >= beta * (1.0 - _BAND), []
+        for x in p:
+            if x <= t1 and not single:
+                a = mu + s2 / (mu - x)
+                v = _fmin((mu - x) / (a - x), x / a) if cr else x * (mu - x) / (a - x)
+            elif cr:
+                d = x * (t2 - x)
+                v = _fmin(1.0 if single else d / (d + beta * (beta - t2)), x / beta)
+            else:
+                v = x * (mu / beta if single else mu * (t2 - x) / (beta * (beta - x)))
+            values.append(v)
+    except ZeroDivisionError:
+        return None
+    if any(v != v for v in p + values):
+        return None
+    return p, values, [t1 > 0, *(x > 0 for x in p[1:])]
+
+
 def _variance_threshold(mu: float, beta: float, objective: str) -> float:
     """First sigma in (0, sigma_max) where the best low candidate stops
     beating the best high one; infinite when beta is.  The scan starts at
     1e-3 sigma_max or, if higher, at the point-mass rule's edge (capped at
     sigma_max), below which the point mass (p_l) wins: the edge if high
     already wins there, inf if the market there is the point mass."""
+    mu, beta = _as_float("mu", mu), _as_float("beta", beta)   # as the market holds them
     if not (math.isfinite(mu) and mu > 0 and beta > mu):   # a NaN beta fails too
         variance_market(mu, 0.0, beta)   # raises with the market's message
     if not math.isfinite(beta):
         return math.inf
 
-    def gap(sigma):
+    def gap(sigma):   # a float (a Brent step, the edge probe) on floats, the scan on arrays
+        one = type(sigma) is float and _one_sigma(mu, sigma, beta, objective == "cr", False)
+        if one:
+            low, *high = (v if keep else -math.inf for v, keep in zip(*one[1:]))
+            return low - _fmax(high[0], high[-1])   # revenue has one high candidate
         _, _, values, present = _variance_table(mu, sigma, beta, objective)
         values = np.where(present, values, -np.inf)
         return values[0] - np.maximum.reduce(values[1:])
@@ -190,9 +238,9 @@ def delta_star(mu: float, beta: float) -> float:
 def _scan_root(f, lo: float, hi: float, scale: float) -> Optional[float]:
     """The first root of :func:`_search` on a _THRESHOLD_SCAN-point scan of
     [lo, hi], None if it is empty; f maps a point array to residuals and a
-    float to one.  It steps its one search itself: through :func:`_refine`,
-    1-element arrays made `_variance_table` about 1.5x dearer and variance
-    quotes 15% slower."""
+    float to one.  It steps its one search itself, one Python float per Brent
+    step, which a threshold's gap takes on floats (:func:`_one_sigma`);
+    :func:`_refine` would pass 1-element arrays."""
     if not hi > lo:
         return None
     grid = np.linspace(lo, hi, _THRESHOLD_SCAN)
@@ -231,8 +279,8 @@ def _search(grid: np.ndarray, fx: np.ndarray, scale: float, last=False):
     if not hits.size:
         return None
     i = int(hits[-1 if last else 0])
-    j = min(i + 1, len(grid) - 1)
-    return (yield from _brent(*grid[[i, j]].tolist(), *fx[[i, j]].tolist(), _BRENTQ_XTOL * scale))
+    ij = i, min(i + 1, len(grid) - 1)
+    return (yield from _brent(*map(grid.item, ij), *map(fx.item, ij), _BRENTQ_XTOL * scale))
 
 
 def _brent(xpre: float, xcur: float, fpre: float, fcur: float, xtol: float):
@@ -424,8 +472,8 @@ def compare_prices(mu: float, sigma: float, beta: float) -> OrderingReport:
     ss, ds = sigma_star(mu, beta), delta_star(mu, beta)
     if market.is_degenerate:
         return OrderingReport(mu, mu, mu, mu, sigma, ss, ds, False, True, False, True)
-    _, (pi_l, pi_h), _, (low_present, _) = _variance_table(mu, sigma, beta, "rev")
-    _, prices, (_, v_h1, v_h2), _ = _variance_table(mu, sigma, beta, "cr")
+    _, (pi_l, pi_h), _, (low_present, _) = _variance_table(market.mu, sigma, market.beta, "rev")
+    _, prices, (_, v_h1, v_h2), _ = _variance_table(market.mu, sigma, market.beta, "cr")
     pi_l, pi_h, (p_l, p_h1, p_h2) = float(pi_l), float(pi_h), prices.tolist()
     p_h = p_h1 if v_h1 >= v_h2 else p_h2
     return OrderingReport(

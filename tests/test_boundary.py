@@ -237,6 +237,28 @@ def test_the_oracle_takes_a_numpy_integer_grid(grid_n):
     assert _numbers(a) == _numbers(b)
 
 
+# A value that is not a real number: numpy reads "0.4" as 0.4 and True as 1.0,
+# so such a price was priced, and a complex one raised a builtin TypeError.
+NOT_REAL = {"str": "0.4", "np_str": np.str_("0.4"), "bool": True, "np_bool": np.True_,
+            "complex": 0.4 + 0j, "complex64": np.complex64(0.4)}
+
+
+@pytest.mark.parametrize("call", CALLS)
+@pytest.mark.parametrize("p", NOT_REAL.values(), ids=NOT_REAL.keys())
+def test_a_price_that_is_not_a_real_number_raises(call, p):
+    name, f = CALLS[call]
+    m = (UPPER if name.endswith("_dispersion_ub") else EXACT)["variance"]
+    with pytest.raises(RobustPriceError, match="price must be a number"):
+        f(m, p)
+
+
+@pytest.mark.parametrize("p", [False, np.False_, 0j], ids=["bool", "np_bool", "complex"])
+def test_two_point_takes_no_false_zero_price(p):
+    # p = 0 gives the {0, t2} member, and False == 0j == 0.
+    with pytest.raises(RobustPriceError, match="price must be a number"):
+        rp.two_point(EXACT["variance"], p)
+
+
 # --------------------------------------------------------------------------
 # Market parameters: every constructor stores its fields as floats, so an
 # int, a numpy integer or a float32 field answers as the float market does.
@@ -282,6 +304,31 @@ def test_a_bool_field_raises(name, field, flag):
     make, fields = CONSTRUCTORS[name]
     with pytest.raises(RobustPriceError, match="must be a number"):
         make(*(flag if k == field else v for k, v in enumerate(fields)))
+
+
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+@pytest.mark.parametrize("field", range(3))
+@pytest.mark.parametrize("kind", [str, np.str_, complex, np.complex128])
+def test_a_field_that_is_not_a_real_number_raises(name, field, kind):
+    make, fields = CONSTRUCTORS[name]
+    with pytest.raises(RobustPriceError, match="must be a number"):
+        make(*(kind(v) if k == field else v for k, v in enumerate(fields)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: rp.optimal_price_variance(MU, v, BETA),
+    lambda v: rp.optimal_price_revenue_variance(v, 0.3, BETA),
+    lambda v: rp.worst_case_cr_variance(MU, 0.3, v, 0.4),
+    lambda v: rp.compare_prices(MU, v, BETA),
+    lambda v: rp.sigma_star(v, BETA),
+    lambda v: rp.delta_star(MU, v),
+], ids=["optimal_price_variance", "optimal_price_revenue_variance", "worst_case_cr_variance",
+        "compare_prices", "sigma_star", "delta_star"])
+@pytest.mark.parametrize("v", ["0.3", 0.3 + 0j], ids=["str", "complex"])
+def test_variance_functions_reject_a_field_that_is_not_a_real_number(call, v):
+    # A bool field already raised (test_a_bool_field_raises).
+    with pytest.raises(RobustPriceError, match="must be a number"):
+        call(v)
 
 
 def test_an_integer_beta_solves_the_left_threshold_in_floats():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -718,6 +718,12 @@ def _gap_from_candidates(solve, low_label):
 
 
 _MU_BETA = [(0.5, 1.0), (0.5, 1.2), (1.0, 1.5), (0.8, 2.9), (1.3, 1.7)]
+# (mu, beta) -> (sigma_star, delta_star), as repr literals.
+_THRESHOLDS = {(0.5, 1.0): (0.3194314224923268, 0.3101494620085281),
+               (0.5, 1.2): (0.38162945654051666, 0.367812312190728),
+               (1.0, 1.5): (0.4277998385836761, 0.42619969365973337),
+               (0.8, 2.9): (0.8309505491570511, 0.7937863578571278),
+               (1.3, 1.7): (0.4121267402746549, 0.41799255724088014)}
 
 
 class TestArrayScans:
@@ -750,6 +756,13 @@ class TestArrayScans:
             lambda sg: optimal_price_revenue_variance(mu, sg, beta, with_threshold=False),
             "pi_l")
         assert delta_star(mu, beta) == _crossing_loop(mu, beta, gap)
+
+    @pytest.mark.parametrize("mu,beta", _MU_BETA)
+    def test_thresholds_keep_their_bits(self, mu, beta):
+        # The scalar loops above take their gap from the optimizers, which read
+        # the same one-sigma table as the Brent steps; these literals, from the
+        # array-only table, do not.
+        assert (sigma_star(mu, beta), delta_star(mu, beta)) == _THRESHOLDS[mu, beta]
 
     @pytest.mark.parametrize("mu,sigma,beta", [(0.5, 0.1, 1.0), (0.5, 0.3, 1.2),
                                                (1.0, 0.45, 1.6), (0.5, 0.5, 1.0),
@@ -784,9 +797,33 @@ class TestArrayScans:
         assert list(b.regime) == [worst_case_cr(m, float(p)).regime for p in ps]
 
 
+# where -> sigma(mu, beta, v), v in [0, 1]: inside (0, sigma_max), at the
+# point-mass rule's edge, at the cap sigma_max (t1 = 0), with t2 in the _BAND
+# band below beta, and anywhere with beta = inf.
+_SIGMA_AT = {
+    "inside": lambda mu, beta, v: (1e-3 + 0.998 * v) * math.sqrt(mu * (beta - mu)),
+    "edge": lambda mu, beta, v: optimizer._POINT_MASS_EDGE * mu,
+    "cap": lambda mu, beta, v: math.sqrt(mu * (beta - mu)) * (1.0 + 2e-16 * round(8 * v)),
+    "band": lambda mu, beta, v: math.sqrt(mu * (beta * (1.0 - v * ambiguity._BAND) - mu)),
+    "unbounded": lambda mu, beta, v: (1e-6 + v) * mu,
+}
+
+
+def _assert_column(mu, sigma, beta, objective, compat):
+    """The table at the float sigma, byte for byte, is its column of the array call."""
+    with np.errstate(all="ignore"):   # the fallback inputs divide by zero or overflow
+        labels, *full = _variance_table(mu, np.full(9, sigma), beta, objective, compat)
+        got, *cols = _variance_table(mu, sigma, beta, objective, compat)
+    assert got == labels
+    for col, ref in zip(cols, full):
+        assert col.dtype == ref.dtype and col.tobytes() == ref[:, 4].tobytes()
+
+
 class TestVarianceTable:
-    """The candidate table is array-first in sigma: one code path for the
-    threshold scan and for each Brent step."""
+    """The candidate table is array-first in sigma, and a float sigma takes a
+    path of its own on Python floats (_one_sigma): the threshold scan runs the
+    array code, each Brent step and each optimizer call the float path, which
+    gives the array's bits or leaves the call to the array code."""
 
     @pytest.mark.parametrize("objective", ["cr", "rev"])
     @pytest.mark.parametrize("beta", [1.0, math.inf])
@@ -811,9 +848,10 @@ class TestVarianceTable:
 
     @pytest.mark.parametrize("objective", ["cr", "rev"])
     def test_a_float_sigma_gives_the_array_bits(self, objective):
-        # The threshold's Brent steps pass floats and its scan arrays.  A float
-        # makes numpy scalars, on which x ** 2 is pow(): it differs from the
-        # array's square for about 1 in 1,000 inputs.
+        # The threshold's Brent steps pass floats and its scan arrays.  On a
+        # float, x ** 2 is pow(): it differs from the array's square for about
+        # 1 in 1,000 inputs, so the float path squares by x * x.  math.cbrt
+        # differs from np.cbrt for about 45% of arguments, so it keeps np.cbrt.
         rng = np.random.default_rng(71)
         for beta in (0.6, 1.0, 2.5):
             sigmas = rng.uniform(1e-3, 1.0, 1000) * math.sqrt(0.5 * (beta - 0.5))
@@ -822,15 +860,65 @@ class TestVarianceTable:
                 _, *cols = _variance_table(0.5, sigma, beta, objective)
                 assert all(col.tobytes() == ref[:, k].tobytes() for col, ref in zip(cols, full))
 
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(e=st.integers(-400, 400), u=st.floats(1.0, 2.0, exclude_max=True),
+           spread=st.floats(1e-8, 1e3), where=st.sampled_from(sorted(_SIGMA_AT)),
+           v=st.floats(0.0, 1.0), objective=st.sampled_from(["cr", "rev"]),
+           compat=st.booleans())
+    @example(e=0, u=1.0, spread=1.0, where="cap", v=0.5, objective="cr", compat=False)
+    @example(e=0, u=1.0, spread=1.0, where="cap", v=0.5, objective="rev", compat=False)
+    def test_a_float_sigma_is_its_column_of_the_array_call(self, e, u, spread, where, v,
+                                                          objective, compat):
+        # Binary scales, and sigma inside, at the point-mass edge, at the cap
+        # (t1 = 0), with t2 in the band below beta, and with beta = inf.
+        mu = math.ldexp(u, e)
+        beta = math.inf if where == "unbounded" else mu * (1.0 + spread)
+        sigma = _SIGMA_AT[where](mu, beta, v)
+        assert optimizer._one_sigma(mu, sigma, beta, objective == "cr", compat) is not None
+        _assert_column(mu, sigma, beta, objective, compat)
+
+    def test_the_float_minimum_and_maximum_are_numpys(self):
+        # NaN propagates, and a tie keeps the second argument: np.maximum(-0.0, 0.0) is 0.0.
+        xs = [-0.0, 0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]
+        for f, g in ((optimizer._fmax, np.maximum), (optimizer._fmin, np.minimum)):
+            for a in xs:
+                for b in xs:
+                    assert np.float64(f(a, b)).tobytes() == g(np.array([a]), b).tobytes()
+
+    def test_the_cap_drops_the_low_candidate(self):
+        for objective in ("cr", "rev"):
+            sigma = _SIGMA_AT["cap"](1.0, 2.0, 0.5)
+            p, values, present = optimizer._one_sigma(1.0, sigma, 2.0, objective == "cr", False)
+            assert p[0] == 0.0 and not present[0] and all(present[1:])
+
+    @pytest.mark.parametrize("mu,sigma,beta,falls_back", [
+        (0.5, 0.0, 1.0, "cr rev"),           # ZeroDivisionError: mu / (k sigma)
+        (0.5, 0.3, 0.5, "cr rev"),           # ZeroDivisionError: sigma**2 / (mu - beta)
+        (0.5, 1e200, math.inf, "cr rev"),    # NaN: sigma**2 / (mu - beta) is inf / -inf
+        (0.5, math.nan, 1.0, "cr rev"),
+        (1.0, 1e73, 1e160, "cr"),            # NaN in p_h1 alone: inf - inf in its discriminant
+    ])
+    def test_the_array_code_answers_where_the_float_path_cannot(self, mu, sigma, beta,
+                                                                falls_back):
+        for objective in ("cr", "rev"):
+            for compat in (False, True):
+                one = optimizer._one_sigma(mu, sigma, beta, objective == "cr", compat)
+                assert (one is None) == (objective in falls_back.split())
+                _assert_column(mu, sigma, beta, objective, compat)
+
 
 class TestThresholdCost:
     """Each gap evaluation of sigma_star/delta_star, the scan and every Brent
     step, computes the thresholds once and runs no tail pass: the table values
-    its candidates by their closed forms."""
+    its candidates by their closed forms.  The scan computes them in
+    variance_thresholds on its array, each Brent step in _one_sigma on floats,
+    so no step builds a numpy-array table."""
 
     @pytest.mark.parametrize("threshold", [sigma_star, delta_star])
     def test_one_threshold_computation_and_no_pass_per_gap(self, monkeypatch, threshold):
         originals = {"variance_thresholds": ambiguity.variance_thresholds,
+                     "_one_sigma": optimizer._one_sigma,
+                     "_variance_table": optimizer._variance_table,
                      "_tails": bounds._tails}
         counts = dict.fromkeys(originals, 0)
 
@@ -858,10 +946,14 @@ class TestThresholdCost:
 
         monkeypatch.setattr(optimizer, "_scan_root", recording_scan)
         threshold(0.5, 1.0)
-        assert [d for _, d in gaps] == [{"variance_thresholds": 1, "_tails": 0}] * len(gaps)
-        (grid, _), *steps = gaps
+        # _one_sigma computes the thresholds once, on floats.
+        assert [(d["variance_thresholds"] + d["_one_sigma"], d["_tails"]) for _, d in gaps] \
+            == [(1, 0)] * len(gaps)
+        (grid, scan), *steps = gaps
         assert isinstance(grid, np.ndarray) and grid.size == _THRESHOLD_SCAN
+        assert scan["_variance_table"] == 1
         assert steps and all(type(x) is float for x, _ in steps)   # Brent passes floats
+        assert all(d["_variance_table"] == 0 and d["_one_sigma"] == 1 for _, d in steps)
 
 
 # --------------------------------------------------------------------------
