@@ -289,10 +289,12 @@ def as_price_array(p, name: str = "price"):
 
     The restoring function turns a result array of p's size back into a Python
     scalar when p was a scalar, so scalar callers keep getting floats and strings.
-    A bool, complex or string p raises, named ``name``: numpy would read "0.4" and True.
+    A bool, complex or string p raises, named ``name``: numpy would read "0.4" and True;
+    so does a list or tuple with such an entry, which numpy would coerce with the rest.
     """
     arr = np.asarray(p)
-    if arr.dtype.kind not in "fiuO":
+    if arr.dtype.kind not in "fiuO" or isinstance(p, (list, tuple)) and any(isinstance(
+            v, (bool, np.bool_, complex, str, bytes)) for v in np.asarray(p, dtype=object).flat):
         raise RobustPriceError(f"{name} must be a number, got {p!r}")
     arr = arr.astype(float, copy=False)
     shape = arr.shape
@@ -307,10 +309,10 @@ def companion_point(market: MarketInfo, p):
     p > mu it lies in [0, mu).  The maximum-valuation cap is deliberately
     ignored here: for p in (left_threshold, mu) the companion exceeds beta.
 
-    p may be a float or an array; every price is solved by the same
-    elementwise iteration, so a price gives the same companion alone or
-    inside an array.  Raises if a price is NaN, negative, with phi(p) infinite,
-    at the mean, or strictly between the mean and the right threshold.
+    p may be a float or an array; every price takes the same iteration (on Python
+    floats for up to 4 prices, :func:`_solve_companion`), so a price gets the same
+    bits alone or inside an array.  Raises if a price is NaN, negative, with phi(p)
+    infinite, at the mean, or strictly between the mean and the right threshold.
     """
     mu = market.mu
     p, restore = as_price_array(p)
@@ -354,76 +356,124 @@ def _solve_companion(market: MarketInfo, p: np.ndarray) -> np.ndarray:
     equation times (a - p).  Below the mean g is convex with g(mu) < 0; above
     it g is concave with g(mu) > 0; in both cases g rises through its one
     root in the bracket, found by safeguarded Newton-bisection started at
-    the end from which Newton converges monotonically.  Every operation is
-    elementwise and converged entries leave the working arrays, so each
-    price follows the same iterates alone or inside an array.  A price whose
-    phi(p) is not finite raises RobustPriceError.  No iterate is negative.
+    the end from which Newton converges monotonically.  Up to 4 prices are
+    solved one at a time on Python floats (:func:`_companion_float`), bit for
+    bit; more, or a price the float loop hands back, take :func:`_companion_array`.
     """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if p.size <= 4:
+            out = [_companion_float(market, x) for x in p.tolist()]
+            if None not in out:
+                return np.array(out)
+        return _companion_array(market, p)
+
+
+def _companion_float(market: MarketInfo, x: float):
+    """:func:`_companion_array` at the one price x on Python floats: the same IEEE
+    operations in order, the measure evaluated as there (np.power; a custom pair on
+    a one-element array).  None where numpy's rules or the array loop's errors
+    decide: phi(x) not finite or not float64, doublings run out or no convergence."""
+    mu, s, m, q = market.mu, market.s, market.measure, market.measure.q
+    if m.is_power:
+        phi, dphi = lambda a: float(np.power(a, q)), lambda a: q * float(np.power(a, q - 1.0))
+        phi_p = phi(x)
+    else:
+        f, df = m.value_fn, m.deriv_fn
+        phi, dphi = lambda a: f(np.array([a])).item(), lambda a: df(np.array([a])).item()
+        phi_p = v.item() if getattr(v := f(np.array([x])), "dtype", 0) == np.float64 else math.nan
+    if not math.isfinite(phi_p):
+        return None
+    w, c, c0 = mu - x, phi_p - s, s * x - phi_p * mu
+    below = x < mu
+    if not (below or market._phi0 * w + c0 < 0):
+        return 0.0
+    lo, hi, k = (mu, 2.0 * mu, _COMPANION_DOUBLINGS) if below else (0.0, mu, 1)
+    while below and k and not phi(hi) * w + c * hi + c0 > 0:   # k doublings left
+        lo, hi, k = hi, 2.0 * hi - mu, k - 1
+    if not k:
+        return None
+    x = hi if below else lo
+    fx, dfx, dx, tol = phi(x) * w + c * x + c0, dphi(x) * w + c, hi - lo, _BRENTQ_XTOL * mu
+    for _ in range(_COMPANION_MAXITER):
+        step = fx / dfx if dfx else math.nan   # numpy's x / 0 is never a step taken
+        newton = x - step
+        dx, x = (step, newton) if lo <= newton <= hi and abs(2.0 * fx) <= abs(dx * dfx) \
+            else (0.5 * (hi - lo), lo + 0.5 * (hi - lo))
+        fx = phi(x) * w + c * x + c0
+        if abs(dx) <= tol + _BRENTQ_RTOL * abs(x) or fx == 0:
+            return x
+        dfx = dphi(x) * w + c
+        lo, hi = (x, hi) if fx < 0 else (lo, x)
+    return None
+
+
+def _companion_array(market: MarketInfo, p: np.ndarray) -> np.ndarray:
+    """:func:`_solve_companion` by arrays: the operations are elementwise, so a price
+    follows the same iterates alone or in an array.  A non-finite phi(p) raises."""
     mu, s, m = market.mu, market.s, market.measure
     phi, dphi = m._value, m._derivative
     out = np.zeros_like(p)
     below = p < mu
     # g(a) = phi(a) w + c a + c0, grouped so that no terms of size s*a cancel.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        phi_p = phi(p)
-        if np.count_nonzero(np.isfinite(phi_p)) < p.size:
-            raise RobustPriceError(f"phi(p) is not finite at p = {p[~np.isfinite(phi_p)][0]}")
-        w, c, c0 = mu - p, phi_p - s, s * p - phi_p * mu
-        # Above the mean: a root in [0, mu) exists iff g(0) <= 0, which holds
-        # exactly for p >= right_threshold (at the threshold the companion is 0);
-        # the other prices keep 0.
-        pos = (below | (market._phi0 * w + c0 < 0)).nonzero()[0]
-        n = pos.size
-        if n == 0:
-            return out
-        if n < p.size:
-            below, w, c, c0 = below[pos], w[pos], c[pos], c0[pos]
+    phi_p = phi(p)
+    if np.count_nonzero(np.isfinite(phi_p)) < p.size:
+        raise RobustPriceError(f"phi(p) is not finite at p = {p[~np.isfinite(phi_p)][0]}")
+    w, c, c0 = mu - p, phi_p - s, s * p - phi_p * mu
+    # Above the mean: a root in [0, mu) exists iff g(0) <= 0, which holds
+    # exactly for p >= right_threshold (at the threshold the companion is 0);
+    # the other prices keep 0.
+    pos = (below | (market._phi0 * w + c0 < 0)).nonzero()[0]
+    n = pos.size
+    if n == 0:
+        return out
+    if n < p.size:
+        below, w, c, c0 = below[pos], w[pos], c[pos], c0[pos]
 
-        # Below the mean: walk hi = mu + mu * 2**k up until g(hi) > 0,
-        # raising lo to each hi passed.
-        lo = np.where(below, mu, 0.0)
-        hi = np.where(below, 2.0 * mu, mu)
-        grow = below
-        for _ in range(_COMPANION_DOUBLINGS):
-            if not np.count_nonzero(grow):
-                break
-            grow = grow & ~(phi(hi) * w + c * hi + c0 > 0)
-            np.copyto(lo, hi, where=grow)
-            np.copyto(hi, 2.0 * hi - mu, where=grow)
-        if np.count_nonzero(grow):
-            raise RootFindingError(f"no sign change found above {mu} after bracket expansion "
-                                   f"at p = {p[pos[grow]][0]} on {market}")
+    # Below the mean: walk hi = mu + mu * 2**k up until g(hi) > 0,
+    # raising lo to each hi passed.
+    lo = np.where(below, mu, 0.0)
+    hi = np.where(below, 2.0 * mu, mu)
+    grow = below
+    for _ in range(_COMPANION_DOUBLINGS):
+        if not np.count_nonzero(grow):
+            break
+        grow = grow & ~(phi(hi) * w + c * hi + c0 > 0)
+        np.copyto(lo, hi, where=grow)
+        np.copyto(hi, 2.0 * hi - mu, where=grow)
+    if np.count_nonzero(grow):
+        raise RootFindingError(f"no sign change found above {mu} after bracket expansion "
+                               f"at p = {p[pos[grow]][0]} on {market}")
 
-        x = np.where(below, hi, lo)
-        fx = phi(x) * w + c * x + c0
-        dfx = dphi(x) * w + c
-        dx = hi - lo
-        tol = _BRENTQ_XTOL * mu
-        for _ in range(_COMPANION_MAXITER):
-            step = fx / dfx
-            newton = x - step
-            take = (newton >= lo) & (newton <= hi) & (np.abs(2.0 * fx) <= np.abs(dx * dfx))
-            if np.count_nonzero(take) == n:
-                dx, x = step, newton
-            else:
-                dx = 0.5 * (hi - lo)
-                x = lo + dx
-                np.copyto(dx, step, where=take)
-                np.copyto(x, newton, where=take)
-            fx = phi(x) * w + c * x + c0
-            done = (np.abs(dx) <= tol + _BRENTQ_RTOL * np.abs(x)) | (fx == 0)
-            k = np.count_nonzero(done)
-            if k:
-                out[pos[done]] = x[done]
-                if k == n:
-                    break
-                keep, n = (~done).nonzero()[0], n - k
-                x, fx, lo, hi, dx, pos, w, c, c0 = (
-                    v[keep] for v in (x, fx, lo, hi, dx, pos, w, c, c0))
-            dfx = dphi(x) * w + c
-            neg = fx < 0
-            np.copyto(lo, x, where=neg)
-            np.copyto(hi, x, where=~neg)
+    x = np.where(below, hi, lo)
+    fx = phi(x) * w + c * x + c0
+    dfx = dphi(x) * w + c
+    dx = hi - lo
+    tol = _BRENTQ_XTOL * mu
+    for _ in range(_COMPANION_MAXITER):
+        step = fx / dfx
+        newton = x - step
+        take = (newton >= lo) & (newton <= hi) & (np.abs(2.0 * fx) <= np.abs(dx * dfx))
+        if np.count_nonzero(take) == n:
+            dx, x = step, newton
         else:
-            raise RootFindingError("companion point iteration did not converge")
+            dx = 0.5 * (hi - lo)
+            x = lo + dx
+            np.copyto(dx, step, where=take)
+            np.copyto(x, newton, where=take)
+        fx = phi(x) * w + c * x + c0
+        done = (np.abs(dx) <= tol + _BRENTQ_RTOL * np.abs(x)) | (fx == 0)
+        k = np.count_nonzero(done)
+        if k:
+            out[pos[done]] = x[done]
+            if k == n:
+                break
+            keep, n = (~done).nonzero()[0], n - k
+            x, fx, lo, hi, dx, pos, w, c, c0 = (
+                v[keep] for v in (x, fx, lo, hi, dx, pos, w, c, c0))
+        dfx = dphi(x) * w + c
+        neg = fx < 0
+        np.copyto(lo, x, where=neg)
+        np.copyto(hi, x, where=~neg)
+    else:
+        raise RootFindingError("companion point iteration did not converge")
     return out

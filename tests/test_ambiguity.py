@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from robustprice.ambiguity import (MarketInfo, check_feasible, companion_point,
+from robustprice import ambiguity, optimizer
+from robustprice.ambiguity import (MarketInfo, _companion_array, _companion_float,
+                                   _solve_companion, check_feasible, companion_point,
                                    is_point_mass, left_threshold, power_market,
                                    right_threshold, variance_market)
 from robustprice.dispersion import custom_measure, power_moment
-from robustprice.errors import InfeasibleMarketError, RobustPriceError
-from robustprice.optimizer import optimal_price_general
+from robustprice.errors import InfeasibleMarketError, RobustPriceError, RootFindingError
+from robustprice.optimizer import _ROOT_SCAN, optimal_price_general, optimal_price_power
+from robustprice.ratio import worst_case_cr
 
 
 class TestConstruction:
@@ -380,3 +385,144 @@ class TestThresholdCache:
         for _ in range(2):
             with pytest.raises(InfeasibleMarketError):
                 left_threshold(m)
+
+
+# --------------------------------------------------------------------------
+# Companion solves of a few prices on Python floats.
+
+def _answer(solve, market, p):
+    """solve(market, p) as a list of floats, or its (error type, message)."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            return solve(market, np.array(p)).tolist()
+        except RobustPriceError as e:
+            return type(e), str(e)
+
+
+@st.composite
+def _float_cases(draw):
+    """(market, 1-4 prices): a power q in (1, 8], q within 1e-3 of 1 included,
+    or exp(x / mu); scales 2**-60, 1, 2**60; beta = inf or mu (1 + r); the
+    dispersion near the point mass, inside or near the cap; prices near 0, t1,
+    mu (1 -+ 1e-9), t2, t2 (1 + 1e-12) and above t2."""
+    mu = 0.7 * draw(st.sampled_from([2.0 ** -60, 1.0, 2.0 ** 60]))
+    finite = draw(st.booleans())
+    beta = mu * (1.0 + draw(st.floats(1e-6, 100.0))) if finite else math.inf
+    frac = draw(st.sampled_from([1e-10, 1e-6, 0.4, 1.0 - 1e-6, 1.0 - 1e-12]))
+    if draw(st.booleans()):
+        q = draw(st.floats(1.0, 1.001, exclude_min=True) | st.floats(1.0, 8.0, exclude_min=True))
+        measure, lo = power_moment(q), mu ** q
+        hi = mu * beta ** (q - 1.0) if finite else 4.0 * lo
+    else:
+        measure, lo = _exp_measure(mu), math.e
+        hi = (1.0 - mu / beta) + (mu / beta) * math.exp(beta / mu) if finite else 4.0 * lo
+    try:
+        market = MarketInfo(mu=mu, s=lo + frac * (hi - lo), beta=beta, measure=measure)
+        t1, t2 = left_threshold(market), right_threshold(market)
+    except RobustPriceError:
+        t1 = t2 = math.nan
+    assume(t2 == t2 and not market.is_degenerate)
+    near = {"0": mu * draw(st.floats(0.0, 1e-6)), "t1": t1 * (1.0 + draw(st.floats(-1e-9, 1e-9))),
+            "mu-": mu * (1.0 - 1e-9), "mu+": mu * (1.0 + 1e-9), "t2": t2,
+            "t2+": t2 * (1.0 + 1e-12), "above": t2 * (1.0 + draw(st.floats(1e-6, 10.0)))}
+    prices = [near[k] for k in draw(st.lists(st.sampled_from(sorted(near)), min_size=1,
+                                             max_size=4))]
+    assume(all(math.isfinite(x) for x in prices))
+    return market, prices
+
+
+class TestCompanionFloat:
+    """A few prices are solved on Python floats with the array loop's bits;
+    a price the float loop hands back takes the array loop, which answers or
+    raises as before."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_float_cases())
+    def test_float_path_is_the_array_loop_bit_for_bit(self, case):
+        market, prices = case
+        assert _answer(_solve_companion, market, prices) == \
+            _answer(_companion_array, market, prices)
+        for x in prices:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                got = _companion_float(market, x)
+            if got is not None:   # an answer is the array's, its sign bit included
+                want, = _answer(_companion_array, market, [x])
+                assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
+
+    def test_a_custom_phi_other_than_float64_is_handed_to_the_array_loop(self):
+        # numpy keeps float32 in phi(p) - s, which Python floats would not.
+        f32 = custom_measure(lambda x: np.power(x, 1.5).astype(np.float32),
+                             lambda x: (1.5 * np.sqrt(x)).astype(np.float32))
+        market = MarketInfo(mu=0.5, s=0.45, beta=1.0, measure=f32)
+        prices = [0.1, 0.2, 0.9]
+        assert [_companion_float(market, x) for x in prices] == [None] * 3
+        assert _answer(_solve_companion, market, prices) == \
+            _answer(_companion_array, market, prices)
+
+    def test_a_non_finite_phi_is_handed_to_the_array_loop(self):
+        market = power_market(0.5, 0.45, 1.5, math.inf)
+        with np.errstate(over="ignore"):
+            assert _companion_float(market, 1e300) is None
+        assert _answer(_solve_companion, market, [1e300]) == \
+            (RobustPriceError, "phi(p) is not finite at p = 1e+300")
+
+    def test_doublings_that_run_out_raise_as_the_array_loop(self):
+        market = power_market(1.0398010416042363, 1.0400556057023267, 1.000213072623831,
+                              math.inf)
+        p = 1.0387611366875478
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _companion_float(market, p) is None
+        with pytest.raises(RootFindingError) as info:
+            companion_point(market, p)
+        assert str(info.value) == (
+            f"no sign change found above {market.mu} after bracket expansion at p = {p} on "
+            "MarketInfo(mu=1.0398010416042363, s=1.0400556057023267, beta=inf, measure="
+            "DispersionMeasure(family='power', q=1.000213072623831), mode='exact')")
+
+
+class TestCompanionCost:
+    """One-price companions, the thresholds and the optimizer's Brent rounds
+    never enter the array loop; the optimizer's low scan enters it once."""
+
+    @pytest.fixture
+    def array_calls(self, monkeypatch):
+        calls = []
+
+        def counted(market, p):
+            calls.append(p.size)
+            return _companion_array(market, p)
+
+        monkeypatch.setattr(ambiguity, "_companion_array", counted)
+        return calls
+
+    def test_one_price_calls_stay_on_floats(self, array_calls):
+        assert companion_point(power_market(0.5, 0.45, 1.5, 1.0), 0.2) > 0.5
+        assert left_threshold(power_market(0.5, 0.45, 1.5, 1.0)) > 0
+        exp = _companion_markets()[-1]
+        assert companion_point(exp, [0.1, 0.2, 0.3, 0.4]).shape == (4,)
+        low = power_market(0.5, 0.45, 1.5, 1.0)
+        assert worst_case_cr(low, 0.1).regime == "low_two_point"
+        assert array_calls == []
+
+    # The first market's Brent rounds are all mid-regime ones; the others have low ones.
+    @pytest.mark.parametrize("args, low_rounds", [((0.5, 0.45, 1.5, 1.0), False),
+                                                  ((0.5, 0.3, 3.0, 1.0), True),
+                                                  ((0.5, 0.45, 1.5, math.inf), True)])
+    def test_the_optimizer_enters_the_array_loop_once(self, monkeypatch, array_calls, args,
+                                                      low_rounds):
+        rounds, residuals = [], optimizer._residuals
+
+        def recording(market, p, low, cr):
+            before = len(array_calls)
+            out = residuals(market, p, low, cr)
+            rounds.append((p.size, low, len(array_calls) - before))
+            return out
+
+        monkeypatch.setattr(optimizer, "_residuals", recording)
+        optimal_price_power(*args)
+        scans = [(low, n) for size, low, n in rounds if size == _ROOT_SCAN]
+        steps = [(low, n) for size, low, n in rounds if size < _ROOT_SCAN]
+        assert scans == [(True, 1), (False, 0)] if math.isfinite(args[3]) else [(True, 1)]
+        assert steps and all(n == 0 for _, n in steps)
+        assert any(low for low, _ in steps) == low_rounds
+        assert array_calls == [_ROOT_SCAN]

@@ -252,6 +252,17 @@ def test_a_price_that_is_not_a_real_number_raises(call, p):
         f(m, p)
 
 
+# numpy coerces a list's bool with its numbers, so [True, 0.4] was priced at 1.0 and 0.4.
+@pytest.mark.parametrize("call", ["worst_case_cr", "tail_bounds", "best_case_revenue",
+                                  "companion_point"])
+@pytest.mark.parametrize("p", [[True, 0.4], (0.3, np.True_), [[0.3], [False]]],
+                         ids=["bool", "np_bool", "nested"])
+def test_a_list_with_a_bool_raises(call, p):
+    m = EXACT["power1.5" if call == "companion_point" else "variance"]
+    with pytest.raises(RobustPriceError, match="price must be a number"):
+        getattr(rp, call)(m, p)
+
+
 @pytest.mark.parametrize("p", [False, np.False_, 0j], ids=["bool", "np_bool", "complex"])
 def test_two_point_takes_no_false_zero_price(p):
     # p = 0 gives the {0, t2} member, and False == 0j == 0.
