@@ -72,19 +72,8 @@ class MarketInfo:
     mode: str = MODE_EXACT
 
     def __post_init__(self):
-        for name in ("mu", "s", "beta"):   # one type for every field: an int beta truncates
-            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
-        for name in ("mu", "s"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise RobustPriceError(f"{name} must be finite, got {value}")
-        if math.isnan(self.beta):
-            raise RobustPriceError("beta must be a number or inf, got nan")
-        if not self.mu > 0:
-            raise RobustPriceError(f"mean must be positive, got {self.mu}")
-        if not self.beta > self.mu:
-            raise RobustPriceError(
-                f"maximum valuation must exceed the mean, got beta={self.beta}, mu={self.mu}")
+        for name, value in zip(("mu", "beta", "s"), _market_floats(self.mu, self.beta, self.s)):
+            object.__setattr__(self, name, value)
         if self.mode not in (MODE_EXACT, MODE_UPPER):
             raise RobustPriceError(f"mode must be 'exact' or 'upper', got {self.mode!r}")
         phi_mu = self.measure.value(self.mu)
@@ -172,6 +161,22 @@ def _as_float(name: str, value) -> float:
     return float(value)
 
 
+def _market_floats(mu, beta, s=0.0):
+    """(mu, beta, s) as Python floats (an int beta truncates), checked by a market's rules."""
+    mu, s, beta = _as_float("mu", mu), _as_float("s", s), _as_float("beta", beta)
+    for name, value in (("mu", mu), ("s", s)):
+        if not math.isfinite(value):
+            raise RobustPriceError(f"{name} must be finite, got {value}")
+    if math.isnan(beta):
+        raise RobustPriceError("beta must be a number or inf, got nan")
+    if not mu > 0:
+        raise RobustPriceError(f"mean must be positive, got {mu}")
+    if not beta > mu:
+        raise RobustPriceError(
+            f"maximum valuation must exceed the mean, got beta={beta}, mu={mu}")
+    return mu, beta, s
+
+
 def power_market(mu: float, s: float, q: float, beta: float, mode: str = MODE_EXACT) -> MarketInfo:
     """Convenience constructor for the fractional-moment measure x**q."""
     return MarketInfo(mu=mu, s=s, beta=beta, measure=power_moment(q), mode=mode)
@@ -232,13 +237,23 @@ def is_point_mass(excess, s, phi_mu):
     return np.abs(excess) <= _DEGEN_RTOL * np.maximum(np.abs(phi_mu), np.abs(s))
 
 
+# np.maximum and np.minimum on floats: a NaN propagates, a tie (0.0, -0.0) keeps b.
+def _fmax(a: float, b: float) -> float:
+    return b if a <= b or b != b else a
+
+
+def _fmin(a: float, b: float) -> float:
+    return b if a >= b or b != b else a
+
+
 def variance_companion(mu: float, s2, p):
     """Closed-form companion points of mean/variance knowledge, sigma**2 = s2.
 
-    Above the right threshold they are 0, their limit there.  s2 and p are
-    floats or arrays that broadcast.
+    Above the right threshold they are 0, their limit there.  s2 and p broadcast;
+    Python floats give a float, numpy's bits, and p = mu raises ZeroDivisionError.
     """
-    return np.maximum(mu + s2 / (mu - p), 0.0)
+    a = mu + s2 / (mu - p)
+    return _fmax(a, 0.0) if type(a) is float else np.maximum(a, 0.0)
 
 
 def variance_thresholds(mu: float, s2, beta: float):
@@ -274,8 +289,11 @@ def require_feasible(market: MarketInfo) -> None:
         raise InfeasibleMarketError(rep.reason)
 
 
-def _check_price(p, hi: float) -> None:
-    """The one price rule: raise unless each price in p (float or array) is in (0, hi], finite."""
+def _check_price(p, hi: float, one: bool = False) -> None:
+    """The one price rule: raise unless each price in p (float or array) is in (0, hi], finite,
+    and with ``one`` unless p is one number (a numpy scalar or a 0-d array too)."""
+    if one and (isinstance(p, (list, tuple)) or np.ndim(p)):
+        raise RobustPriceError(f"expected one price, got {p!r}")
     p = as_price_array(p)[0]
     ok = (p > 0) & (p <= min(hi, _PRICE_MAX))
     if np.count_nonzero(ok) < p.size:
@@ -290,13 +308,17 @@ def as_price_array(p, name: str = "price"):
     The restoring function turns a result array of p's size back into a Python
     scalar when p was a scalar, so scalar callers keep getting floats and strings.
     A bool, complex or string p raises, named ``name``: numpy would read "0.4" and True;
-    so does a list or tuple with such an entry, which numpy would coerce with the rest.
+    so does a list or tuple with such an entry, which numpy would coerce with the rest,
+    a ragged one, and one with an entry that is no number.
     """
-    arr = np.asarray(p)
-    if arr.dtype.kind not in "fiuO" or isinstance(p, (list, tuple)) and any(isinstance(
-            v, (bool, np.bool_, complex, str, bytes)) for v in np.asarray(p, dtype=object).flat):
-        raise RobustPriceError(f"{name} must be a number, got {p!r}")
-    arr = arr.astype(float, copy=False)
+    try:   # numpy raises ValueError on a ragged list and an entry that is no number
+        arr = np.asarray(p)
+        if arr.dtype.kind not in "fiuO" or isinstance(p, (list, tuple)) and any(isinstance(
+                v, (bool, np.bool_, complex, str, bytes)) for v in np.asarray(p, object).flat):
+            raise TypeError
+        arr = arr.astype(float, copy=False)
+    except (TypeError, ValueError):
+        raise RobustPriceError(f"{name} must be a number, got {p!r}") from None
     shape = arr.shape
     return arr.reshape(-1), lambda v: v.reshape(shape) if shape else v.item()
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import (_BAND, _PRICE_MAX, MODE_EXACT, MODE_UPPER, MarketInfo, _check_price,
-                        _companion, as_price_array)
+                        _companion, _fmax, _fmin, as_price_array, variance_companion)
 from .errors import (InternalConsistencyError, ModeError, RobustPriceError,
                      UnboundedSupportError)
 
@@ -43,18 +43,53 @@ class TailBounds:
     regime: str
 
 
-def _member_masses(mu: float, s: float, beta: float, p, phi_p, phi0: float, phib: float):
+def _member_masses(mu: float, s: float, beta: float, p, phi_p, phi0: float, phib: float,
+                   isfinite=np.isfinite, where=np.where):
     """(w_p, w_beta) of the {0, p, beta} member with mean mu and dispersion s.
 
-    phi_p, phi0, phib: the measure at p, 0 and beta.  No checks: outside
-    0 < p < beta the masses are meaningless.  Both masses are NaN where the
-    solve overflows (its denominator or a numerator is not finite).
+    phi_p, phi0, phib: the measure at p, 0 and beta; a float p may take math.isfinite
+    and a float where.  No checks: outside 0 < p < beta the masses are meaningless.
+    Both masses are NaN where the solve overflows (its denominator or a numerator is not finite).
     """
     dp, ds, db = phi0 - phi_p, phi0 - s, phib - phi0
     denom, nump, numb = beta * dp + p * db, beta * ds + mu * db, mu * dp - p * ds
-    ok = math.isfinite(nump) and np.isfinite(denom) & np.isfinite(numb)   # nump: a float
-    denom = np.where(ok, denom, math.nan)
+    ok = math.isfinite(nump) and isfinite(denom) & isfinite(numb)   # nump: a float
+    denom = where(ok, denom, math.nan)
     return nump / denom, numb / denom
+
+
+def _piece(market: MarketInfo, k: int, exact: bool, x, ops):
+    """(inf tail, sup tail, y) of the mode's piece k (LOW, MID, HIGH) at x, a price array
+    with _ARRAY_OPS or a Python float with _FLOAT_OPS.  A float where takes both branches,
+    so neither may divide by zero at a price the piece keeps."""
+    minimum, maximum, where, isfinite, phi, companion = ops
+    mu, s, beta = market.mu, market.s, market.beta
+    if not exact and k:   # upper mode above t1: the mean/maximum-only piece
+        return where(x < mu, (mu - x) / (beta - minimum(x, mu)), 0.0), 1.0, beta
+    if k == MID:
+        if beta == math.inf:
+            return 0.0, minimum(mu / x, 1.0), math.inf
+        wp, wb = _member_masses(mu, s, beta, x, phi(market, x), *market.phi_ends, isfinite, where)
+        sup = minimum(maximum(wp + wb, 0.0), 1.0)   # rounding can leave [0, 1]
+        return minimum(maximum(wb, 0.0), sup), sup, beta
+    a = companion(market, x)
+    if k == HIGH:
+        return 0.0, (a - mu) / (a - x), beta
+    if beta == math.inf:
+        a = where(x >= mu, math.inf, a)   # the piece's limit at mu
+    return (mu - x) / (a - x), 1.0, minimum(a, beta)
+
+
+# What price arrays and floats spell differently: (minimum, maximum, where, isfinite, phi,
+# companion), _companion looked up per call.  A variance float companion is the closed form
+# but at the mean, where numpy's rules decide (the beta = inf low piece's end, t1 = mu).
+_ARRAY_OPS = (np.minimum, np.maximum, np.where, np.isfinite,
+              lambda market, x: market.measure._value(x), lambda market, x: _companion(market, x))
+_FLOAT_OPS = (_fmin, _fmax, lambda c, a, b: a if c else b, math.isfinite,
+              lambda market, x: market.measure._value(np.array([x])).item(),
+              lambda market, x: variance_companion(market.mu, market.excess, x)
+              if market.measure.is_variance and x != market.mu
+              else _companion(market, np.array([x])).item())
 
 
 @np.errstate(all="ignore")
@@ -67,8 +102,8 @@ def _tails(market: MarketInfo, p: np.ndarray, mode: str = MODE_EXACT, attained=F
     mode raises :class:`ModeError` here, the one place it is checked.  The
     measure enters only through phi, evaluated once per mid-regime price,
     its ends (phi(0), phi(beta)), and the companion points.  A price's
-    regime alone decides its piece, the same for every entry point; the
-    pieces and the members attaining them:
+    regime alone decides its piece (:func:`_piece`), the same for every entry
+    point; the pieces and the members attaining them:
 
     * low, p <= t1: {p, a} with a = companion(p) > mu; inf (mu-p)/(a-p),
       sup 1, y = a, capped at beta (a float t1 can round past the threshold);
@@ -88,56 +123,33 @@ def _tails(market: MarketInfo, p: np.ndarray, mode: str = MODE_EXACT, attained=F
     market {0, beta} (t2 = beta; inf = sup = mu/beta, y = beta, mid).  A
     NaN raises :class:`InternalConsistencyError`.  With ``attained`` each
     bound must be attained by a member, which with beta = inf fails in the
-    mid regime between the mean and t2.  A single price runs the same pieces
-    on Python floats, bit for bit (:func:`_one_price`).
+    mid regime between the mean and t2.  A single price runs the same
+    :func:`_piece` on a Python float (:func:`_one_price`).
     """
     if market.mode != mode:
         raise ModeError(f"this bound requires mode={mode!r}, the market has mode="
                         f"{market.mode!r}")
-    mu, s, beta = market.mu, market.s, market.beta
+    mu, beta, point = market.mu, market.beta, market.is_degenerate
     finite, exact = math.isfinite(beta), mode == MODE_EXACT
-    if p.size == 1 and (one := _one_price(market, p, exact, attained)):
+    one_member = point or exact and finite and market.right_threshold >= beta * (1.0 - _BAND)
+    if p.size == 1 and not one_member and (one := _one_price(market, p, exact, attained)):
         return one
-
-    def low_piece(x):
-        a = _companion(market, x)
-        if not finite:
-            a = np.where(x >= mu, math.inf, a)   # the piece's limit at mu
-        return (mu - x) / (a - x), 1.0, np.minimum(a, beta)
-
-    def mid_piece(x):
-        if not finite:
-            return 0.0, np.minimum(mu / x, 1.0), math.inf
-        wp, wb = _member_masses(mu, s, beta, x, market.measure._value(x), *market.phi_ends)
-        sup = np.minimum(np.maximum(wp + wb, 0.0), 1.0)   # rounding can leave [0, 1]
-        return np.minimum(np.maximum(wb, 0.0), sup), sup, beta
-
-    def high_piece(x):
-        a = _companion(market, x)
-        return 0.0, (a - mu) / (a - x), beta
-
-    def upper_piece(x):
-        return np.where(x < mu, (mu - x) / (beta - x), 0.0), 1.0, beta
-
     # One comparison checks and labels the prices: above[k] is 1 where p > edge
     # k, the edges 0, t1, t2 and beta.
     above = (p > market._edges).view(np.int8)
     n = np.add.reduce(above, 1).tolist()
     if n[0] != p.size or n[3]:
         _check_price(p, beta)
-    point = market.is_degenerate
-    if point or exact and finite and market.right_threshold >= beta * (1.0 - _BAND):
-        # One member: the point mass or {0, beta}.
+    if one_member:   # the point mass or {0, beta}
         tail = (p <= mu).astype(float) if point else np.full(p.shape, mu / beta)
         regime = np.where(p <= mu, LOW, HIGH) if point else np.full(p.shape, MID)
         return tail, tail.copy(), np.full(p.shape, mu if point else beta), regime
     out = np.empty((3, p.size))
-    pieces = (low_piece, mid_piece, high_piece) if exact else (low_piece, upper_piece, upper_piece)
-    for k, piece in enumerate(pieces):   # piece k: edges k, k + 1
+    for k in range(3):   # piece k: edges k, k + 1
         count = n[k] - n[k + 1]
         if count:
             i = slice(None) if count == p.size else (above[k] != above[k + 1]).nonzero()[0]
-            out[0][i], out[1][i], out[2][i] = piece(p[i])   # scalars or arrays over p[i]
+            out[0][i], out[1][i], out[2][i] = _piece(market, k, exact, p[i], _ARRAY_OPS)
     if np.isnan(out).any():
         k = np.isnan(out).any(0).argmax()
         raise InternalConsistencyError(f"the tail pass gives NaN at p={p[k].item()!r}: "
@@ -149,41 +161,18 @@ def _tails(market: MarketInfo, p: np.ndarray, mode: str = MODE_EXACT, attained=F
 
 
 def _one_price(market: MarketInfo, p: np.ndarray, exact: bool, attained: bool):
-    """:func:`_tails` at the one price of p on Python floats, or None for the array pass.
-
-    Each piece repeats its array operations in order, so the bits are the
-    same; the one-member markets, and a piece that divides by zero or meets
-    a NaN (no piece gives -inf, so lo + hi + y shows it) or a non-finite
-    mass, where numpy's rules decide, go to the array.
-    """
-    mu, s, beta, x, t2 = market.mu, market.s, market.beta, p.item(), market.right_threshold
-    if not 0.0 < x <= min(beta, _PRICE_MAX):
-        _check_price(p, beta)
-    if market.is_degenerate or exact and math.isfinite(beta) and t2 >= beta * (1.0 - _BAND):
-        return None
+    """:func:`_tails` at the one price of p, in a market with more than one member: its
+    :func:`_piece` on a Python float.  None hands the price to the array pass: at a beta = inf
+    mid price below t2 with ``attained``, where that pass raises, and where the piece divides
+    by zero or gives a NaN (no piece gives -inf, so lo + hi + y shows it): numpy's rules."""
+    x, t2 = p.item(), market.right_threshold
+    if not 0.0 < x <= min(market.beta, _PRICE_MAX):
+        _check_price(p, market.beta)
     k = (x > market.left_threshold) + (x > t2)
+    if attained and k == MID and x < t2 and market.beta == math.inf:
+        return None
     try:
-        if k == LOW or exact and k == HIGH:
-            a = (math.inf if k == LOW and x >= mu and beta == math.inf else   # the limit at mu
-                 max(mu + market.excess / (mu - x), 0.0) if market.measure.is_variance
-                 else _companion(market, p).item())
-            lo, hi, y = ((mu - x) / (a - x), 1.0, min(a, beta)) if k == LOW else \
-                (0.0, (a - mu) / (a - x), beta)
-        elif not exact:
-            lo, hi, y = (mu - x) / (beta - x) if x < mu else 0.0, 1.0, beta
-        elif beta == math.inf:
-            if attained and x < t2:   # no member attains the limits: the array pass raises
-                return None
-            lo, hi, y = 0.0, min(mu / x, 1.0), beta
-        else:   # _member_masses on floats; max(0.0, v) ties as np.maximum(v, 0.0)
-            phi0, phib = market.phi_ends
-            dp, ds, db = phi0 - market.measure._value(p).item(), phi0 - s, phib - phi0
-            denom, nump, numb = beta * dp + x * db, beta * ds + mu * db, mu * dp - x * ds
-            wp, wb = nump / denom, numb / denom
-            if not math.isfinite(denom + nump + numb + wp + wb):
-                return None
-            hi = min(max(0.0, wp + wb), 1.0)
-            lo, y = min(max(0.0, wb), hi), beta
+        lo, hi, y = _piece(market, k, exact, x, _FLOAT_OPS)
     except ZeroDivisionError:
         return None
     return None if math.isnan(lo + hi + y) else tuple(np.array([v]) for v in (lo, hi, y, k))

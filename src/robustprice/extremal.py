@@ -101,8 +101,8 @@ def two_point(market: MarketInfo, p: float) -> DiscreteDistribution:
     Admissible for p in [0, left_threshold] or p in [right_threshold, beta],
     where both support points stay inside [0, beta].
     """
-    if as_price_array(p)[0] != 0:   # NaN included; False and 0j raise
-        _check_price(p, market.beta)
+    if isinstance(p, (list, tuple)) or np.ndim(p) or as_price_array(p)[0] != 0:
+        _check_price(p, market.beta, one=True)   # all but the number 0, NaN too; False, 0j raise
     if market.is_degenerate:
         return point_mass(market.mu)
     mu = market.mu
@@ -128,7 +128,7 @@ def three_point(market: MarketInfo, p: float) -> DiscreteDistribution:
     Exists (all masses nonnegative) exactly for p between the two support
     thresholds; its masses need a finite maximum valuation.
     """
-    _check_price(p, market.beta)
+    _check_price(p, market.beta, one=True)
     if market.is_degenerate:
         return point_mass(market.mu)
     t1, t2 = left_threshold(market), right_threshold(market)
@@ -166,7 +166,7 @@ def worst_case_distribution(market: MarketInfo, p: float, eps: float = None) -> 
     two-point member already gives ratio 0.  With beta = inf no member
     attains the bounds between the mean and the right threshold.
     """
-    _check_price(p, market.beta)
+    _check_price(p, market.beta, one=True)
     if eps is None:
         eps = 1e-9 * (market.beta if math.isfinite(market.beta) else market.mu)
     if not 0 < eps < p:

@@ -16,9 +16,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .ambiguity import (_BAND, _BRENTQ_RTOL, _BRENTQ_XTOL, _DEGEN_RTOL, MODE_EXACT,
-                        MarketInfo, _as_float, _companion, left_threshold, power_market,
-                        require_feasible, right_threshold, variance_market,
-                        variance_thresholds)
+                        MarketInfo, _companion, _fmax, _fmin, _market_floats, left_threshold,
+                        power_market, require_feasible, right_threshold, variance_companion,
+                        variance_market, variance_thresholds)
 from .errors import InternalConsistencyError, ModeError, RobustPriceError, RootFindingError
 from .ratio import worst_case_cr, worst_case_revenue
 
@@ -130,24 +130,14 @@ def _variance_table(mu: float, sigma, beta: float, objective: str,
     return labels, p, values, present
 
 
-# np.maximum and np.minimum on floats: a NaN propagates, a tie (0.0, -0.0) keeps b.
-def _fmax(a: float, b: float) -> float:
-    return b if a <= b or b != b else a
-
-
-def _fmin(a: float, b: float) -> float:
-    return b if a >= b or b != b else a
-
-
 def _one_sigma(mu: float, sigma: float, beta: float, cr: bool, compat_printed_pl: bool):
     """:func:`_variance_table`'s (prices, values, present) as lists, on the Python floats
     mu, sigma and beta, or None where numpy's rules decide (a division by zero, a NaN).
-    It repeats the array operations in order, each value in the branch np.where keeps;
-    the cube roots stay np.cbrt, since math.cbrt rounds otherwise."""
+    Thresholds come from :func:`variance_companion`; the rest repeats the array steps in
+    order, each value in the branch np.where keeps, and np.cbrt (math.cbrt rounds otherwise)."""
     try:
         s2 = sigma * sigma
-        t1 = _fmax(mu + s2 / (mu - beta), 0.0)
-        t2 = _fmin(_fmax(mu + s2 / mu, 0.0), beta)
+        t1, t2 = variance_companion(mu, s2, beta), _fmin(variance_companion(mu, s2, 0.0), beta)
         high = _high_prices(t2, beta, cr, math.sqrt, _fmax) if math.isfinite(beta) else ()
         p = [_fmin(float(_low_price(mu, sigma, cr, compat_printed_pl)), t1),
              *(_fmin(_fmax(h, t1), t2) for h in high)]
@@ -175,9 +165,7 @@ def _variance_threshold(mu: float, beta: float, objective: str) -> float:
     1e-3 sigma_max or, if higher, at the point-mass rule's edge (capped at
     sigma_max), below which the point mass (p_l) wins: the edge if high
     already wins there, inf if the market there is the point mass."""
-    mu, beta = _as_float("mu", mu), _as_float("beta", beta)   # as the market holds them
-    if not (math.isfinite(mu) and mu > 0 and beta > mu):   # a NaN beta fails too
-        variance_market(mu, 0.0, beta)   # raises with the market's message
+    mu, beta, _ = _market_floats(mu, beta)   # as a market holds and checks them
     if not math.isfinite(beta):
         return math.inf
 

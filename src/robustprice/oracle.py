@@ -42,13 +42,11 @@ def oracle_grid(market: MarketInfo, p: float, grid_n: int) -> Tuple[np.ndarray, 
     [0, beta] (p <= t1 or p >= t2): the worst members below t1 and above
     t2 are two-point members on a price and its companion.  Returns
     (grid, eps) where eps is the left-limit offset, (beta/grid_n)/1000.
-    A non-scalar p or a non-integer grid_n (bools too) raises first.
+    A p that is not one price in (0, beta], or a non-integer grid_n (bools too), raises first.
     """
-    if np.ndim(p) != 0:
-        raise RobustPriceError(f"the oracle takes one price, got {p!r}")
+    _check_price(p, market.beta, one=True)
     if isinstance(grid_n, bool) or not isinstance(grid_n, (int, np.integer)):
         raise RobustPriceError(f"grid_n must be an integer, got {grid_n!r}")
-    _check_price(p, market.beta)
     if grid_n < MIN_GRID_N:
         raise RobustPriceError(f"grid_n must be at least {MIN_GRID_N}, got {grid_n}")
     if not math.isfinite(market.beta):
@@ -178,7 +176,8 @@ def verify_dual_certificate(market: MarketInfo, p: float, target: str) -> Certif
     spans [0, beta], so beta = inf raises UnboundedSupportError.  The point
     mass, and {0, beta} at p = beta for the inf tail, skip ("degenerate-skip").
     """
-    _check_price(p, market.beta)
+    _check_price(p, market.beta, one=True)
+    p = float(p)   # _certificate hashes its support points, and a 0-d array has no hash
     if target not in (TARGET_SUP_TAIL, TARGET_INF_TAIL):
         raise RobustPriceError(f"unknown certificate target {target!r}")
     if not math.isfinite(market.beta):

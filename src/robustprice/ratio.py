@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import MODE_UPPER, MarketInfo, _check_price, as_price_array, variance_market
+from .ambiguity import (MODE_UPPER, MarketInfo, _check_price, _market_floats, as_price_array,
+                        variance_market)
 from .bounds import HIGH, REGIMES, _tails
 
 BRANCH_TAIL = "tail_ratio"
@@ -74,8 +75,9 @@ def worst_case_cr_variance(mu: float, sigma: float, beta: float, p) -> RatioBrea
 
 def worst_case_cr_mean_range(mu: float, beta: float, p):
     """Worst-case ratio with mean and maximum knowledge only, which needs no
-    market; p may be a float or an array of prices.  The upper-bound mode's
-    ratio equals it above the left threshold."""
+    market, though mu and beta keep a market's rules; p may be a float or an
+    array of prices.  The upper-bound mode's ratio equals it above the left threshold."""
+    mu, beta, _ = _market_floats(mu, beta)
     p, restore = as_price_array(p)
     _check_price(p, beta)
     with np.errstate(divide="ignore", invalid="ignore"):

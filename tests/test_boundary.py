@@ -263,6 +263,55 @@ def test_a_list_with_a_bool_raises(call, p):
         getattr(rp, call)(m, p)
 
 
+# numpy raised its own ValueError on a ragged price list ("inhomogeneous shape") and
+# on an object array with an entry that is no number.
+RAGGED = {"nested": [[0.3, 0.4], [0.5]], "array_and_float": [np.array([0.3, 0.4]), 0.5],
+          "object_str": np.array([0.3, "x"], dtype=object)}
+
+
+@pytest.mark.parametrize("call", ["worst_case_cr", "tail_bounds", "companion_point",
+                                  "three_point_masses"])
+@pytest.mark.parametrize("p", RAGGED.values(), ids=RAGGED.keys())
+def test_a_ragged_price_raises(call, p):
+    m = EXACT["power1.5" if call == "companion_point" else "variance"]
+    with pytest.raises(RobustPriceError, match="price must be a number"):
+        getattr(rp, call)(m, p)
+
+
+# A function of one price took prices its own way: worst_case_distribution and three_point
+# raised numpy's ValueError on np.array([0.4]), two_point answered it and found [0.1, 0.2]
+# ambiguous, and the certificate raised TypeError (unhashable) on it and on np.array(0.4).
+ONE_PRICE = {"two_point": (rp.two_point, 0.1), "three_point": (rp.three_point, 0.4),
+             "worst_case_distribution": (rp.worst_case_distribution, 0.4),
+             "certificate": (CALLS["certificate_inf_tail"][1], 0.4)}
+
+
+@pytest.mark.parametrize("call", ONE_PRICE)
+def test_a_one_price_function_takes_one_number(call):
+    f, p = ONE_PRICE[call]
+    m = EXACT["variance"]
+    for prices in ([p, 0.2], (p,), np.array([p]), np.array([[p]])):
+        with pytest.raises(RobustPriceError, match="expected one price"):
+            f(m, prices)
+    answer = _numbers(f(m, p))
+    assert answer and all(_numbers(f(m, x)) == answer for x in (np.float64(p), np.array(p)))
+
+
+# worst_case_cr_mean_range checked the price only, so it answered where no market exists:
+# 0.75 with beta below mu, 0.0 for a NaN or negative mu, 0.15 for mu = inf.
+@pytest.mark.parametrize("mu, beta", [(0.5, 0.4), (math.nan, 1.0), (-0.5, 1.0), (math.inf, 2.0),
+                                      (0.5, math.nan), (0.5, True), ("0.5", 1.0)],
+                         ids=["beta_below_mu", "nan_mu", "negative_mu", "inf_mu", "nan_beta",
+                              "bool_beta", "str_mu"])
+def test_mean_range_keeps_a_markets_rules(mu, beta):
+    with pytest.raises(RobustPriceError) as market_error:
+        variance_market(mu, 0.1, beta)
+    with pytest.raises(RobustPriceError) as error:
+        rp.worst_case_cr_mean_range(mu, beta, 0.3)
+    assert str(error.value) == str(market_error.value)
+    assert rp.worst_case_cr_mean_range(0.5, math.inf, 0.3) == 0.0
+
+
 @pytest.mark.parametrize("p", [False, np.False_, 0j], ids=["bool", "np_bool", "complex"])
 def test_two_point_takes_no_false_zero_price(p):
     # p = 0 gives the {0, t2} member, and False == 0j == 0.

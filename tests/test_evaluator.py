@@ -634,6 +634,78 @@ class TestScalarEqualsArray:
         assert tail_prob_max(m, p) == m.mu / p
 
 
+class TestTailPassCost:
+    """A one-price call runs its regime's piece once, on a Python float: the
+    piece the array pass runs on each regime's prices.  The price goes back to
+    the array pieces only in a one-member market, which runs no piece, and at
+    a beta = inf mid price below t2 where the bounds must be attained, which
+    raises there."""
+
+    MARKETS = {
+        "power": lambda mode: power_market(0.5, 0.45, 1.5, 1.0, mode=mode),
+        "custom_exp": lambda mode: MarketInfo(0.5, 3.0, 1.0, _exp_measure(0.5), mode),
+        "variance": lambda mode: variance_market(0.5, 0.3, 1.0, mode=mode),
+        "variance_beta_inf": lambda mode: variance_market(0.5, 0.3, math.inf, mode=mode),
+        "power_beta_inf": lambda mode: power_market(0.5, 0.45, 1.5, math.inf, mode=mode),
+    }
+    CALLS = {MODE_EXACT: (tail_bounds, worst_case_cr, worst_case_revenue),
+             MODE_UPPER: (worst_case_cr_dispersion_ub,)}
+
+    @pytest.fixture
+    def pieces(self, monkeypatch):
+        calls, piece = [], bounds._piece
+
+        def counted(market, k, exact, x, ops):
+            calls.append(type(x))
+            return piece(market, k, exact, x, ops)
+
+        monkeypatch.setattr(bounds, "_piece", counted)
+        return calls
+
+    @staticmethod
+    def _prices(m):
+        t1, t2, top = left_threshold(m), right_threshold(m), min(m.beta, 2.0 * right_threshold(m))
+        return [p for p in (0.3 * t1, t1, 0.5 * (t1 + t2), m.mu, t2, 0.5 * (t2 + top), m.beta)
+                if 0 < p < math.inf]
+
+    @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_UPPER])
+    @pytest.mark.parametrize("name", list(MARKETS))
+    def test_one_price_runs_its_piece_on_a_float(self, pieces, name, mode):
+        m = self.MARKETS[name](mode)
+        backs = []
+        for f in self.CALLS[mode]:
+            for p in self._prices(m):
+                pieces.clear()
+                try:
+                    f(m, p)
+                except UnboundedSupportError:
+                    backs.append((f.__name__, p))
+                    assert pieces == [np.ndarray]
+                else:
+                    assert pieces == [float], (f.__name__, p)
+        raising = {"variance_beta_inf": 0.59, "power_beta_inf": 0.655}
+        assert backs == ([("tail_bounds", pytest.approx(raising[name]))]
+                         if name in raising and mode == MODE_EXACT else [])
+
+    # The point mass in both modes; {0, beta} is the one member in exact mode only.
+    @pytest.mark.parametrize("m", [variance_market(0.5, 0.0, 1.0), variance_market(0.5, 0.5, 1.0),
+                                   variance_market(0.5, 0.0, 1.0, mode=MODE_UPPER)],
+                             ids=["point_mass", "maximal_dispersion", "point_mass_upper"])
+    def test_a_one_member_market_runs_no_piece(self, pieces, m):
+        for f in self.CALLS[m.mode]:
+            for p in self._prices(m):
+                f(m, p)
+        assert pieces == []
+
+    @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_UPPER])
+    @pytest.mark.parametrize("name", list(MARKETS))
+    def test_an_array_runs_the_same_pieces_on_arrays(self, pieces, name, mode):
+        m = self.MARKETS[name](mode)
+        f = worst_case_cr if mode == MODE_EXACT else worst_case_cr_dispersion_ub
+        f(m, np.array(self._prices(m)))
+        assert pieces and set(pieces) == {np.ndarray}
+
+
 def _edge_prices(m, fracs):
     """Prices in every regime, at t1, t2, mu and beta and 1e-13 either side of
     them, and the first floats above t2."""
