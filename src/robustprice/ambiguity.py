@@ -308,12 +308,13 @@ def as_price_array(p, name: str = "price"):
     The restoring function turns a result array of p's size back into a Python
     scalar when p was a scalar, so scalar callers keep getting floats and strings.
     A bool, complex or string p raises, named ``name``: numpy would read "0.4" and True;
-    so does a list or tuple with such an entry, which numpy would coerce with the rest,
-    a ragged one, and one with an entry that is no number.
+    so does a list, tuple or object array with such an entry, which numpy would coerce
+    with the rest, a ragged one, and one with an entry that is no number.
     """
     try:   # numpy raises ValueError on a ragged list and an entry that is no number
         arr = np.asarray(p)
-        if arr.dtype.kind not in "fiuO" or isinstance(p, (list, tuple)) and any(isinstance(
+        mixed = isinstance(p, (list, tuple)) or arr.dtype.kind == "O"
+        if arr.dtype.kind not in "fiuO" or mixed and any(isinstance(
                 v, (bool, np.bool_, complex, str, bytes)) for v in np.asarray(p, object).flat):
             raise TypeError
         arr = arr.astype(float, copy=False)

@@ -25,8 +25,7 @@ from .ratio import worst_case_cr, worst_case_revenue
 REGIME_LOW_PRICE = "low"
 REGIME_HIGH_PRICE = "high"
 
-# Scan resolutions: coarse for threshold bracketing, fine for root isolation.
-_THRESHOLD_SCAN = 200
+# Scan resolution for root isolation.
 _ROOT_SCAN = 2001
 _BRENTQ_MAXITER = 100
 # sigma / mu just outside the point-mass rule sigma**2 <= _DEGEN_RTOL (mu**2 + sigma**2),
@@ -93,8 +92,8 @@ def _variance_table(mu: float, sigma, beta: float, objective: str,
     (len(labels), *sigma.shape), one row per candidate.  A candidate is
     present where it is admissible: the low price needs t1 > 0, the high
     prices a finite beta and a positive clipped price.  An absent entry
-    keeps its clipped price, but its value is to be ignored.  A float sigma
-    takes :func:`_one_sigma`, and the array code where that returns None.
+    keeps its clipped price, but its value is to be ignored.  A float sigma takes
+    :func:`_one_sigma`, the array code (the tests' reference) where that returns None.
 
     The values are the worst-case members' closed forms.  With
     a = mu + sigma**2 / (mu - p) and T = p (t2 - p) / (p (t2 - p) + beta (beta - t2)),
@@ -160,36 +159,44 @@ def _one_sigma(mu: float, sigma: float, beta: float, cr: bool, compat_printed_pl
 
 
 def _variance_threshold(mu: float, beta: float, objective: str) -> float:
-    """First sigma in (0, sigma_max) where the best low candidate stops
-    beating the best high one; infinite when beta is.  The scan starts at
-    1e-3 sigma_max or, if higher, at the point-mass rule's edge (capped at
+    """The sigma in (0, sigma_max) where the best low candidate stops beating
+    the best high one, by Brent's method on floats over the whole range, which
+    the gap's one sign change brackets; infinite when beta is.  The range starts
+    at 1e-3 sigma_max or, if higher, at the point-mass rule's edge (capped at
     sigma_max), below which the point mass (p_l) wins: the edge if high
     already wins there, inf if the market there is the point mass."""
     mu, beta, _ = _market_floats(mu, beta)   # as a market holds and checks them
     if not math.isfinite(beta):
         return math.inf
 
-    def gap(sigma):   # a float (a Brent step, the edge probe) on floats, the scan on arrays
-        one = type(sigma) is float and _one_sigma(mu, sigma, beta, objective == "cr", False)
+    def gap(sigma: float) -> float:   # the array code where _one_sigma hands back
+        one = _one_sigma(mu, sigma, beta, objective == "cr", False)
         if one:
             low, *high = (v if keep else -math.inf for v, keep in zip(*one[1:]))
             return low - _fmax(high[0], high[-1])   # revenue has one high candidate
         _, _, values, present = _variance_table(mu, sigma, beta, objective)
         values = np.where(present, values, -np.inf)
-        return values[0] - np.maximum.reduce(values[1:])
+        return float(values[0] - np.maximum.reduce(values[1:]))
 
     sigma_max = math.sqrt(mu * (beta - mu))
     lo, hi = 1e-3 * sigma_max, sigma_max * (1.0 - 1e-9)
-    if lo < _POINT_MASS_EDGE * mu:   # the scan starts at the point-mass rule's edge
+    edge = lo < _POINT_MASS_EDGE * mu
+    if edge:
         lo = min(_POINT_MASS_EDGE * mu, sigma_max)
         if variance_market(mu, lo, beta).is_degenerate:
             return math.inf
-        if gap(lo) <= 0:
-            return lo
-    root = _scan_root(gap, lo, hi, mu)
-    if root is None:
+    f_lo = gap(lo)
+    if edge and f_lo <= 0:
+        return lo
+    if not hi > lo:
         raise RootFindingError(f"no low/high value crossing on (0, {sigma_max})")
-    return root
+    search = _brent(lo, hi, f_lo, gap(hi), _BRENTQ_XTOL * mu)
+    try:
+        sigma = next(search)
+        while True:
+            sigma = search.send(gap(sigma))
+    except StopIteration as stop:
+        return stop.value
 
 
 def optimal_price_variance(mu: float, sigma: float, beta: float,
@@ -221,24 +228,6 @@ def delta_star(mu: float, beta: float) -> float:
     candidates' worst-case revenues cross.
     """
     return _variance_threshold(mu, beta, "rev")
-
-
-def _scan_root(f, lo: float, hi: float, scale: float) -> Optional[float]:
-    """The first root of :func:`_search` on a _THRESHOLD_SCAN-point scan of
-    [lo, hi], None if it is empty; f maps a point array to residuals and a
-    float to one.  It steps its one search itself, one Python float per Brent
-    step, which a threshold's gap takes on floats (:func:`_one_sigma`);
-    :func:`_refine` would pass 1-element arrays."""
-    if not hi > lo:
-        return None
-    grid = np.linspace(lo, hi, _THRESHOLD_SCAN)
-    search = _search(grid, f(grid), scale)
-    try:
-        x = next(search)
-        while True:   # one float call per Brent step
-            x = search.send(float(f(x)))
-    except StopIteration as stop:
-        return stop.value
 
 
 def _refine(f, searches: list) -> list:

@@ -17,6 +17,14 @@ bound) at them, with the tail pass's values 4.5e-13 (0.21).  Near the point
 mass and near the dispersion cap the values are ill-conditioned in sigma too
 (a p_h1 clipped to t1 at sigma = 9e-5 mu is 1.5e-9 off on both the table and
 the tail pass), so sigma stays in 0.01-0.99 of its cap here.
+
+The thresholds sigma_star and delta_star are checked against the root of a
+50-digit gap: the best low minus the best high candidate value, with each
+candidate's price from its closed form (Cardano's low price, the high
+prices from t2, clipped to [t1, t2]) and its value from the reference
+above.  The bound is the solver's tolerance 1e-14 mu + 4 eps |x| times
+THRESHOLD_TOLS; on 540 thresholds the largest error was 3.1 of it at
+beta / mu 1e3-1e6 and 0.26 below.
 """
 
 import math
@@ -24,13 +32,15 @@ import math
 import numpy as np
 import pytest
 
-from robustprice.optimizer import _variance_table
+from robustprice.optimizer import _variance_table, delta_star, sigma_star
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
 
 # Relative bound on a candidate value, plus its condition in the price.
 VALUE_RTOL = 1e-12
+# A threshold's bound, in solver tolerances 1e-14 mu + 4 eps |x|.
+THRESHOLD_TOLS = 8.0
 
 
 def _reference(mu, sigma, beta, p, cr):
@@ -73,3 +83,44 @@ def test_table_values_match_the_reference(objective):
             assert err <= VALUE_RTOL + float(cond / abs(ref)), (label, mu, sigma, beta, p, v)
             worst = max(worst, err)
     assert worst > 0.0   # the reference is not the table's own arithmetic
+
+
+def _reference_gap(mu, sigma, beta, cr):
+    """Best low minus best high candidate value at sigma (mp numbers), to 50 digits."""
+    s2 = sigma * sigma
+    t1, t2 = mu - s2 / (beta - mu), min(mu + s2 / mu, beta)
+    k, c = (2, mp.mpf(8) / 27) if cr else (1, 1)
+    y = mu / (k * sigma)
+    r = mp.sqrt(c + y * y)
+    low = min(mu - sigma * (mp.cbrt(y + r) - mp.cbrt(r - y)), t1)
+    if cr:   # p_h1 and p_h2
+        w = 3 * beta - t2
+        high = [(beta + t2 - mp.sqrt(max(w * w - 4 * beta * beta, 0))) / 2, t2 / 2]
+    else:    # pi_h
+        high = [beta - mp.sqrt(beta * max(beta - t2, 0))]
+    high = [min(max(p, t1), t2) for p in high]
+    low_value = _reference(mu, sigma, beta, low, cr) if t1 > 0 else -mp.inf
+    return low_value - max(_reference(mu, sigma, beta, p, cr) for p in high if p > 0)
+
+
+def _reference_threshold(mu, beta, cr):
+    """The sigma on (1e-3, 1 - 1e-9) sigma_max where the 50-digit gap crosses 0."""
+    with mp.workdps(50):
+        mu, beta = mp.mpf(mu), mp.mpf(beta)
+        top = mp.sqrt(mu * (beta - mu))
+        return mp.findroot(lambda sigma: _reference_gap(mu, sigma, beta, cr),
+                           (top / 1000, top * (1 - mp.mpf(10) ** -9)), solver="anderson",
+                           tol=mp.mpf(10) ** -30, verify=False, maxsteps=100)
+
+
+@pytest.mark.parametrize("objective", ["cr", "rev"])
+def test_thresholds_match_the_reference(objective):
+    # Binary scales 2**-20 to 2**20, beta / mu - 1 from 1e-5 to 1e6.
+    rng, eps = np.random.default_rng(67), np.finfo(float).eps
+    threshold, cr = (sigma_star, True) if objective == "cr" else (delta_star, False)
+    for _ in range(30):
+        mu = math.ldexp(rng.uniform(1.0, 2.0), int(rng.integers(-20, 21)))
+        beta = mu * (1.0 + 10.0 ** rng.uniform(-5.0, 6.0))
+        x, ref = threshold(mu, beta), _reference_threshold(mu, beta, cr)
+        tol = 1e-14 * mu + 4 * eps * abs(ref)
+        assert float(abs(x - ref)) <= THRESHOLD_TOLS * tol, (mu, beta, x, float(ref))

@@ -252,15 +252,30 @@ def test_a_price_that_is_not_a_real_number_raises(call, p):
         f(m, p)
 
 
-# numpy coerces a list's bool with its numbers, so [True, 0.4] was priced at 1.0 and 0.4.
-@pytest.mark.parametrize("call", ["worst_case_cr", "tail_bounds", "best_case_revenue",
-                                  "companion_point"])
-@pytest.mark.parametrize("p", [[True, 0.4], (0.3, np.True_), [[0.3], [False]]],
-                         ids=["bool", "np_bool", "nested"])
+# numpy coerces a list's bool with its numbers, so [True, 0.4] was priced at 1.0 and 0.4,
+# and an object array's entries one by one: np.array([0.3, "0.4"], dtype=object) at 0.3
+# and 0.4.
+MIXED = {"bool": [True, 0.4], "np_bool": (0.3, np.True_), "nested": [[0.3], [False]],
+         "object_bool": np.array([True, 0.4], dtype=object),
+         "object_np_bool": np.array([0.3, np.True_], dtype=object),
+         "object_str": np.array([0.3, "0.4"], dtype=object),
+         "object_bool_0d": np.array(True, dtype=object)}
+MIXED_CALLS = ["worst_case_cr", "tail_bounds", "best_case_revenue", "companion_point"]
+
+
+@pytest.mark.parametrize("call", MIXED_CALLS)
+@pytest.mark.parametrize("p", MIXED.values(), ids=MIXED.keys())
 def test_a_list_with_a_bool_raises(call, p):
     m = EXACT["power1.5" if call == "companion_point" else "variance"]
     with pytest.raises(RobustPriceError, match="price must be a number"):
         getattr(rp, call)(m, p)
+
+
+@pytest.mark.parametrize("call", MIXED_CALLS)
+def test_an_object_array_of_numbers_answers(call):
+    m = EXACT["power1.5" if call == "companion_point" else "variance"]
+    f = getattr(rp, call)
+    assert _numbers(f(m, np.array([0.3, 0.4], dtype=object))) == _numbers(f(m, [0.3, 0.4]))
 
 
 # numpy raised its own ValueError on a ragged price list ("inhomogeneous shape") and

@@ -16,7 +16,7 @@ from robustprice.ambiguity import (MODE_EXACT, MODE_UPPER, MarketInfo, _solve_ri
 from robustprice.bounds import tail_bounds
 from robustprice.dispersion import custom_measure
 from robustprice.errors import InfeasibleMarketError, ModeError, RobustPriceError
-from robustprice.optimizer import (_ROOT_SCAN, _THRESHOLD_SCAN, _condition_optimal, _refine,
+from robustprice.optimizer import (_ROOT_SCAN, _condition_optimal, _refine,
                                    _search, _variance_table, compare_prices, delta_star,
                                    optimal_price_general, optimal_price_power,
                                    optimal_price_revenue_variance,
@@ -193,7 +193,7 @@ class TestSigmaStar:
     @pytest.mark.parametrize("threshold,solve", [(sigma_star, optimal_price_variance),
                                                  (delta_star, optimal_price_revenue_variance)])
     def test_never_inside_the_point_mass_rule(self, threshold, solve):
-        # With beta - mu below 1e-6 mu the scan starts at the rule's edge, just
+        # With beta - mu below 1e-6 mu the search starts at the rule's edge, just
         # past 1e-6 mu; where high already wins there, the edge is the threshold.
         for mu in (0.5, 3e-5, 2e4):
             for gap in (3e-12, 1e-11, 1e-9, 1e-7, 1e-6, 1e-5):
@@ -695,17 +695,11 @@ def _scan_roots_loop(f, lo, hi, n, scale):
     return roots
 
 
-def _crossing_loop(mu, beta, gap):
-    """Reference for sigma_star/delta_star: scalar gap per grid sigma."""
+def _crossing_brentq(mu, beta, gap):
+    """Reference for sigma_star/delta_star: brentq on the scalar gap over the
+    whole range (1e-3, 1 - 1e-9) sigma_max."""
     sigma_max = math.sqrt(mu * (beta - mu))
-    grid = np.linspace(1e-3 * sigma_max, sigma_max * (1.0 - 1e-9), _THRESHOLD_SCAN)
-    vals = [gap(s) for s in grid]
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            return float(grid[i])
-        if vals[i] > 0 >= vals[i + 1]:
-            return brentq(gap, grid[i], grid[i + 1], xtol=_XTOL * mu, rtol=_RTOL)
-    raise AssertionError("no crossing")
+    return brentq(gap, 1e-3 * sigma_max, sigma_max * (1.0 - 1e-9), xtol=_XTOL * mu, rtol=_RTOL)
 
 
 def _gap_from_candidates(solve, low_label):
@@ -719,11 +713,11 @@ def _gap_from_candidates(solve, low_label):
 
 _MU_BETA = [(0.5, 1.0), (0.5, 1.2), (1.0, 1.5), (0.8, 2.9), (1.3, 1.7)]
 # (mu, beta) -> (sigma_star, delta_star), as repr literals.
-_THRESHOLDS = {(0.5, 1.0): (0.3194314224923268, 0.3101494620085281),
+_THRESHOLDS = {(0.5, 1.0): (0.3194314224923268, 0.31014946200852933),
                (0.5, 1.2): (0.38162945654051666, 0.367812312190728),
-               (1.0, 1.5): (0.4277998385836761, 0.42619969365973337),
-               (0.8, 2.9): (0.8309505491570511, 0.7937863578571278),
-               (1.3, 1.7): (0.4121267402746549, 0.41799255724088014)}
+               (1.0, 1.5): (0.42779983858367604, 0.4261996936597334),
+               (0.8, 2.9): (0.8309505491570506, 0.7937863578571278),
+               (1.3, 1.7): (0.4121267402746548, 0.41799255724088014)}
 
 
 class TestArrayScans:
@@ -748,20 +742,20 @@ class TestArrayScans:
     def test_sigma_star_matches_scalar_loop(self, mu, beta):
         gap = _gap_from_candidates(
             lambda sg: optimal_price_variance(mu, sg, beta, with_threshold=False), "p_l")
-        assert sigma_star(mu, beta) == _crossing_loop(mu, beta, gap)
+        assert sigma_star(mu, beta) == _crossing_brentq(mu, beta, gap)
 
     @pytest.mark.parametrize("mu,beta", _MU_BETA)
     def test_delta_star_matches_scalar_loop(self, mu, beta):
         gap = _gap_from_candidates(
             lambda sg: optimal_price_revenue_variance(mu, sg, beta, with_threshold=False),
             "pi_l")
-        assert delta_star(mu, beta) == _crossing_loop(mu, beta, gap)
+        assert delta_star(mu, beta) == _crossing_brentq(mu, beta, gap)
 
     @pytest.mark.parametrize("mu,beta", _MU_BETA)
     def test_thresholds_keep_their_bits(self, mu, beta):
-        # The scalar loops above take their gap from the optimizers, which read
-        # the same one-sigma table as the Brent steps; these literals, from the
-        # array-only table, do not.
+        # The brentq references above take their gap from the optimizers, which read
+        # the same one-sigma table as the Brent steps; these literals pin the
+        # bits without either.
         assert (sigma_star(mu, beta), delta_star(mu, beta)) == _THRESHOLDS[mu, beta]
 
     @pytest.mark.parametrize("mu,sigma,beta", [(0.5, 0.1, 1.0), (0.5, 0.3, 1.2),
@@ -821,9 +815,9 @@ def _assert_column(mu, sigma, beta, objective, compat):
 
 class TestVarianceTable:
     """The candidate table is array-first in sigma, and a float sigma takes a
-    path of its own on Python floats (_one_sigma): the threshold scan runs the
-    array code, each Brent step and each optimizer call the float path, which
-    gives the array's bits or leaves the call to the array code."""
+    path of its own on Python floats (_one_sigma): each gap call of a threshold
+    and each optimizer call takes the float path, which gives the array's bits
+    or leaves the call to the array code."""
 
     @pytest.mark.parametrize("objective", ["cr", "rev"])
     @pytest.mark.parametrize("beta", [1.0, math.inf])
@@ -848,7 +842,7 @@ class TestVarianceTable:
 
     @pytest.mark.parametrize("objective", ["cr", "rev"])
     def test_a_float_sigma_gives_the_array_bits(self, objective):
-        # The threshold's Brent steps pass floats and its scan arrays.  On a
+        # A threshold's gap calls pass floats, the tests arrays.  On a
         # float, x ** 2 is pow(): it differs from the array's square for about
         # 1 in 1,000 inputs, so the float path squares by x * x.  math.cbrt
         # differs from np.cbrt for about 45% of arguments, so it keeps np.cbrt.
@@ -908,11 +902,11 @@ class TestVarianceTable:
 
 
 class TestThresholdCost:
-    """Each gap evaluation of sigma_star/delta_star, the scan and every Brent
-    step, computes the thresholds once and runs no tail pass: the table values
-    its candidates by their closed forms.  The scan computes them in
-    variance_thresholds on its array, each Brent step in _one_sigma on floats,
-    so no step builds a numpy-array table."""
+    """sigma_star/delta_star run one Brent search on floats over the whole
+    dispersion range.  Each gap call, at an end of the range or a Brent step,
+    takes a Python float and computes the thresholds once, in _one_sigma; no
+    call builds an array table or runs a tail pass, since the table values its
+    candidates by their closed forms."""
 
     @pytest.mark.parametrize("threshold", [sigma_star, delta_star])
     def test_one_threshold_computation_and_no_pass_per_gap(self, monkeypatch, threshold):
@@ -921,10 +915,13 @@ class TestThresholdCost:
                      "_variance_table": optimizer._variance_table,
                      "_tails": bounds._tails}
         counts = dict.fromkeys(originals, 0)
+        gaps, points = [], []
 
         def counted(name, f):
             def g(*args, **kwargs):
                 counts[name] += 1
+                if name == "_one_sigma":
+                    gaps.append(args[1])
                 return f(*args, **kwargs)
             return g
 
@@ -933,27 +930,31 @@ class TestThresholdCost:
             for module in (ambiguity, bounds, optimizer, ratio):
                 if getattr(module, name, None) is f:
                     monkeypatch.setattr(module, name, counted(name, f))
-        gaps = []
-        scan_root = optimizer._scan_root
+        brent = optimizer._brent
 
-        def recording_scan(f, *args, **kwargs):
-            def gap(x):
-                before = dict(counts)
-                y = f(x)
-                gaps.append((x, {k: counts[k] - before[k] for k in counts}))
-                return y
-            return scan_root(gap, *args, **kwargs)
+        def recording_brent(lo, hi, *args):
+            points.extend([lo, hi])
+            search, fx = brent(lo, hi, *args), None
+            try:
+                while True:
+                    points.append(search.send(fx))
+                    fx = yield points[-1]
+            except StopIteration as stop:
+                return stop.value
 
-        monkeypatch.setattr(optimizer, "_scan_root", recording_scan)
-        threshold(0.5, 1.0)
-        # _one_sigma computes the thresholds once, on floats.
-        assert [(d["variance_thresholds"] + d["_one_sigma"], d["_tails"]) for _, d in gaps] \
-            == [(1, 0)] * len(gaps)
-        (grid, scan), *steps = gaps
-        assert isinstance(grid, np.ndarray) and grid.size == _THRESHOLD_SCAN
-        assert scan["_variance_table"] == 1
-        assert steps and all(type(x) is float for x, _ in steps)   # Brent passes floats
-        assert all(d["_variance_table"] == 0 and d["_one_sigma"] == 1 for _, d in steps)
+        monkeypatch.setattr(optimizer, "_brent", recording_brent)
+        # Inside, from the point-mass rule's edge, and the edge itself (high wins there).
+        for beta, edge, search in ((1.0, False, True), (0.5 * (1.0 + 3e-8), True, True),
+                                   (0.5 * (1.0 + 1e-9), True, False)):
+            gaps.clear(), points.clear(), counts.update(dict.fromkeys(counts, 0))
+            x = threshold(0.5, beta)
+            # One gap call per point: the ends (the edge probe's is the lower one) and
+            # each step; where high already wins at the edge, the probe alone.
+            assert type(x) is float and gaps == (points or [x])
+            assert all(type(sigma) is float for sigma in gaps)
+            assert counts == {"variance_thresholds": 0, "_one_sigma": len(gaps),
+                              "_variance_table": 0, "_tails": 0}
+            assert (gaps[0] == optimizer._POINT_MASS_EDGE * 0.5, len(points) > 2) == (edge, search)
 
 
 # --------------------------------------------------------------------------
@@ -976,11 +977,11 @@ class TestScaleInvariance:
         assert big.label == unit.label == "p_h1"
         assert big.value == pytest.approx(unit.value, rel=1e-15, abs=0.0)
         assert big.price / 1e103 == pytest.approx(unit.price, rel=1e-15, abs=0.0)
-        assert big.threshold / 1e103 == unit.threshold
+        assert big.threshold / 1e103 == pytest.approx(unit.threshold, rel=1e-15, abs=0.0)
 
     # Scaling by a power of two is exact in floating point, and every step of
     # the variance optimizers (Cardano, the clipped high prices, the closed-form
-    # values, the threshold scan and Brent's steps) is homogeneous in the scale.
+    # values and the threshold's Brent steps) is homogeneous in the scale.
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(mu=st.floats(0.3, 1.5), spread=st.one_of(st.floats(1.05, 4.0), st.just(math.inf)),
            u=st.floats(0.01, 1.0), e=st.integers(-400, 400),

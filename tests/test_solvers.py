@@ -18,8 +18,8 @@ from robustprice import optimizer
 from robustprice.ambiguity import MarketInfo, left_threshold, right_threshold
 from robustprice.dispersion import custom_measure, power_moment
 from robustprice.errors import RootFindingError
-from robustprice.optimizer import (_ROOT_SCAN, _brent, _refine, _scan_root, _search, _select,
-                                   optimal_price_general, optimal_price_power, sigma_star)
+from robustprice.optimizer import (_ROOT_SCAN, _brent, _refine, _search, _select,
+                                   optimal_price_general, optimal_price_power)
 from robustprice.ratio import worst_case_cr, worst_case_revenue
 
 _XTOL, _RTOL = 1e-14, 4 * np.finfo(float).eps
@@ -114,26 +114,11 @@ class TestScanRoot:
         with pytest.raises(RootFindingError, match="NaN"):
             _refine(lambda x: [f(x)], [_search(grid, f(grid), 1.0)])
 
-    def test_no_root_is_none(self):
-        assert _scan_root(lambda x: np.exp(x), -1.0, 1.0, 1.0) is None
-
-    def test_empty_interval_is_none_and_calls_nothing(self):
-        g, calls = _recording(_wavy)
-        assert _scan_root(g, 0.5, 0.5, 1.0) is None
-        assert _scan_root(g, 0.5, 0.4, 1.0) is None
-        assert calls == []
-
     def test_refinement_never_revisits_the_scan(self, monkeypatch):
         # After the scan, each Brent round is one residual call with one point
         # per active search, in search order, and none of them on the grid.
-        threshold, calls, runs = [], [], []
-        scan_root, residuals, refine = optimizer._scan_root, optimizer._residuals, \
-            optimizer._refine
-
-        def recording_scan(f, *args, **kwargs):
-            g, steps = _recording(f)
-            threshold.append((steps, scan_root(g, *args, **kwargs)))
-            return threshold[-1][1]
+        calls, runs = [], []
+        residuals, refine = optimizer._residuals, optimizer._refine
 
         def recording_residuals(market, p, *args):
             calls.append(np.array(p, copy=True))
@@ -146,21 +131,15 @@ class TestScanRoot:
             runs.append((calls[first - 1], calls[first:], points, roots))
             return roots
 
-        monkeypatch.setattr(optimizer, "_scan_root", recording_scan)
         monkeypatch.setattr(optimizer, "_residuals", recording_residuals)
         monkeypatch.setattr(optimizer, "_refine", recording_refine)
-        sigma_star(0.5, 1.0)
         optimal_price_power(0.5, 0.45, 1.5, 1.0)  # both mid roots
         optimal_price_power(0.5, 0.4, 1.5, 1.0)   # the low crossing only
         optimal_price_power(0.5, 0.45, 1.5, math.inf)  # both low roots, no mid regime
-        # The threshold, then bar_p_l, hat_p_l, hat_p_h and bar_p_h of each market.
-        roots = [root for _, root in threshold] + [r for *_, rs in runs for r in rs]
-        assert [root is not None for root in roots] == [True] + [False, False, True, True] \
+        # bar_p_l, hat_p_l, hat_p_h and bar_p_h of each market.
+        roots = [r for *_, rs in runs for r in rs]
+        assert [root is not None for root in roots] == [False, False, True, True] \
             + [True, False, False, False] + [True, True]
-        (steps, _), = threshold
-        grid, *steps = steps
-        assert grid.size > 1 and steps and all(x.size == 1 for x in steps)
-        assert not np.isin(np.array(steps), grid).any()
         for grid, rounds, points, roots in runs:
             assert grid.size == _ROOT_SCAN
             assert len(rounds) == max(map(len, points))
