@@ -80,26 +80,41 @@ def _piece(market: MarketInfo, k: int, exact: bool, x, ops):
     return (mu - x) / (a - x), 1.0, minimum(a, beta)
 
 
+def _on_one(f, x: float) -> float:
+    """f([x]).item() under np.errstate: the numpy calls the float path still makes."""
+    with np.errstate(all="ignore"):
+        return f(np.array([x])).item()
+
+
 # What price arrays and floats spell differently: (minimum, maximum, where, isfinite, phi,
-# companion), _companion looked up per call.  A variance float companion is the closed form
-# but at the mean, where numpy's rules decide (the beta = inf low piece's end, t1 = mu).
+# companion), _companion looked up per call.  A variance price makes no numpy call: phi is
+# x * x (np.power(x, 2.0)'s bits), the companion closed form but at the mean (numpy's rules).
 _ARRAY_OPS = (np.minimum, np.maximum, np.where, np.isfinite,
               lambda market, x: market.measure._value(x), lambda market, x: _companion(market, x))
 _FLOAT_OPS = (_fmin, _fmax, lambda c, a, b: a if c else b, math.isfinite,
-              lambda market, x: market.measure._value(np.array([x])).item(),
+              lambda market, x: x * x if market.measure.is_variance
+              else _on_one(market.measure._value, x),
               lambda market, x: variance_companion(market.mu, market.excess, x)
               if market.measure.is_variance and x != market.mu
-              else _companion(market, np.array([x])).item())
+              else _on_one(lambda p: _companion(market, p), x))
 
 
-@np.errstate(all="ignore")
+def _one_member(market: MarketInfo, mode: str) -> bool:
+    """The point mass, or {0, beta} in exact mode; a market in another mode raises ModeError."""
+    if market.mode != mode:
+        raise ModeError(f"this bound requires mode={mode!r}, the market has mode={market.mode!r}")
+    beta = market.beta
+    return market.is_degenerate or mode == MODE_EXACT and beta < math.inf and \
+        market.right_threshold >= beta * (1.0 - _BAND)
+
+
 def _tails(market: MarketInfo, p: np.ndarray, mode: str = MODE_EXACT, attained=False):
     """(inf tail, sup tail, sup conditional expectation, regime code) per price.
 
     The one tail pass and price check, for both modes: p is a 1-d price
     array, and a price outside (0, beta], NaN and inf included, raises.
     ``mode`` is the mode the caller's answer is for; a market in the other
-    mode raises :class:`ModeError` here, the one place it is checked.  The
+    mode raises :class:`ModeError` (:func:`_one_member`).  The
     measure enters only through phi, evaluated once per mid-regime price,
     its ends (phi(0), phi(beta)), and the companion points.  A price's
     regime alone decides its piece (:func:`_piece`), the same for every entry
@@ -124,16 +139,12 @@ def _tails(market: MarketInfo, p: np.ndarray, mode: str = MODE_EXACT, attained=F
     NaN raises :class:`InternalConsistencyError`.  With ``attained`` each
     bound must be attained by a member, which with beta = inf fails in the
     mid regime between the mean and t2.  A single price runs the same
-    :func:`_piece` on a Python float (:func:`_one_price`).
+    :func:`_piece` on Python floats (:func:`_one_price`), outside np.errstate.
     """
-    if market.mode != mode:
-        raise ModeError(f"this bound requires mode={mode!r}, the market has mode="
-                        f"{market.mode!r}")
+    one_member, exact = _one_member(market, mode), mode == MODE_EXACT
+    if p.size == 1 and not one_member and (one := _one_price(market, p.item(), exact, attained)):
+        return tuple(np.array([v]) for v in one)   # the array callers' 1-element arrays
     mu, beta, point = market.mu, market.beta, market.is_degenerate
-    finite, exact = math.isfinite(beta), mode == MODE_EXACT
-    one_member = point or exact and finite and market.right_threshold >= beta * (1.0 - _BAND)
-    if p.size == 1 and not one_member and (one := _one_price(market, p, exact, attained)):
-        return one
     # One comparison checks and labels the prices: above[k] is 1 where p > edge
     # k, the edges 0, t1, t2 and beta.
     above = (p > market._edges).view(np.int8)
@@ -145,29 +156,30 @@ def _tails(market: MarketInfo, p: np.ndarray, mode: str = MODE_EXACT, attained=F
         regime = np.where(p <= mu, LOW, HIGH) if point else np.full(p.shape, MID)
         return tail, tail.copy(), np.full(p.shape, mu if point else beta), regime
     out = np.empty((3, p.size))
-    for k in range(3):   # piece k: edges k, k + 1
-        count = n[k] - n[k + 1]
-        if count:
-            i = slice(None) if count == p.size else (above[k] != above[k + 1]).nonzero()[0]
-            out[0][i], out[1][i], out[2][i] = _piece(market, k, exact, p[i], _ARRAY_OPS)
+    with np.errstate(all="ignore"):
+        for k in range(3):   # piece k: edges k, k + 1
+            count = n[k] - n[k + 1]
+            if count:
+                i = slice(None) if count == p.size else (above[k] != above[k + 1]).nonzero()[0]
+                out[0][i], out[1][i], out[2][i] = _piece(market, k, exact, p[i], _ARRAY_OPS)
     if np.isnan(out).any():
         k = np.isnan(out).any(0).argmax()
         raise InternalConsistencyError(f"the tail pass gives NaN at p={p[k].item()!r}: "
                                        f"{tuple(out[:, k].tolist())}")
     regime = above[1] + above[2]
-    if attained and not finite and ((regime == MID) & (p < market.right_threshold)).any():
+    if attained and beta == math.inf and ((regime == MID) & (p < market.right_threshold)).any():
         raise UnboundedSupportError("three-point regime needs a finite maximum valuation")
     return out[0], out[1], out[2], regime
 
 
-def _one_price(market: MarketInfo, p: np.ndarray, exact: bool, attained: bool):
-    """:func:`_tails` at the one price of p, in a market with more than one member: its
-    :func:`_piece` on a Python float.  None hands the price to the array pass: at a beta = inf
-    mid price below t2 with ``attained``, where that pass raises, and where the piece divides
-    by zero or gives a NaN (no piece gives -inf, so lo + hi + y shows it): numpy's rules."""
-    x, t2 = p.item(), market.right_threshold
+def _one_price(market: MarketInfo, x: float, exact: bool, attained: bool):
+    """:func:`_tails` at the one price x of a market with more than one member: its
+    :func:`_piece` on the float, as Python floats and an int.  None hands x to the array pass:
+    at a beta = inf mid price below t2 with ``attained``, where that pass raises, and where the
+    piece divides by zero or gives a NaN (no piece gives -inf, so lo + hi + y shows it)."""
+    t2 = market.right_threshold
     if not 0.0 < x <= min(market.beta, _PRICE_MAX):
-        _check_price(p, market.beta)
+        _check_price(x, market.beta)
     k = (x > market.left_threshold) + (x > t2)
     if attained and k == MID and x < t2 and market.beta == math.inf:
         return None
@@ -175,46 +187,51 @@ def _one_price(market: MarketInfo, p: np.ndarray, exact: bool, attained: bool):
         lo, hi, y = _piece(market, k, exact, x, _FLOAT_OPS)
     except ZeroDivisionError:
         return None
-    return None if math.isnan(lo + hi + y) else tuple(np.array([v]) for v in (lo, hi, y, k))
+    return None if math.isnan(lo + hi + y) else (lo, hi, y, k)
+
+
+def _tail_call(market: MarketInfo, p, f, mode: str = MODE_EXACT, attained=False, t2=math.inf):
+    """f(p, inf tail, sup tail, y, regime code) of the tail pass at p, each argument in p's
+    shape: :func:`_one_price`'s floats and int where p is one Python or numpy float it
+    answers, else :func:`_tails`'s arrays restored.  best_case_revenue's finite ``t2``
+    refuses a price above t2 (1 + _BAND) and runs the pass at min(p, t2)."""
+    if type(p) is float or type(p) is np.float64:
+        x = float(p)
+        if not (x > t2 * (1.0 + _BAND) or _one_member(market, mode)) and (
+                one := _one_price(market, min(x, t2), mode == MODE_EXACT, attained)):
+            return f(x, *one)
+    p, restore = as_price_array(p)
+    if t2 < math.inf and np.count_nonzero(bad := p > t2 * (1.0 + _BAND)):   # inf too
+        raise RobustPriceError(f"best-case revenue defined on (0, {t2}], got p={p[bad][0]}")
+    tails = _tails(market, p if t2 == math.inf else np.minimum(p, t2), mode, attained)
+    return f(*map(restore, (p, *tails)))   # the pass checks the rest of the price rule
 
 
 def tail_prob_max(market: MarketInfo, p):
     """Best-case conversion rate sup P(X >= p) over the market (p: float or array)."""
-    p, restore = as_price_array(p)
-    return restore(_tails(market, p, attained=True)[1])
+    return _tail_call(market, p, lambda p, lo, hi, y, k: hi, attained=True)
 
 
 def tail_prob_min(market: MarketInfo, p):
     """Worst-case conversion rate inf P(X >= p) over the market (p: float or array)."""
-    p, restore = as_price_array(p)
-    return restore(_tails(market, p, attained=True)[0])
+    return _tail_call(market, p, lambda p, lo, hi, y, k: lo, attained=True)
 
 
 def cond_exp_max(market: MarketInfo, p):
     """Best-case conditional expectation sup E[X | X >= p] (p: float or array)."""
-    p, restore = as_price_array(p)
-    return restore(_tails(market, p)[2])
+    return _tail_call(market, p, lambda p, lo, hi, y, k: y)
 
 
 def best_case_revenue(market: MarketInfo, p):
     """p * sup P(X >= p); non-decreasing up to the right threshold."""
-    t2 = market.right_threshold
-    if isinstance(p, float) and not p > t2 * (1.0 + _BAND):   # one price: floats around the pass
-        return float(p) * _tails(market, np.array([min(p, t2)]), attained=True)[1].item()
-    p, restore = as_price_array(p)
-    bad = p > t2 * (1.0 + _BAND)   # inf too; the pass checks the rest
-    if np.count_nonzero(bad):
-        raise RobustPriceError(f"best-case revenue defined on (0, {t2}], got p={p[bad][0]}")
-    return restore(p * _tails(market, np.minimum(p, t2), attained=True)[1])
+    return _tail_call(market, p, lambda p, lo, hi, y, k: p * hi, attained=True,
+                      t2=market.right_threshold)
 
 
 def tail_bounds(market: MarketInfo, p) -> TailBounds:
     """All three key quantities plus the best-case revenue (p: float or array)."""
-    p, restore = as_price_array(p)
-    lo, hi, y, regime = _tails(market, p, attained=True)
-    return TailBounds(p=restore(p), inf_tail=restore(lo), sup_tail=restore(hi),
-                      sup_cond_exp=restore(y), best_case_rev=restore(p * hi),
-                      regime=restore(REGIMES[regime]))
+    return _tail_call(market, p, lambda p, lo, hi, y, k: TailBounds(p, lo, hi, y, p * hi,
+                                                                   REGIMES[k]), attained=True)
 
 
 def tail_prob_min_dispersion_ub(market: MarketInfo, p):
@@ -229,5 +246,4 @@ def tail_prob_min_dispersion_ub(market: MarketInfo, p):
     exact-mode bound up to the left threshold and to the mean/maximum value
     above it, and check that an exact-mode market is refused.
     """
-    p, restore = as_price_array(p)
-    return restore(_tails(market, p, MODE_UPPER)[0])
+    return _tail_call(market, p, lambda p, lo, hi, y, k: lo, MODE_UPPER)

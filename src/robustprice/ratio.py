@@ -15,7 +15,7 @@ import numpy as np
 
 from .ambiguity import (MODE_UPPER, MarketInfo, _check_price, _market_floats, as_price_array,
                         variance_market)
-from .bounds import HIGH, REGIMES, _tails
+from .bounds import HIGH, REGIMES, _tail_call, _tails
 
 BRANCH_TAIL = "tail_ratio"
 BRANCH_PRICE = "price_over_cond_exp"
@@ -100,5 +100,4 @@ def worst_case_revenue(market: MarketInfo, p):
 
     p may be a float or an array of prices.
     """
-    p, restore = as_price_array(p)
-    return restore(p * _tails(market, p)[0])
+    return _tail_call(market, p, lambda p, lo, hi, y, k: p * lo)

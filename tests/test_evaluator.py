@@ -22,7 +22,7 @@ from robustprice.ambiguity import (MODE_EXACT, MODE_UPPER, MarketInfo, _companio
 from robustprice.bounds import (_BAND, REGIME_HIGH, REGIME_LOW, REGIME_MID, best_case_revenue,
                                 cond_exp_max, tail_bounds, tail_prob_max,
                                 tail_prob_min, tail_prob_min_dispersion_ub)
-from robustprice.dispersion import custom_measure
+from robustprice.dispersion import DispersionMeasure, custom_measure
 from robustprice.errors import (InternalConsistencyError, ModeError, RobustPriceError,
                                 UnboundedSupportError)
 from robustprice.extremal import worst_case_distribution
@@ -639,7 +639,9 @@ class TestTailPassCost:
     piece the array pass runs on each regime's prices.  The price goes back to
     the array pieces only in a one-member market, which runs no piece, and at
     a beta = inf mid price below t2 where the bounds must be attained, which
-    raises there."""
+    raises there.  The scalar returners answer from those floats: a variance
+    price makes no numpy call, and another measure enters np.errstate only
+    around its phi or companion call."""
 
     MARKETS = {
         "power": lambda mode: power_market(0.5, 0.45, 1.5, 1.0, mode=mode),
@@ -704,6 +706,129 @@ class TestTailPassCost:
         f = worst_case_cr if mode == MODE_EXACT else worst_case_cr_dispersion_ub
         f(m, np.array(self._prices(m)))
         assert pieces and set(pieces) == {np.ndarray}
+
+    # The scalar returners: one Python float or np.float64 price stays on floats.
+    SCALAR_FS = {MODE_EXACT: (best_case_revenue, tail_prob_max, tail_prob_min, cond_exp_max,
+                              worst_case_revenue, tail_bounds),
+                 MODE_UPPER: (tail_prob_min_dispersion_ub,)}
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """What a call does outside the pieces' own float arithmetic, in order: 'errstate'
+        for an np.errstate entered outside a phi or companion call, 'phi' and 'companion'
+        for those calls, 'tails' for the array pass."""
+        log, depth = [], [0]
+
+        def logged(tag, f):
+            def run(*args, **kwargs):
+                if not depth[0]:
+                    log.append(tag)
+                depth[0] += 1
+                try:
+                    return f(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return run
+
+        monkeypatch.setattr(np, "errstate", logged("errstate", np.errstate))
+        monkeypatch.setattr(DispersionMeasure, "_value", logged("phi", DispersionMeasure._value))
+        monkeypatch.setattr(bounds, "_companion", logged("companion", bounds._companion))
+        monkeypatch.setattr(bounds, "_tails", logged("tails", bounds._tails))
+        return log
+
+    def _one_price_events(self, events, m):
+        """{(function name, price): events of its second one-price call (the market's
+        thresholds are then cached)}.  A price that must be attained where no member
+        attains it goes to the array pass, which raises; best_case_revenue raises above
+        t2 before any pass."""
+        out = {}
+        for f in self.SCALAR_FS[m.mode]:
+            for p in self._prices(m):
+                if f is best_case_revenue and p > right_threshold(m):
+                    continue
+                for x in (p, np.float64(p)):
+                    events.clear()
+                    try:
+                        f(m, x)
+                        events.clear()
+                        f(m, x)
+                    except UnboundedSupportError:
+                        assert events[-1:] == ["tails"], (f.__name__, p)
+                        continue
+                    out[f.__name__, p] = list(events)
+        return out
+
+    @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_UPPER])
+    @pytest.mark.parametrize("name", ["variance", "variance_beta_inf"])
+    def test_a_variance_price_makes_no_numpy_call(self, events, name, mode):
+        # phi is x * x and the companion the closed form: no errstate, no array pass.
+        # The one numpy call left is the beta = inf low piece's companion at t1 = mu.
+        m = self.MARKETS[name](mode)
+        for (f, p), got in self._one_price_events(events, m).items():
+            at_mean = p == m.mu and m.beta == math.inf
+            assert got == (["errstate", "companion"] if at_mean else []), (f, p)
+
+    @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_UPPER])
+    @pytest.mark.parametrize("name", ["power", "custom_exp", "power_beta_inf"])
+    def test_other_measures_enter_errstate_only_around_phi_or_companion(self, events, name,
+                                                                        mode):
+        m = self.MARKETS[name](mode)
+        seen = self._one_price_events(events, m)
+        for (f, p), got in seen.items():
+            assert got[::2] == ["errstate"] * (len(got) // 2) and len(got) % 2 == 0, (f, p)
+            assert set(got[1::2]) <= {"phi", "companion"}, (f, p)
+        assert any(seen.values())   # each market has low prices, and each a companion
+
+
+class TestScalarContract:
+    """The scalar returners at one Python float or np.float64 price: a Python float (a
+    str for the regime), bit for bit entry 0 of the call on np.array([p]), and a bad
+    price the array call's error class and message, with every warning an error.  An
+    upper-mode market raises ModeError as the array call does."""
+
+    FS = TestTailPassCost.SCALAR_FS[MODE_EXACT]
+    MARKETS = {
+        **{f"{name}_{mode}": (lambda name=name, mode=mode: TestTailPassCost.MARKETS[name](mode))
+           for name in TestTailPassCost.MARKETS for mode in (MODE_EXACT, MODE_UPPER)},
+        "point_mass": lambda: variance_market(0.5, 0.0, 1.0),
+        "maximal_dispersion": lambda: variance_market(0.5, 0.5, 1.0),
+        # phi(beta) overflows, so every call raises in t1's companion solve, and
+        # phi(p) overflows at the prices from 3.4e38 on.
+        "power_q8_overflow": lambda: power_market(1e37, 1e300, 8.0, 1e40),
+    }
+
+    @staticmethod
+    def _prices(m, f):
+        """(prices in each regime and at the edges, prices that raise)."""
+        good = [1e30, 1e37, 5e38, 1e39] if m.measure.q == 8.0 else TestTailPassCost._prices(m)
+        bad = [0.0, -1.0, math.nan, math.inf] + ([1.5 * m.beta] if m.beta < math.inf else [])
+        t2 = right_threshold(m)
+        if f is best_case_revenue:   # defined up to t2 (1 + _BAND)
+            bad += [t2 * (1.0 + 4.0 * _BAND)] + ([0.5 * (t2 + m.beta)] if t2 < m.beta else [])
+        return good, bad
+
+    @staticmethod
+    def _entry0(f, m, p):
+        got = _outcome(f, m, np.array([p]))
+        return got if isinstance(got, tuple) else _as_array_entries(f, m, [p])[0]
+
+    @pytest.mark.parametrize("name", list(MARKETS))
+    @pytest.mark.parametrize("f", FS)
+    def test_a_float_price_answers_as_its_one_element_array(self, name, f):
+        m = self.MARKETS[name]()
+        good, bad = self._prices(m, f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in good + bad:
+                want = self._entry0(f, m, p)
+                assert isinstance(want, tuple) or (p in good and m.mode == MODE_EXACT), p
+                for x in (p, np.float64(p)):
+                    assert _outcome(f, m, x) == want, (f.__name__, p, type(x))
+        if m.mode == MODE_UPPER:
+            for p in good:
+                if not (f is best_case_revenue and p > right_threshold(m) * (1.0 + _BAND)):
+                    with pytest.raises(ModeError):
+                        f(m, p)
 
 
 def _edge_prices(m, fracs):
